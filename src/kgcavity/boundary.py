@@ -297,7 +297,7 @@ class CharacteristicMaps:
     #: residual tolerance for the inverse solves, scaled by (1 + |y|)
     inv_tol = 1e-12
 
-    def __init__(self, motion, table_points=4096):
+    def __init__(self, motion):
         self.motion = motion
         self.a0 = motion.a0
         self.T = motion.period
@@ -306,7 +306,7 @@ class CharacteristicMaps:
         self.dF_min = (1.0 - s) / (1.0 + s)
         self.dF_max = (1.0 + s) / (1.0 - s)
         # one period of t -> h(t), k(t) for initial inverse guesses
-        ts = np.linspace(0.0, motion.period, table_points + 1)
+        ts = np.linspace(0.0, motion.period, 4097)
         av = np.asarray(motion.a(ts), dtype=float)
         self._tab_t = ts
         self._tab_h = ts - av

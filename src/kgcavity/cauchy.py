@@ -99,11 +99,6 @@ def make_bump(a0, center, width, amplitude, direction="standing"):
         v = np.where(inside, 1.0 - u**2, 0.0)
         return np.where(inside, A / w**2 * (-6.0 * v**2 + 24.0 * u**2 * v), 0.0)
 
-    def dddphi0(x):
-        u = u_of(x)
-        inside = np.abs(u) < 1.0
-        return np.where(inside, A / w**3 * (72.0 * u - 120.0 * u**3), 0.0)
-
     sgn = {"right": -1.0, "left": 1.0, "standing": 0.0}[direction]
     phi1 = (lambda x: sgn * dphi0(x))
     dphi1 = (lambda x: sgn * ddphi0(x))
@@ -112,7 +107,6 @@ def make_bump(a0, center, width, amplitude, direction="standing"):
                       provenance="bump(%s, c=%g, w=%g, A=%g)" % (direction, c, w, A))
     data.int_phi1 = lambda x: sgn * phi0(x)  # exact antiderivative, phi0(0) = 0
     data.kinks = (c - w, c + w)              # phi0''' jumps here
-    data.dddphi0 = dddphi0
     return data
 
 
@@ -191,7 +185,7 @@ def check_compatibility(data, motion, tolerance=1e-10):
     return CompatibilityReport(residuals, tolerance)
 
 
-def check_hypothesis_J(data, analysis, quad_points=512):
+def check_hypothesis_J(data, analysis):
     """L^2 norm of phi0'(|x|) + phi1(|x|) sgn(x) over the interval union J.
 
     A vanishing norm means the growth theorem's hypothesis is unmet and
@@ -201,7 +195,7 @@ def check_hypothesis_J(data, analysis, quad_points=512):
     if not J:
         raise MissingAnalysis("analysis carries no interval union J")
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    nsub = max(2, quad_points // 64)
+    nsub = 8
     total = 0.0
     for lo, hi in J:
         edges = np.linspace(lo, hi, nsub + 1)

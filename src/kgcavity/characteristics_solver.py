@@ -19,12 +19,9 @@ rule G'(F(eta)) = G'(eta)/F'(eta).  The massless energy is
 
     E_0(t) = int_{h(t)}^{k(t)} G'(y)^2 dy.
 
-For a general inhomogeneity f the profile is built segment by segment with
-Gauss quadrature of the strip integrals; the derivative then comes from
-spline differentiation with O(grid^2) error.
+This module evaluates that exact massless profile; the massive solver in
+``kleingordon`` builds the f = -(m^2/4) phi profile on its lattice.
 """
-
-import math
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -33,13 +30,7 @@ __all__ = [
     "OutsideDomain",
     "IncompatibleData",
     "MasslessProfile",
-    "QuadratureProfile",
     "build_initial_profile",
-    "prolong",
-    "eval_phi",
-    "energy_massless",
-    "n_of_eta",
-    "K_of_t",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -88,7 +79,6 @@ class MasslessProfile:
         self.maps = maps
         self.a0 = maps.a0
         self.int_phi1 = _antiderivative_phi1(data)
-        self.f = None
         # locations where G loses smoothness inside the initial interval
         kinks = {0.0, self.a0, -self.a0}
         for kx in getattr(data, "kinks", ()):
@@ -216,178 +206,19 @@ class MasslessProfile:
         np.add.at(out, owner, weights * vals)
         return out
 
-    def sample_table(self, x_max, per_interval=2048):
-        """Materialized (grid, G, G') samples honoring the breakpoints."""
-        brks = self.breakpoints(x_max)
-        edges = np.concatenate([brks[brks < x_max], [x_max]])
-        segs = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(8, int(math.ceil((hi - lo) / (self.a0 / per_interval))))
-            segs.append(np.linspace(lo, hi, n, endpoint=False))
-        grid = np.concatenate(segs + [[x_max]])
-        return grid, self.G(grid), self.G_prime(grid)
 
-
-class QuadratureProfile:
-    """Profile for a general smooth inhomogeneity f(y, z).
-
-    G is sampled on per-interval grids (spacing a(0)/per_interval within
-    each fundamental F-image) and the strip integrals of f are done with
-    Gauss panels; G' comes from monotone-cubic spline differentiation with
-    O(grid^2) error.  Interpolation never crosses the interval breakpoints.
-    """
-
-    def __init__(self, data, maps, f, per_interval=512):
-        self.data = data
-        self.maps = maps
-        self.f = f
-        self.a0 = maps.a0
-        self.per_interval = int(per_interval)
-        self.int_phi1 = _antiderivative_phi1(data)
-        self._edges = [-self.a0, self.a0]     # interval breakpoints built so far
-        self._segments = []                    # list of (xs, G values, interp)
-        self._build_initial()
-
-    # triangle int_0^{Y} dy int_{-y}^{y} dz f(y, z), cumulative on a grid
-    def _build_initial(self):
-        n = 2 * self.per_interval
-        ys = np.linspace(0.0, self.a0, n + 1)
-        # W(y) = int_{-y}^{y} f(y, z) dz by Gauss in z
-        W = np.zeros(n + 1)
-        for i, y in enumerate(ys[1:], start=1):
-            zs = 0.5 * (y + (-y)) + 0.5 * (2.0 * y) * _GAUSS_NODES
-            wz = 0.5 * (2.0 * y) * _GAUSS_WEIGHTS
-            W[i] = float(np.sum(wz * np.asarray(self.f(np.full_like(zs, y), zs))))
-        h = self.a0 / n
-        cumW = np.concatenate([[0.0], np.cumsum(0.5 * h * (W[1:] + W[:-1]))])
-        cum_interp = PchipInterpolator(ys, cumW)
-
-        xs = np.linspace(-self.a0, self.a0, 2 * n + 1)
-        ab = np.abs(xs)
-        G = (-0.5 * np.asarray(self.data.phi0(ab)) * np.sign(xs)
-             - 0.5 * np.asarray(self.int_phi1(ab))
-             - cum_interp(ab))
-        self._segments = [(xs, G, PchipInterpolator(xs, G))]
-
-    def _strip_integral(self, eta, xi):
-        """int_{|eta|}^{xi} dy int_{eta}^{y} dz f(y, z), composite Gauss."""
-        lo = abs(eta)
-        if xi <= lo:
-            return 0.0
-        ny = max(8, int(math.ceil((xi - lo) / (self.a0 / 64))))
-        edges = np.linspace(lo, xi, ny + 1)
-        total = 0.0
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            ynod = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * _GAUSS_NODES
-            ywts = 0.5 * (e1 - e0) * _GAUSS_WEIGHTS
-            inner = np.zeros_like(ynod)
-            for iy, y in enumerate(ynod):
-                if y <= eta:
-                    continue
-                zn = 0.5 * (y + eta) + 0.5 * (y - eta) * _GAUSS_NODES
-                zw = 0.5 * (y - eta) * _GAUSS_WEIGHTS
-                inner[iy] = float(np.sum(zw * np.asarray(self.f(np.full_like(zn, y), zn))))
-            total += float(np.sum(ywts * inner))
-        return total
-
-    def prolong_to(self, x_max):
-        """Extend G segment by segment until it covers [-a(0), x_max]."""
-        while self._edges[-1] < x_max:
-            lo = self._edges[-1]
-            hi = float(self.maps.F(lo))
-            n = max(8, int(math.ceil((hi - lo) / (self.a0 / self.per_interval))))
-            xs = np.linspace(lo, hi, n + 1)
-            etas = np.asarray(self.maps.F_inv(xs))
-            G = np.array([
-                self.G(float(e)) - self._strip_integral(float(e), float(x))
-                for e, x in zip(etas, xs)
-            ])
-            self._segments.append((xs, G, PchipInterpolator(xs, G)))
-            self._edges.append(hi)
-        return self
-
-    def _locate(self, x):
-        edges = self._edges
-        if x < edges[0] - 1e-9:
-            raise OutsideDomain("coordinate below -a(0)")
-        for k in range(len(self._segments)):
-            if x <= edges[k + 1] + 1e-12:
-                return self._segments[k]
-        raise OutsideDomain("profile not prolonged up to %g" % x)
-
-    def G(self, x):
-        if np.ndim(x):
-            return np.array([self.G(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-        seg = self._locate(float(x))
-        return float(seg[2](np.clip(x, seg[0][0], seg[0][-1])))
-
-    def G_prime(self, x):
-        if np.ndim(x):
-            return np.array([self.G_prime(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-        seg = self._locate(float(x))
-        return float(seg[2].derivative()(np.clip(x, seg[0][0], seg[0][-1])))
-
-    def eval_phi(self, xi, eta, check=True):
-        if np.ndim(xi) or np.ndim(eta):
-            xi_a = np.broadcast_to(np.asarray(xi, dtype=float), np.broadcast_shapes(np.shape(xi), np.shape(eta))).ravel()
-            eta_a = np.broadcast_to(np.asarray(eta, dtype=float), xi_a.shape).ravel()
-            return np.array([self.eval_phi(float(a), float(b), check) for a, b in zip(xi_a, eta_a)]).reshape(np.broadcast_shapes(np.shape(xi), np.shape(eta)))
-        if check and not bool(in_domain(self.maps, xi, eta)):
-            raise OutsideDomain("point outside the characteristic domain")
-        return -self._strip_integral(eta, xi) + self.G(eta) - self.G(xi)
-
-    def prolongation_residual(self, etas):
-        """G(F(eta)) - G(eta) + strip integral; zero up to quadrature error."""
-        out = []
-        for e in np.atleast_1d(etas):
-            e = float(e)
-            Fe = float(self.maps.F(e))
-            out.append(self.G(Fe) - self.G(e) + self._strip_integral(e, Fe))
-        return np.asarray(out)
-
-
-def build_initial_profile(data, maps, f=None, compatibility_tol=1e-8,
-                          per_interval=512):
-    """Profile on the initial interval; exact massless path when f is None.
+def build_initial_profile(data, maps):
+    """Exact massless profile of the Cauchy data.
 
     Verifies the corner compatibility conditions first and raises
     :class:`IncompatibleData` on failure (with the report attached).
     """
     from . import cauchy as _cauchy
 
-    report = _cauchy.check_compatibility(data, maps.motion, tolerance=compatibility_tol)
+    report = _cauchy.check_compatibility(data, maps.motion, tolerance=1e-8)
     if not report.all_passed:
         err = IncompatibleData("; ".join(
             line for line, ok in zip(report.lines(), report.passed) if not ok))
         err.report = report
         raise err
-    if f is None:
-        return MasslessProfile(data, maps)
-    return QuadratureProfile(data, maps, f, per_interval=per_interval)
-
-
-def prolong(profile, x_max):
-    """Extend the profile so G is defined on [-a(0), x_max]."""
-    if isinstance(profile, QuadratureProfile):
-        return profile.prolong_to(x_max)
-    profile.breakpoints(x_max)  # warm the image cache; evaluation is exact
-    return profile
-
-
-def eval_phi(profile, xi, eta):
-    return profile.eval_phi(xi, eta)
-
-
-def energy_massless(profile, t):
-    """E_0(t) for a massless profile."""
-    if profile.f is not None:
-        raise ValueError("energy_massless requires f == 0")
-    return profile.energy(t)
-
-
-def n_of_eta(profile, eta):
-    return profile.n_of(eta)
-
-
-def K_of_t(profile, t):
-    return profile.K_of(t)
+    return MasslessProfile(data, maps)

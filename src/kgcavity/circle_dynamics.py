@@ -357,7 +357,7 @@ def weight_l(maps, x, attractor_x, p, q, tol=1e-10, kmax=10_000):
     return np.exp(logl)
 
 
-def asymptotic_coefficients(maps, f, points, p, q, quad_points=2048):
+def asymptotic_coefficients(maps, f, points, p, q):
     """Coefficients A_i = || sqrt(l_i) f ||^2 over the basin pieces J_i.
 
     Works on the fundamental interval [a_1, F(a_1)) of the first attractor,
@@ -405,7 +405,7 @@ def asymptotic_coefficients(maps, f, points, p, q, quad_points=2048):
             if hi_c - lo_c > 1e-12:
                 pieces.append((lo_c, hi_c))
         nodes, weights = np.polynomial.legendre.leggauss(64)
-        nsub = max(4, int(quad_points / 64))
+        nsub = 32
         all_x, all_w = [], []
         for lo_c, hi_c in pieces:
             edges = np.linspace(lo_c, hi_c, nsub + 1)
@@ -423,12 +423,12 @@ def asymptotic_coefficients(maps, f, points, p, q, quad_points=2048):
     return coeffs
 
 
-def weighted_integral(maps, t, j, panels=1024, richardson=True):
+def weighted_integral(maps, t, j, panels=1024):
     """S_j(t) = integral of (DF^{-j})^2 over (h(t), k(t)) by composite Simpson.
 
     DF^{-j} is evaluated as the orbit product of (F^{-1})' along the
-    backward orbit.  With ``richardson`` the integral is recomputed at half
-    the panel count and the difference reported as an error estimate.
+    backward orbit.  The integral is recomputed at half the panel count
+    and the difference reported as an error estimate.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -452,10 +452,7 @@ def weighted_integral(maps, t, j, panels=1024, richardson=True):
         return h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-1:2]))
 
     val = simpson(int(panels))
-    if richardson:
-        err = abs(val - simpson(int(panels) // 2))
-        return val, err
-    return val, 0.0
+    return val, abs(val - simpson(int(panels) // 2))
 
 
 def analyze_map(maps, rotation_iterations=100_000, max_q=20, x0=0.0,

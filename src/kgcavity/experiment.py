@@ -248,8 +248,7 @@ def _fmt(x):
     return repr(float(x))
 
 
-def fit_exponent(times, energies, window, samples_per_window=None,
-                 burn_in_windows=0):
+def fit_exponent(times, energies, window, burn_in_windows=0):
     """Least-squares growth rate of log window-averaged energy.
 
     The series is averaged over consecutive windows of length ``window``
@@ -560,11 +559,9 @@ def _verify_checks(cfg):
     T = motion.period
     a0 = maps.a0
     seed = cfg.int_("seed")
-    rng_master = np.random.default_rng(seed)
     spawn = {name: np.random.default_rng([seed, i])
              for i, name in enumerate([
                  "maps", "herman", "profile", "geometry", "massive"])}
-    del rng_master
 
     def chk_motion():
         ts = np.linspace(0.0, T, 1000)

@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .characteristics_solver import MasslessProfile, build_initial_profile, in_domain
+from .characteristics_solver import OutsideDomain, build_initial_profile
 
 __all__ = [
     "NotConverged",
@@ -39,7 +39,6 @@ __all__ = [
     "FieldGrid",
     "picard_solve",
     "verify_integral_identity",
-    "energy",
     "time_of",
     "lowest_vertex",
     "rectangle",
@@ -83,22 +82,34 @@ def rectangle(maps, xi, eta):
     return (float(eta), float(xi)), (float(maps.F_inv(xi)), float(eta))
 
 
-def depth(maps, xi, eta, check=True):
-    """N(xi, eta): largest n with B^n still inside the domain.
+def _backward_walk(maps, xi, eta):
+    """Coordinates of the backward vertex orbit, one F^{-1} per vertex.
 
-    Terminates because each B step lowers the time by a(k^{-1}(xi)) >= inf a.
+    Returns c with c[0] = xi, c[1] = eta and c[k + 2] = F^{-1}(c[k]), so
+    that B^n = (c[n], c[n + 1]) and Q(B^n) = [c[n+1], c[n]] x [c[n+2], c[n+1]]
+    for n = 0 .. N = len(c) - 3, where N is the depth.  Each vertex is tested
+    against max(-xi, F^{-1}(xi)) <= eta <= xi with the 1e-9 slack of
+    ``in_domain``.  Terminates because each B step lowers the time by
+    a(k^{-1}(xi)) >= inf a.
     """
-    if check and not bool(in_domain(maps, xi, eta)):
-        from .characteristics_solver import OutsideDomain
+    c = [float(xi), float(eta), float(maps.F_inv(xi))]
+
+    def inside(n):
+        x, e = c[n], c[n + 1]
+        return e <= x + 1e-9 and e >= max(-x, c[n + 2]) - 1e-9
+
+    if not inside(0):
         raise OutsideDomain("(%g, %g) outside the domain" % (xi, eta))
-    n = 0
-    cur = (float(xi), float(eta))
     while True:
-        nxt = lowest_vertex(maps, *cur)
-        if not bool(in_domain(maps, nxt[0], nxt[1])):
-            return n
-        cur = nxt
-        n += 1
+        c.append(float(maps.F_inv(c[-2])))
+        if not inside(len(c) - 3):
+            c.pop()
+            return c
+
+
+def depth(maps, xi, eta):
+    """N(xi, eta): largest n with B^n still inside the domain."""
+    return len(_backward_walk(maps, xi, eta)) - 3
 
 
 def theta_sign(n):
@@ -112,14 +123,10 @@ def union_M(maps, xi, eta):
     Returns a list of (sign, (y0, y1), (z0, z1), clipped); the last entry is
     Q(B^N) intersected with the domain, i.e. additionally z >= -y.
     """
-    N = depth(maps, xi, eta)
-    out = []
-    cur = (float(xi), float(eta))
-    for n in range(N + 1):
-        (y0, y1), (z0, z1) = rectangle(maps, *cur)
-        out.append((theta_sign(n), (y0, y1), (z0, z1), n == N))
-        cur = lowest_vertex(maps, *cur)
-    return out
+    c = _backward_walk(maps, xi, eta)
+    N = len(c) - 3
+    return [(theta_sign(n), (c[n + 1], c[n]), (c[n + 2], c[n + 1]), n == N)
+            for n in range(N + 1)]
 
 
 def _rect_area_clipped(y0, y1, z0, z1, clipped):
@@ -197,11 +204,6 @@ class _Lattice:
     # -- band <-> grid helpers -------------------------------------------
     def alloc(self):
         return np.zeros((self.R, self.Wmax))
-
-    def row_cols(self, r):
-        """(jlo, i) column index range of row r (inclusive)."""
-        i = self.n0 + r
-        return self.jmin[i], i
 
     def band_from_G(self, Gl):
         """phi[r, c] = Gl[j] - Gl[i] row by row (the massless combination)."""
@@ -501,7 +503,7 @@ class FieldGrid:
             out_M.append(Em)
         return np.asarray(out_t), np.asarray(out_E), np.asarray(out_M)
 
-    def export_table(self, path, times=None, fmt="%.17g"):
+    def export_table(self, path, times=None):
         """Write (t, x, phi) rows for external plotting."""
         if times is None:
             times = np.linspace(0.0, self.t_max, 33)
@@ -513,11 +515,11 @@ class FieldGrid:
                 except SliceUnavailable:
                     continue
                 for x, v in zip(xs, vals):
-                    fh.write((fmt + "," + fmt + "," + fmt + "\n") % (ta, x, v))
+                    fh.write("%.17g,%.17g,%.17g\n" % (ta, x, v))
 
 
 def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
-                 n_max=40, compatibility_tol=1e-8):
+                 n_max=40):
     """Solve the massive problem up to t_max on an a(0)/resolution lattice.
 
     ``tol`` is relative to sup|phi^(0)|.  m = 0 short-circuits to the exact
@@ -530,7 +532,7 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     NotConverged
         n_max sweeps did not bring the sup change below tolerance.
     """
-    profile = build_initial_profile(data, maps, compatibility_tol=compatibility_tol)
+    profile = build_initial_profile(data, maps)
     lat = _Lattice(maps, resolution, t_max)
 
     Gl0 = np.asarray(profile.G(lat.s))
@@ -638,7 +640,7 @@ def _quad_rect(fieldgrid, y0, y1, z0, z1, clipped):
     return float(np.sum(yw[:, None] * zw * vals.reshape(zn.shape)))
 
 
-def verify_integral_identity(fieldgrid, samples=200, seed=0, margin=None):
+def verify_integral_identity(fieldgrid, samples=200, seed=0):
     """Max residual of phi = phi0 + (m^2/4) int_M theta phi at random points.
 
     The right side uses the signed backward-rectangle union M(xi, eta) with
@@ -648,8 +650,7 @@ def verify_integral_identity(fieldgrid, samples=200, seed=0, margin=None):
     lat = fieldgrid.lattice
     maps = fieldgrid.maps
     rng = np.random.default_rng(seed)
-    if margin is None:
-        margin = 4.0 * lat.delta
+    margin = 4.0 * lat.delta
     worst = 0.0
     count = 0
     while count < samples:
@@ -669,14 +670,13 @@ def verify_integral_identity(fieldgrid, samples=200, seed=0, margin=None):
     return worst
 
 
-def reflection_residual(fieldgrid, samples=500, seed=1, margin=None):
+def reflection_residual(fieldgrid, samples=500, seed=1):
     """Max residual of phi(xi,eta) + phi(B) + (m^2/4) int_Q phi over points
     with T(B) >= 0 (single backward reflection identity)."""
     lat = fieldgrid.lattice
     maps = fieldgrid.maps
     rng = np.random.default_rng(seed)
-    if margin is None:
-        margin = 4.0 * lat.delta
+    margin = 4.0 * lat.delta
     worst = 0.0
     count = 0
     while count < samples:
@@ -693,8 +693,3 @@ def reflection_residual(fieldgrid, samples=500, seed=1, margin=None):
         worst = max(worst, abs(lhs + phib + 0.25 * fieldgrid.m**2 * q))
         count += 1
     return worst
-
-
-def energy(fieldgrid, t):
-    """E_m(t) of a converged run (module-level alias of FieldGrid.energy)."""
-    return fieldgrid.energy(t)

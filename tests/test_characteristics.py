@@ -167,72 +167,3 @@ def test_energy_two_time_sandwich(strong_maps):
         t2 = t1 + rng.uniform(0.0, 2 * strong_maps.motion.a_min)
         E1, E2 = prof.energy(t1), prof.energy(t2)
         assert E1 / strong_maps.dF_max - 1e-12 <= E2 <= E1 / strong_maps.dF_min + 1e-12
-
-
-def test_sample_table_matches_exact(strong_maps):
-    prof = _profile(strong_maps)
-    grid, G, Gp = prof.sample_table(4.0, per_interval=256)
-    sel = np.random.default_rng(0).choice(len(grid), 50, replace=False)
-    assert np.allclose(G[sel], prof.G(grid[sel]), atol=1e-14)
-    assert np.allclose(Gp[sel], prof.G_prime(grid[sel]), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# generic inhomogeneity f != 0 (quadrature profile)
-# ---------------------------------------------------------------------------
-
-def _corner_safe_f(a0):
-    # vanishes at both corners (0,0) and (a0,-a0) so bump data stays compatible
-    def f(y, z):
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return np.sin(np.pi * y / a0) * (y**2 - z**2)
-    return f
-
-
-def test_quadrature_profile_prolongation_consistency(static_maps, tuned_maps):
-    # static wall: no characteristic focusing, residual is pure quadrature
-    data = cauchy.make_bump(static_maps.a0, 0.5, 0.25, 1.0, "right")
-    f = _corner_safe_f(static_maps.a0)
-    prof = cs.build_initial_profile(data, static_maps, f=f, per_interval=128)
-    prof.prolong_to(5.0)
-    rng = np.random.default_rng(5)
-    etas = rng.uniform(-1.0, 2.0, 50)
-    # O(grid^2) budget with the bump curvature |phi0''| ~ 6A/w^2 ~ 1e2:
-    # pchip is O(h^2) near extrema, h = a0/128
-    assert np.max(np.abs(prof.prolongation_residual(etas))) <= 5e-4
-    # focusing moving wall (multiplier 0.52): horizon short enough that the
-    # grid still resolves the compressed features; the O(grid^2) interp
-    # error carries the bump curvature |phi0''| ~ 6A/w^2 = 600
-    data = cauchy.make_bump(tuned_maps.a0, 0.25, 0.1, 1.0, "right")
-    f = _corner_safe_f(tuned_maps.a0)
-    prof = cs.build_initial_profile(data, tuned_maps, f=f, per_interval=128)
-    prof.prolong_to(1.2)
-    etas = rng.uniform(-tuned_maps.a0, 0.2, 50)
-    assert np.max(np.abs(prof.prolongation_residual(etas))) <= 5e-4
-
-
-def test_quadrature_profile_pde_residual(static_maps):
-    # mixed derivative of eval_phi must reproduce f
-    data = cauchy.make_bump(static_maps.a0, 0.5, 0.25, 1.0, "right")
-    f = _corner_safe_f(static_maps.a0)
-    prof = cs.build_initial_profile(data, static_maps, f=f, per_interval=128)
-    prof.prolong_to(4.0)
-    h = 1e-3
-    for (t, x) in [(0.6, 0.4), (1.1, 0.7), (1.7, 0.2)]:
-        xi, eta = t + x, t - x
-        v = (prof.eval_phi(xi + h, eta + h, check=False)
-             - prof.eval_phi(xi + h, eta - h, check=False)
-             - prof.eval_phi(xi - h, eta + h, check=False)
-             + prof.eval_phi(xi - h, eta - h, check=False)) / (4 * h * h)
-        assert v == pytest.approx(float(f(xi, eta)), abs=5e-3)
-
-
-def test_quadrature_profile_matches_massless_for_zero_f(static_maps):
-    data = cauchy.make_bump(static_maps.a0, 0.5, 0.25, 1.0, "right")
-    zf = lambda y, z: np.zeros_like(np.asarray(y, dtype=float))
-    qp = cs.build_initial_profile(data, static_maps, f=zf, per_interval=256)
-    qp.prolong_to(3.0)
-    mp = cs.build_initial_profile(data, static_maps)
-    eta = np.linspace(-0.9, 2.9, 60)
-    assert np.max(np.abs(qp.G(eta) - mp.G(eta))) <= 1e-5

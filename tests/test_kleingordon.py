@@ -48,6 +48,13 @@ def test_theta_alternating_signs(static_maps):
     signs = [r[0] for r in rects]
     assert signs == [-1.0, 1.0, -1.0]
     assert rects[-1][3] is True         # last one clipped
+    # F^{-1}(x) = x - 2: Q(B^n) = [c_{n+1}, c_n] x [c_{n+2}, c_{n+1}] on the
+    # backward coordinates 2.5, 2, 0.5, 0, -1.5
+    assert [(r[1], r[2]) for r in rects] == [
+        ((2.0, 2.5), (0.5, 2.0)), ((0.5, 2.0), (0.0, 0.5)), ((0.0, 0.5), (-1.5, 0.0))]
+    assert [r[3] for r in rects] == [False, False, True]
+    # 0.75 + 0.75 + the clipped triangle 0.125
+    assert kg.measure_M(static_maps, 2.5, 2.0) == 1.625
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +199,7 @@ def test_pde_mixed_difference_residual(tuned_maps):
 
 
 def test_energy_massless_cross_check(tuned_maps):
-    # kleingordon.energy on an m = 0 run matches the exact massless formula;
+    # FieldGrid.energy on an m = 0 run matches the exact massless formula;
     # combined tolerance is the (k_eff delta)^2 stencil scale, measured
     # 1.7e-3 at resolution 256 and 4.1e-4 at 512 (2nd order)
     data = cauchy.make_bump(0.5, 0.25, 0.15, 1.0, "right")

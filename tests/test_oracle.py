@@ -87,8 +87,10 @@ def test_moving_wall_cross_solver_second_order(strong_maps):
                                     times=np.linspace(0.2, 2.4, 12))
         errs[ny] = overall
     assert errs[256] / errs[512] > 3.0
+    # 1.2x the measured 3.02e-2; a profile built from a wall 1 % off
+    # (beta = 0.101) gives 3.99e-2, while its ratio 3.27 still passes
+    assert errs[512] <= 3.6e-2
     C = errs[512] * 512**2
-    assert errs[512] <= 1.5 * C / 512**2   # tautological guard; C reported
     print("measured C for sup|phi_char - phi_oracle| = C Delta^2: %.3g" % C)
 
 
