@@ -12,6 +12,13 @@ characteristic coordinates; the admissible nodes form a banded strip
 max(-xi, F^{-1}(xi)) <= eta <= xi whose cumulative trapezoid tables give
 every triangle integral in O(band) work per sweep.
 
+A sweep streams through the band in blocks of rows.  Row i of the new field
+needs only rows <= i of the old one, and the prolongation of column j reads
+the correction only at jstar(j) <= j - 2 a_min/delta + 1, so each block builds
+its tables in small reused buffers from carried boundary rows.  Only the old
+and the new field are band-sized, and every node sums the same terms in the
+same order as a whole-band pass would.
+
 G is stored as (exact massless part) + (mass correction): the massless part
 is evaluated by exact F-pullback, so interpolation error enters only
 through the O(m^2) correction.
@@ -49,6 +56,7 @@ __all__ = [
 ]
 
 _G16, _W16 = np.polynomial.legendre.leggauss(16)
+_BLOCK_ROWS = 64        # band rows per streamed block of a Picard sweep
 
 
 class NotConverged(RuntimeError):
@@ -192,69 +200,43 @@ class _Lattice:
         j_pro = np.arange(2 * self.n0 + 1, self.M + 1)
         self.j_pro = j_pro
         eta_star = self.Finv[j_pro]
-        self.eta_star = eta_star
         jstar = np.searchsorted(self.s, eta_star - 1e-12 * d, side="left")
         # ensure s[jstar-1] < eta* <= s[jstar]
         jstar = np.clip(jstar, 1, self.M - 1)
         self.jstar = jstar
         self.u = np.maximum(self.s[jstar] - eta_star, 0.0)
         self.lam = 1.0 - self.u / d                      # weight of Corr[jstar]
-        self._ar = np.arange(self.Wmax)
+        # a block of rows must not reach its own prolongation sources jstar
+        reach = int(np.min(j_pro - jstar)) if j_pro.size else _BLOCK_ROWS
+        self.block = min(_BLOCK_ROWS, reach)
 
-    # -- band <-> grid helpers -------------------------------------------
-    def alloc(self):
-        return np.zeros((self.R, self.Wmax))
+    def blocks(self):
+        """(r0, r1) row ranges of the blocks a sweep streams through."""
+        for r0 in range(0, self.R, self.block):
+            yield r0, min(r0 + self.block, self.R)
 
-    def band_from_G(self, Gl):
-        """phi[r, c] = Gl[j] - Gl[i] row by row (the massless combination)."""
-        out = self.alloc()
-        for r in range(self.R):
-            i = self.n0 + r
-            jlo = self.jmin[i]
-            out[r, self.cmin[r]:] = Gl[jlo:i + 1] - Gl[i]
-        return out
+    def g_table(self):
+        """(G at every node, G on the columns of each band row) as two views of
+        one zero-padded buffer: row r reads G(s_j) for its columns at rows[r]."""
+        buf = np.zeros(self.Wmax + self.M)
+        rows = np.lib.stride_tricks.sliding_window_view(buf, self.Wmax)
+        return buf[self.Wmax - 1:], rows[self.n0:]
 
-    def cum_z(self, phi, out=None):
-        """C[r, c] = int_{s_j}^{s_i} phi(s_i, z) dz (trapezoid along the row)."""
-        if out is None:
-            out = self.alloc()
-        pair = 0.5 * self.delta * (phi[:, :-1] + phi[:, 1:])
-        acc = np.cumsum(pair[:, ::-1], axis=1)[:, ::-1]
-        out[:, :-1] = acc
-        out[:, -1] = 0.0
-        return out
+    def fill_rows(self, Grows, r0, out, add=None):
+        """out = G(s_j) - G(s_i) (+ add) on the band rows r0 .. r0 + len(out) - 1,
+        exact zeros outside the band."""
+        win = Grows[r0:r0 + len(out)]
+        np.subtract(win, win[:, -1:], out=out)
+        if add is not None:
+            out += add
+        _clear_left(out, self.cmin[r0:r0 + len(out)])
 
-    def cum_y(self, C, out):
-        """D[r, c] = int_{|s_j|}^{s_i} C(y, s_j) dy along fixed j, anchored
-        where the column enters the band (there y = |s_j| exactly)."""
-        d = self.delta
-        W = self.Wmax
-        out[0].fill(0.0)
-        prevC = C[0].copy()
-        ar1 = self._ar[1:]
-        for r in range(1, self.R):
-            # predecessor of (r, c) is (r-1, c+1); invalid => anchor D = 0
-            cur = C[r]
-            row = out[r]
-            row[-1] = 0.0
-            np.add(prevC[1:], cur[:-1], out=row[:-1])
-            row[:-1] *= 0.5 * d
-            row[:-1] += out[r - 1, 1:]
-            row[:-1] *= ar1 >= self.cmin[r - 1]
-            prevC[:] = cur
-            c0 = self.cmin[r]
-            if c0 > 0:
-                row[:c0] = 0.0
-        return out
 
-    def diag_mirror_gather(self, C):
-        """E_r = C at (i, 2 n0 - i) for i = n0 .. 2 n0: int_{-y}^{y} phi dz."""
-        r = np.arange(self.n0 + 1)
-        cols = self.Wmax - 1 - 2 * r
-        return C[r, cols]
-
-    def band_sup(self, phi):
-        return float(np.max(np.abs(phi)))
+def _clear_left(a, first):
+    """a[k, :first[k]] = 0 for every row k, touching only columns < max(first)."""
+    n = int(first.max())
+    if n > 0:
+        a[:, :n][np.arange(n) < first[:, None]] = 0.0
 
 
 class FieldGrid:
@@ -286,19 +268,19 @@ class FieldGrid:
         self.resolution = int(round(lattice.a0 / lattice.delta))
 
     # -- invariants -----------------------------------------------------------
+    def _row_sup(self):
+        """max |phi| per row; cells outside the band are exact zeros."""
+        return np.maximum(self.phi.max(axis=1), -self.phi.min(axis=1))
+
     def sup_phi(self):
-        return self.lattice.band_sup(self.phi)
+        return float(self._row_sup().max())
 
     def field_bound_ratio(self):
         """sup over the grid of |phi| e^{-a_max m^2 xi / 2} / sup|phi^(0)|."""
         lat = self.lattice
-        amax = self.maps.motion.a_max
-        worst = 0.0
-        for r in range(lat.R):
-            i = lat.n0 + r
-            w = math.exp(-0.5 * amax * self.m**2 * lat.s[i])
-            rowmax = float(np.max(np.abs(self.phi[r, lat.cmin[r]:])))
-            worst = max(worst, rowmax * w)
+        k = -0.5 * self.maps.motion.a_max * self.m**2
+        w = [math.exp(k * x) for x in lat.s[lat.n0:].tolist()]
+        worst = float(np.max(self._row_sup() * w))
         return worst / max(self.sup_phi0, 1e-300)
 
     def picard_bound(self):
@@ -534,77 +516,89 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     """
     profile = build_initial_profile(data, maps)
     lat = _Lattice(maps, resolution, t_max)
+    n0, W, B, h = lat.n0, lat.Wmax, lat.block, 0.5 * lat.delta
 
-    Gl0 = np.asarray(profile.G(lat.s))
-    phi0 = lat.band_from_G(Gl0)
-    sup0 = lat.band_sup(phi0)
+    Gl0, G0rows = lat.g_table()
+    Gl0[:] = profile.G(lat.s)
+    phi0 = np.empty((lat.R, W))
+    sup0 = 0.0
+    for r0, r1 in lat.blocks():
+        lat.fill_rows(G0rows, r0, phi0[r0:r1])
+        sup0 = max(sup0, float(np.max(np.abs(phi0[r0:r1]))))
     tol_abs = tol * max(sup0, 1e-300)
 
     if m == 0.0:
         return FieldGrid(lat, profile, 0.0, phi0, Gl0, np.zeros_like(Gl0),
                          [0.0], 0, True, tol_abs, sup0)
 
-    quarter_m2 = 0.25 * m * m
-    n0 = lat.n0
-    d = lat.delta
-    phi_prev = phi0
-    phi_new = lat.alloc()
-    Cwork = lat.alloc()
-    Dwork = lat.alloc()
-    Gl = Gl0.copy()
+    q4 = 0.25 * m * m
+    phi_prev, phi_new = phi0, np.empty_like(phi0)
+    Gl, Grows = lat.g_table()
     corr = np.zeros_like(Gl0)
+    # per block: C rows and D rows, each below a carried row from the block above;
+    # D lives sheared in Sb (D[k, c] at Sb[k, c + k]) so fixed j is a column
+    Cb = np.zeros((B + 1, W))
+    Sb = np.zeros((B + 1, W + B))
+    Dv = np.lib.stride_tricks.as_strided(Sb, (B + 1, W), (Sb.strides[0] + 8, 8))
+    # D restarts left of this column: the predecessor (r-1, c+1) is outside the band
+    restart = np.concatenate([[W - 1], lat.cmin[:-1] - 1])
     changes = []
-    mirror = np.concatenate([np.arange(2 * n0, n0, -1), np.arange(n0, 2 * n0 + 1)])
-    # row index of |s_j| for j in [0, 2 n0]
-    rhat = mirror - n0
 
     converged = False
     for sweep in range(1, n_max + 1):
-        C = lat.cum_z(phi_prev, Cwork)
-        D = lat.cum_y(C, Dwork)
-
-        # initial-interval correction: int_0^{|eta|} dy int_{-y}^{y} phi dz
-        E_r = lat.diag_mirror_gather(C)
-        cumE = np.concatenate([[0.0], np.cumsum(0.5 * d * (E_r[1:] + E_r[:-1]))])
-        corr[:2 * n0 + 1] = quarter_m2 * cumE[rhat]
-
-        # prolongation: Corr(F(eta)) = Corr(eta) + (m^2/4) T(xi, eta) at eta*
-        jj = lat.j_pro
-        r_of = jj - n0
-        c1 = lat.Wmax - 1 - (jj - lat.jstar)
-        D1 = D[r_of, c1]
-        D2 = D[r_of, np.minimum(c1 + 1, lat.Wmax - 1)]
-        # one-sided linear extrapolation of T(s_j, .) down to eta*
-        tri = D1 - lat.u * (D2 - D1) / d
-        lam = lat.lam
-        jstar = lat.jstar
-        tri_l = tri.tolist()
-        lam_l = lam.tolist()
-        js_l = jstar.tolist()
-        corr_l = corr[:2 * n0 + 1].tolist() + [0.0] * (lat.M - 2 * n0)
-        q4 = quarter_m2
-        for idx, j in enumerate(range(2 * n0 + 1, lat.M + 1)):
-            js = js_l[idx]
-            base = corr_l[js - 1] + lam_l[idx] * (corr_l[js] - corr_l[js - 1])
-            corr_l[j] = base + q4 * tri_l[idx]
-        corr = np.asarray(corr_l)
-
-        # only the O(m^2) correction is ever interpolated; the massless part
-        # of G is exact at every node via F-pullback
-        Gl = Gl0 + corr
-
-        # phi_new = (m^2/4) D + G(eta) - G(xi), row by row
+        Cb[0] = 0.0
+        Sb[0] = 0.0
+        cumE = 0.0
         change = 0.0
-        for r in range(lat.R):
-            i = n0 + r
-            jlo = lat.jmin[i]
-            c0 = lat.cmin[r]
-            seg = q4 * D[r, c0:] + (Gl[jlo:i + 1] - Gl[i])
-            prev = phi_prev[r, c0:]
-            change = max(change, float(np.max(np.abs(seg - prev))) if seg.size else 0.0)
-            phi_new[r, c0:] = seg
-            if c0:
-                phi_new[r, :c0] = 0.0
+        for r0, r1 in lat.blocks():
+            b = r1 - r0
+            # C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the diagonal
+            C = Cb[1:b + 1]
+            np.add(phi_prev[r0:r1, :-1], phi_prev[r0:r1, 1:], out=C[:, :-1])
+            C[:, :-1] *= h
+            np.cumsum(C[:, -2::-1], axis=1, out=C[:, -2::-1])
+            # D[r, c] = int_{|s_j|}^{s_i} C(y, s_j) dy = D[r-1, c+1] + h (C[r-1, c+1]
+            # + C[r, c]), zero where column j enters the band and on the diagonal;
+            # D is never read outside the band
+            D = Dv[1:b + 1]
+            np.add(Cb[:b, 1:], C[:, :-1], out=D[:, :-1])
+            D[:, :-1] *= h
+            _clear_left(D, restart[r0:r1])
+            D[:, -1] = 0.0
+            np.cumsum(Sb[:b + 1], axis=0, out=Sb[:b + 1])
+
+            # initial-interval correction: int_0^{|eta|} dy int_{-y}^{y} phi dz,
+            # from E_k = C at (n0 + k, n0 - k) for k = 1 .. n0
+            k = np.arange(max(r0, 1), min(r1, n0 + 1))
+            if k.size:
+                E = Cb[k - r0 + 1, W - 1 - 2 * k] + Cb[k - r0, W + 1 - 2 * k]
+                run = np.cumsum(np.concatenate([[cumE], h * E]))[1:]
+                corr[n0 + k] = corr[n0 - k] = q4 * run
+                cumE = run[-1]
+
+            # prolongation Corr(F(eta)) = Corr(eta) + (m^2/4) T(xi, eta) at eta*
+            # for the columns j = n0 + r on this block; jstar < n0 + r0 is done
+            p = slice(max(r0 - n0 - 1, 0), max(r1 - n0 - 1, 0))
+            jj, js = lat.j_pro[p], lat.jstar[p]
+            if jj.size:
+                c1 = W - 1 - (jj - js)
+                D1 = D[jj - n0 - r0, c1]
+                D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
+                # one-sided linear extrapolation of T(s_j, .) down to eta*
+                tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
+                corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
+                            + q4 * tri)
+
+            # only the O(m^2) correction is ever interpolated; the massless part
+            # of G is exact at every node via F-pullback
+            lo = max(n0 + r0 + 1 - W, 0)
+            np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
+            out = phi_new[r0:r1]
+            lat.fill_rows(Grows, r0, out, q4 * D)
+            step = out - phi_prev[r0:r1]
+            change = max(change, float(step.max()), -float(step.min()))
+            Cb[0] = Cb[b]
+            Dv[0] = Dv[b]
         changes.append(change)
 
         phi_prev, phi_new = phi_new, phi_prev
