@@ -10,6 +10,7 @@ characteristic coordinate eta returns to x = 0 at F(eta).  F is a degree-one
 lift of a circle diffeomorphism, F(x + T) = F(x) + T.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -311,6 +312,8 @@ class CharacteristicMaps:
         self._tab_t = ts
         self._tab_h = ts - av
         self._tab_k = ts + av
+        # list copy of the h table for the scalar seed in orbit_translation
+        self._seed_h = self._tab_h.tolist()
 
     # -- forward maps -----------------------------------------------------
     def h(self, t):
@@ -418,36 +421,41 @@ class CharacteristicMaps:
     def orbit_translation(self, x0, n):
         """(F^n(x0) - x0) via n scalar lift steps; used by rotation numbers.
 
-        Tracks t = h^{-1}(x) along the orbit so each step costs a couple of
-        Newton iterations seeded from the previous reflection time.
+        Each step solves h(t) = x for the reflection time t by scalar Newton
+        to 1e-13 (1 + |x|), seeded like :meth:`_invert` from the one-period
+        table of h: the periodic shift plus a linear interpolation between
+        the two bracketing nodes, found by ``bisect`` on a list copy.  The
+        seed is within about 1e-7 of the root, so one Newton update usually
+        reaches the tolerance, and the step 2 a(t) reuses the residual's a(t).
         """
         a_s = self.motion.profile.a_scalar
         da_s = self.motion.profile.da_scalar
-        tol = 1e-13
+        tab_h = self._seed_h
+        h0, last, T = tab_h[0], len(tab_h) - 1, self.T
+        dt = T / last
         x = float(x0)
-        # initial reflection time
-        t = self._scalar_hinv(x, x + a_s(x))
         total = 0.0
         for _ in range(int(n)):
-            step = 2.0 * a_s(t)
+            shift = math.floor((x - h0) / T) * T
+            u = x - shift
+            i = min(max(bisect.bisect_right(tab_h, u), 1), last)
+            # the table's t nodes are uniform: t_i = i dt
+            hl = tab_h[i - 1]
+            t = (i - 1 + (u - hl) / (tab_h[i] - hl)) * dt + shift
+            tol = 1e-13 * (1.0 + abs(x))
+            for _ in range(100):
+                a = a_s(t)
+                f = t - a - x
+                if abs(f) <= tol:
+                    break
+                t -= f / (1.0 - da_s(t))
+            else:
+                # Newton stalled; fall back to the vector path
+                a = a_s(float(self.h_inv(x)))
+            step = 2.0 * a
             total += step
             x = x + step
-            # h(t_next) = x, seeded by the previous time plus the ray flight
-            guess = t + step / max(1.0 - da_s(t), 0.05)
-            t = self._scalar_hinv(x, guess, tol)
         return total
-
-    def _scalar_hinv(self, y, guess, tol=1e-13):
-        a_s = self.motion.profile.a_scalar
-        da_s = self.motion.profile.da_scalar
-        t = guess
-        for _ in range(100):
-            f = t - a_s(t) - y
-            if abs(f) <= tol * (1.0 + abs(y)):
-                return t
-            t -= f / (1.0 - da_s(t))
-        # Newton stalled (bad seed); fall back to the vector path
-        return float(self.h_inv(y))
 
 
 def make_motion(spec_dict):

@@ -180,8 +180,9 @@ def _g_and_multiplier(maps, x, p, q):
 def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     """All periodic points F^q(x) = x + pT on [lo, hi) (default [-a(0), a(0))).
 
-    Sign-change scan on a dense grid followed by bisection to 1e-12; each
-    root is classified by its multiplier DF^q.
+    Sign-change scan on a dense grid, then one batched bisection of every
+    bracket to 1e-12; each root is classified by its multiplier DF^q, all
+    taken in one orbit pass.
 
     Raises
     ------
@@ -211,23 +212,27 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     node_zero = np.abs(g) <= 1e-13 * scale
     roots.extend(xs[node_zero].tolist())
 
+    # bisect every sign-change bracket in one vector pass; a bracket drops out
+    # of the active set once it is no wider than ROOT_TOL
     sign = np.sign(g)
     crossings = np.nonzero((sign[:-1] * sign[1:] < 0.0))[0]
     dx = xs[1] - xs[0]
-    for idx in crossings:
-        a, b = xs[idx], xs[idx] + dx
-        fa = g[idx]
-        for _ in range(64):
-            m = 0.5 * (a + b)
-            fm, _ = _g_and_multiplier(maps, m, p, q)
-            fm = float(fm)
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a <= ROOT_TOL:
-                break
-        roots.append(0.5 * (a + b))
+    a = xs[crossings]
+    b = a + dx
+    fa = g[crossings]
+    active = np.ones(a.shape, dtype=bool)
+    for _ in range(64):
+        idx = np.nonzero(active)[0]
+        if not idx.size:
+            break
+        m = 0.5 * (a[idx] + b[idx])
+        fm, _ = _g_and_multiplier(maps, m, p, q)
+        left = fa[idx] * fm <= 0.0
+        b[idx[left]] = m[left]
+        right = idx[~left]
+        a[right], fa[right] = m[~left], fm[~left]
+        active[idx] = b[idx] - a[idx] > ROOT_TOL
+    roots.extend((0.5 * (a + b)).tolist())
 
     # dedupe and keep the half-open interval convention
     roots = sorted(r for r in roots if lo - 1e-12 <= r < hi - 1e-13)
@@ -235,11 +240,12 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     for r in roots:
         if not dedup or r - dedup[-1] > 1e-10:
             dedup.append(r)
+    if not dedup:
+        return []
 
+    _, mults = _g_and_multiplier(maps, np.asarray(dedup, dtype=float), p, q)
     points = []
-    for r in dedup:
-        _, mult = _g_and_multiplier(maps, r, p, q)
-        mult = float(mult)
+    for r, mult in zip(dedup, mults.tolist()):
         if abs(mult - 1.0) <= NEUTRAL_TOL:
             raise NeutralPoint(r, mult)
         kind = "attracting" if mult < 1.0 else "repelling"

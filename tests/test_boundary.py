@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kgcavity import boundary
+from kgcavity import boundary, circle_dynamics as cd
 from kgcavity.boundary import (CharacteristicMaps, RejectedMotion,
                                make_motion, validate_motion,
                                sinusoidal_profile)
@@ -143,3 +143,54 @@ def test_orbit_translation_matches_repeated_F(strong_maps):
     for _ in range(n):
         x = strong_maps.F(x)
     assert strong_maps.orbit_translation(x0, n) == pytest.approx(x - x0, abs=1e-9)
+
+
+class _CountingSinusoid(sinusoidal_profile):
+    """sinusoidal_profile counting its scalar a and a' evaluations."""
+
+    evals = 0
+
+    def a_scalar(self, t):
+        self.evals += 1
+        return super().a_scalar(t)
+
+    def da_scalar(self, t):
+        self.evals += 1
+        return super().da_scalar(t)
+
+
+@pytest.mark.parametrize("alpha", [0.35, 0.5, 0.66, 0.8])
+def test_orbit_translation_table_seed_evaluations(alpha):
+    # beta = 0.14 walls of the benchmark scan (sup|a'| = 0.88): the table seed
+    # leaves one Newton update per step; the old guess t + 2a/(1 - a') cost
+    # 13-33 evaluations per step on these motions
+    prof = _CountingSinusoid(alpha, 0.14, 1.0)
+    maps = CharacteristicMaps(validate_motion(prof, 1.0))
+    prof.evals = 0
+    n = 5000
+    maps.orbit_translation(0.0, n)
+    assert prof.evals / n <= 5
+
+
+# rotation_number(maps, 1e5) and detect_resonance(max_q = 20) on the benchmark
+# scan motions sinusoidal(alpha, 0.14, 1), recorded with the Newton guess
+# t + 2a/(1 - a') that the table seed replaced
+_ROTATION_RECORD = [
+    (0.30, 0.6666678295744496, (2, 3)),
+    (0.35, 0.8823568807016382, (15, 17)),
+    (0.36, 0.9999975000184002, (1, 1)),
+    (0.40, 0.9999987337585698, (1, 1)),
+    (0.50, 0.9999999999999915, (1, 1)),
+    (0.66, 1.172775644729518, None),
+    (0.70, 1.3333321704255567, (4, 3)),
+    (0.80, 1.6666652173394958, (5, 3)),
+]
+
+
+@pytest.mark.parametrize("alpha, rho, res", _ROTATION_RECORD)
+def test_rotation_number_matches_record(alpha, rho, res):
+    maps = CharacteristicMaps(make_motion({"profile": "sinusoidal", "alpha": alpha,
+                                           "beta": 0.14, "period": 1.0}))
+    est, hw = cd.rotation_number(maps, 100_000)
+    assert abs(est - rho) <= 1e-9 * maps.T
+    assert cd.detect_resonance(est, hw, maps.T, 20) == res

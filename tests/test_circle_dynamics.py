@@ -260,3 +260,53 @@ def test_detect_resonance_wide_bar_half_integer_edge():
     with pytest.raises(cd.AmbiguousResonance):
         cd.detect_resonance(0.5, 0.6, 1.0, 3)
     assert cd.detect_resonance(0.5, 0.6, 1.0, 1) == (1, 1)
+
+
+# find_periodic_points on the 15:17 motion sinusoidal(0.35, 0.14, 1), recorded
+# with one bisection loop per bracket: (x, DF^17(x)), repellers and attractors
+# alternating from the left end of [-a(0), a(0))
+_PERIODIC_15_17 = [
+    (-0.3467096215195515, 1.30366220372468),
+    (-0.34081946649348027, 0.7670698722211512),
+    (-0.31975481031817543, 1.3036622036838388),
+    (-0.31192984446813077, 0.7670698722140525),
+    (-0.2981944534204286, 1.3036622036397745),
+    (-0.2955238499430347, 0.7670698721764512),
+    (-0.28478854977334256, 1.3036622036330212),
+    (-0.2802666339716491, 0.7670698721919704),
+    (-0.2715081034614759, 1.303662203811091),
+    (-0.2696713630622274, 0.767069872158588),
+    (-0.26179542028069497, 1.3036622036386265),
+    (-0.2582222213050197, 0.7670698722278252),
+    (-0.2508195526812357, 1.3036622038418755),
+    (-0.24918044731862404, 0.7670698721197944),
+    (-0.24177777869484005, 1.3036622036365901),
+    (-0.23820457971916476, 0.767069872227017),
+    (-0.23032863693763225, 1.303662203762866),
+    (-0.22849189653838384, 0.7670698721367328),
+    (-0.21973336602821067, 1.3036622037218393),
+    (-0.2152114502265173, 0.7670698722321285),
+    (-0.20447615005682498, 1.3036622037404737),
+    (-0.2018055465794311, 0.7670698722216758),
+    (-0.18807015553172896, 1.3036622036819516),
+    (-0.18024518968168426, 0.7670698722131476),
+    (-0.15918053350637942, 1.3036622036618182),
+    (-0.15329037848030816, 0.7670698721925738),
+    (-0.11737906382483593, 1.303662203705079),
+    (-0.09099770095116955, 0.7670698722075214),
+    (0.03146580402423353, 1.3036622037054009),
+    (0.10038946502804752, 0.7670698722114725),
+]
+
+
+def test_periodic_points_15_17_pinned():
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.35, "beta": 0.14,
+                  "period": 1.0})
+    pts = cd.find_periodic_points(maps, 15, 17)
+    assert len(pts) == len(_PERIODIC_15_17)
+    for i, (pt, (x, mult)) in enumerate(zip(pts, _PERIODIC_15_17)):
+        assert pt.kind == ("repelling" if i % 2 == 0 else "attracting")
+        assert pt.x == pytest.approx(x, abs=1e-12)
+        assert pt.multiplier == pytest.approx(mult, rel=1e-10)
+    gamma = cd.growth_exponent(maps, pts, 15, 17)[0]
+    assert gamma == pytest.approx(0.017678492254952546, rel=1e-12)
