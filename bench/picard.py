@@ -1,0 +1,143 @@
+"""Time the massive Picard solve and compare its fixed point across trees.
+
+Each size solves ``picard_solve`` on the ``demos/example.cfg`` wall
+(sinusoidal, ``alpha = 0.5``, ``beta = 0.012``, period 1) with the bump
+``make_bump(0.5, 0.15, 0.1, 1, "right")`` at ``m = 0.27``, for
+``t_max`` periods at an ``a(0)/res`` lattice:
+
+    res 256, 512, 1024 at 12 periods, and res 256 at 40 periods.
+
+Every size runs in its own process, which records
+
+- seconds: median of 3 solves at the default ``tol = 1e-9``;
+- ``ru_maxrss`` after those solves (MB, interpreter included);
+- the band shape, the sweep count (``iterations``) and, when the tree
+  records them, the passes per block of rows (mean and max);
+- ``fixed_point_gap``: after one more solve at ``tol = 1e-14``,
+  ``max|phi - phi_parent| / sup|phi0|`` against the ``tol = 1e-14`` field
+  that the ``parent`` label saved in ``--phi-dir``.
+
+Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
+to measure, so the same script measures an older checkout too.  Measure the
+parent first, since other labels compare against its fields:
+
+    python bench/picard.py --label parent --src /path/to/old/checkout/src \\
+        --phi-dir /path/to/scratch
+    python bench/picard.py --label change --phi-dir /path/to/scratch
+
+The fields are band-sized (about 430 MB at res 1024), so ``--phi-dir``
+should point to a scratch directory.  Each run replaces its label's entry
+in ``BENCH_6.json`` and keeps the others.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = ((256, 12), (512, 12), (1024, 12), (256, 40))
+MASS = 0.27
+REPEAT = 3
+REFERENCE = "parent"
+OUT = os.path.join(ROOT, "BENCH_6.json")
+
+
+def _phi_path(phi_dir, label, res, periods):
+    return os.path.join(phi_dir, "%s-res%d-t%d.npy" % (label, res, periods))
+
+
+def measure(res, periods, label, phi_dir):
+    """One size, in this process: the row of BENCH_6.json."""
+    import resource
+
+    import numpy as np
+    from kgcavity import boundary, cauchy, kleingordon as kg
+
+    maps = boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0}))
+    data = cauchy.make_bump(0.5, 0.15, 0.1, 1.0, "right")
+    times = []
+    for _ in range(REPEAT):
+        fg = None              # one field alive at a time, as in a single solve
+        t0 = time.perf_counter()
+        fg = kg.picard_solve(data, maps, MASS, resolution=res, t_max=periods)
+        times.append(time.perf_counter() - t0)
+    row = {"resolution": res, "periods": periods,
+           "seconds": statistics.median(times), "seconds_all": times,
+           "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+           "band": [fg.lattice.R, fg.lattice.Wmax],
+           "iterations": fg.iterations, "changes": fg.changes}
+    passes = getattr(fg, "block_passes", None)
+    if passes is not None:
+        row["passes_per_block"] = {"mean": float(passes.mean()),
+                                   "max": int(passes.max()),
+                                   "blocks": int(passes.size)}
+    fg = None
+    fg = kg.picard_solve(data, maps, MASS, resolution=res, t_max=periods, tol=1e-14)
+    np.save(_phi_path(phi_dir, label, res, periods), fg.phi)
+    ref = _phi_path(phi_dir, REFERENCE, res, periods)
+    if label != REFERENCE and os.path.exists(ref):
+        other = np.load(ref, mmap_mode="r")
+        gap = 0.0
+        for r0 in range(0, fg.phi.shape[0], 1024):
+            d = fg.phi[r0:r0 + 1024] - other[r0:r0 + 1024]
+            gap = max(gap, float(np.max(np.abs(d))))
+        row["fixed_point_gap"] = gap / fg.sup_phi0
+    return row
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory holding the kgcavity package (default: ./src)")
+    ap.add_argument("--phi-dir", default=os.path.join(ROOT, ".bench_picard"),
+                    help="directory for the tol-1e-14 fields (default: ./.bench_picard)")
+    ap.add_argument("--size", nargs=2, type=int, metavar=("RES", "PERIODS"),
+                    help=argparse.SUPPRESS)      # one size, in this process
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+
+    if args.size:
+        sys.path.insert(0, src)
+        row = measure(args.size[0], args.size[1], args.label, args.phi_dir)
+        print(json.dumps(row), flush=True)
+        return
+
+    os.makedirs(args.phi_dir, exist_ok=True)
+    rows = []
+    for res, periods in SIZES:
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--label", args.label,
+             "--src", src, "--phi-dir", args.phi_dir,
+             "--size", str(res), str(periods)],
+            check=True, stdout=subprocess.PIPE, text=True).stdout
+        row = json.loads(out.strip().splitlines()[-1])
+        print(json.dumps({k: v for k, v in row.items() if k != "changes"}), flush=True)
+        rows.append(row)
+
+    import numpy
+    entry = {
+        "host": {"python": platform.python_version(), "numpy": numpy.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "mass": MASS,
+        "repeat": REPEAT,
+        "sizes": rows,
+    }
+    bench = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            bench = json.load(fh)
+    bench[args.label] = entry
+    with open(OUT, "w") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

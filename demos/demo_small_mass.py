@@ -35,10 +35,12 @@ g0, _, _ = fit_exponent(times, E0, 1.0, burn_in_windows=6)
 
 # massive run
 fg = kg.picard_solve(data, maps, m, resolution=512, t_max=20.3)
-print("picard converged in %d sweeps; change sequence:" % fg.iterations)
+print("picard converged block by block in %.2f passes per block on average, "
+      "%d at most; largest change per pass:"
+      % (fg.block_passes.mean(), fg.block_passes.max()))
 ch, bound = fg.picard_bound()
 for n, (c, b) in enumerate(zip(ch, bound)):
-    print("  sweep %2d: change %.3e   factorial bound %.3e" % (n, c, b))
+    print("  pass %2d: change %.3e   factorial bound %.3e" % (n, c, b))
 print("field bound ratio sup|phi| e^{-a_max m^2 xi/2} / sup|phi0| = %.3f (<= 1.1)"
       % fg.field_bound_ratio())
 

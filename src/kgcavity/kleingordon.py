@@ -6,18 +6,20 @@ f = -(m^2/4) phi^{(n-1)} through the explicit profile construction
     phi^{(n)}(xi, eta) = (m^2/4) T[phi^{(n-1)}](xi, eta) + G(eta) - G(xi),
     T[w](xi, eta) = int_{|eta|}^{xi} dy int_{eta}^{y} dz w(y, z),
 
-with G rebuilt each sweep from the data plus prolongation corrections.
+with G rebuilt each pass from the data plus prolongation corrections.
 Everything lives on one uniform grid s_j = -a(0) + j*delta shared by both
 characteristic coordinates; the admissible nodes form a banded strip
 max(-xi, F^{-1}(xi)) <= eta <= xi whose cumulative trapezoid tables give
-every triangle integral in O(band) work per sweep.
+every triangle integral in O(band) work per pass.
 
-A sweep streams through the band in blocks of rows.  Row i of the new field
-needs only rows <= i of the old one, and the prolongation of column j reads
-the correction only at jstar(j) <= j - 2 a_min/delta + 1, so each block builds
-its tables in small reused buffers from carried boundary rows.  Only the old
-and the new field are band-sized, and every node sums the same terms in the
-same order as a whole-band pass would.
+The iteration is Volterra in xi: row i of the new field needs only rows <= i
+of the old one, and the prolongation of column j reads the correction only at
+jstar(j) <= j - 2 a_min/delta + 1, which lies in an earlier block of rows.  So
+the solver marches through the band in blocks of rows and iterates each block,
+starting from its phi^(0) rows, until its own change is within tolerance; the
+rows below are final by then.  Each pass builds the block's tables in small
+reused buffers from the carried boundary rows of the block below, and phi is
+the only band-sized array.
 
 G is stored as (exact massless part) + (mass correction): the massless part
 is evaluated by exact F-pullback, so interpolation error enters only
@@ -27,7 +29,7 @@ The backward-characteristic geometry (rectangles Q, vertex map B, depth N,
 signed union M) provides an independent integral-identity check of the
 converged field.
 
-Concurrency: sweeps are inherently sequential; within a sweep every array
+Concurrency: passes are inherently sequential; within a pass every array
 operation is single-threaded numpy with a fixed summation order, so results
 are bitwise deterministic.  FieldGrid instances are immutable after the
 solve and safe to share read-only.
@@ -56,11 +58,12 @@ __all__ = [
 ]
 
 _G16, _W16 = np.polynomial.legendre.leggauss(16)
-_BLOCK_ROWS = 64        # band rows per streamed block of a Picard sweep
+_BLOCK_ROWS = 64        # band rows per block of the marched Picard iteration
 
 
 class NotConverged(RuntimeError):
-    """Picard iteration hit n_max while the sup-norm change exceeded tol."""
+    """A block of rows hit n_max Picard passes while its sup-norm change
+    exceeded tol; ``changes`` holds the per-pass maxima so far."""
 
     def __init__(self, msg, changes):
         super().__init__(msg)
@@ -211,7 +214,7 @@ class _Lattice:
         self.block = min(_BLOCK_ROWS, reach)
 
     def blocks(self):
-        """(r0, r1) row ranges of the blocks a sweep streams through."""
+        """(r0, r1) row ranges of the blocks, in the order they converge."""
         for r0 in range(0, self.R, self.block):
             yield r0, min(r0 + self.block, self.R)
 
@@ -247,11 +250,14 @@ class FieldGrid:
     phi : banded array of samples, rows xi = s_i (i >= index of 0),
           columns eta = s_j for j in [j_min(i), i].
     Gl : profile values G at every grid node (massless part + correction).
-    changes : sup-norm Picard increments, one per sweep.
+    changes : sup-norm Picard increments; changes[k] is the largest change
+              of the (k+1)-th pass over any block of rows.
+    block_passes : Picard passes each block of rows needed (int array);
+                   iterations is its maximum, len(changes) for m > 0.
     """
 
-    def __init__(self, lattice, profile, m, phi, Gl, corr, changes, iterations,
-                 converged, tol_abs, sup_phi0):
+    def __init__(self, lattice, profile, m, phi, Gl, corr, changes, block_passes,
+                 tol_abs, sup_phi0):
         self.lattice = lattice
         self.maps = lattice.maps
         self.profile = profile
@@ -260,8 +266,8 @@ class FieldGrid:
         self.Gl = Gl
         self.corr = corr
         self.changes = list(changes)
-        self.iterations = int(iterations)
-        self.converged = bool(converged)
+        self.block_passes = np.array(block_passes, dtype=int)
+        self.iterations = int(self.block_passes.max(initial=0))
         self.tol_abs = float(tol_abs)
         self.sup_phi0 = float(sup_phi0)
         self.t_max = lattice.t_max
@@ -285,11 +291,13 @@ class FieldGrid:
 
     def picard_bound(self):
         """(measured changes, a-priori bound sequence) from the factorial
-        estimate (a_max m^2 xi_max / 2)^n / n! * change_0."""
+        estimate (a_max m^2 dxi_block / 2)^n / n! * change_0: the rows below
+        a block are final while it iterates, so its xi extent dxi_block =
+        block * delta takes the place of xi_max."""
         if not self.changes:
             return np.array([]), np.array([])
-        xi_max = self.lattice.s[self.lattice.M]
-        base = 0.5 * self.maps.motion.a_max * self.m**2 * xi_max
+        dxi_block = self.lattice.block * self.lattice.delta
+        base = 0.5 * self.maps.motion.a_max * self.m**2 * dxi_block
         c0 = self.changes[0]
         ns = np.arange(len(self.changes))
         bound = np.array([c0 * base**n / math.factorial(n) for n in ns])
@@ -512,7 +520,8 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     IncompatibleData
         Corner compatibility conditions fail (propagated from the profile).
     NotConverged
-        n_max sweeps did not bring the sup change below tolerance.
+        n_max passes did not bring the sup change of some block of rows below
+        tolerance; ``n_max`` caps the passes of each block.
     """
     profile = build_initial_profile(data, maps)
     lat = _Lattice(maps, resolution, t_max)
@@ -520,19 +529,20 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
 
     Gl0, G0rows = lat.g_table()
     Gl0[:] = profile.G(lat.s)
-    phi0 = np.empty((lat.R, W))
+    # phi starts as phi^(0); each block is iterated in place from there
+    phi = np.empty((lat.R, W))
     sup0 = 0.0
     for r0, r1 in lat.blocks():
-        lat.fill_rows(G0rows, r0, phi0[r0:r1])
-        sup0 = max(sup0, float(np.max(np.abs(phi0[r0:r1]))))
+        lat.fill_rows(G0rows, r0, phi[r0:r1])
+        sup0 = max(sup0, float(np.max(np.abs(phi[r0:r1]))))
     tol_abs = tol * max(sup0, 1e-300)
 
     if m == 0.0:
-        return FieldGrid(lat, profile, 0.0, phi0, Gl0, np.zeros_like(Gl0),
-                         [0.0], 0, True, tol_abs, sup0)
+        return FieldGrid(lat, profile, 0.0, phi, Gl0, np.zeros_like(Gl0),
+                         [0.0], [], tol_abs, sup0)
 
     q4 = 0.25 * m * m
-    phi_prev, phi_new = phi0, np.empty_like(phi0)
+    w = q4 * h * h
     Gl, Grows = lat.g_table()
     corr = np.zeros_like(Gl0)
     # per block: C rows and D rows, each below a carried row from the block above;
@@ -540,29 +550,29 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     Cb = np.zeros((B + 1, W))
     Sb = np.zeros((B + 1, W + B))
     Dv = np.lib.stride_tricks.as_strided(Sb, (B + 1, W), (Sb.strides[0] + 8, 8))
+    new = np.empty((B, W))
     # D restarts left of this column: the predecessor (r-1, c+1) is outside the band
     restart = np.concatenate([[W - 1], lat.cmin[:-1] - 1])
-    changes = []
+    changes, passes, cumE, change = [], [], 0.0, math.inf
 
-    converged = False
-    for sweep in range(1, n_max + 1):
-        Cb[0] = 0.0
-        Sb[0] = 0.0
-        cumE = 0.0
-        change = 0.0
-        for r0, r1 in lat.blocks():
-            b = r1 - r0
-            # C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the diagonal
+    # a pass over a block writes only below the carried rows Cb[0], Dv[0] (and
+    # reads cumE), which earlier, converged blocks left, so each pass of the
+    # block restarts from them
+    for r0, r1 in lat.blocks():
+        b = r1 - r0
+        old, out = phi[r0:r1], new[:b]
+        k = np.arange(max(r0, 1), min(r1, n0 + 1))
+        for n in range(n_max):
+            # h C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the diagonal
             C = Cb[1:b + 1]
-            np.add(phi_prev[r0:r1, :-1], phi_prev[r0:r1, 1:], out=C[:, :-1])
-            C[:, :-1] *= h
+            np.add(old[:, :-1], old[:, 1:], out=C[:, :-1])
             np.cumsum(C[:, -2::-1], axis=1, out=C[:, -2::-1])
-            # D[r, c] = int_{|s_j|}^{s_i} C(y, s_j) dy = D[r-1, c+1] + h (C[r-1, c+1]
-            # + C[r, c]), zero where column j enters the band and on the diagonal;
-            # D is never read outside the band
+            # D[r, c] = (m^2/4) T(s_i, s_j) = D[r-1, c+1] + w (C[r-1, c+1] + C[r, c]),
+            # zero where column j enters the band and on the diagonal; D is never
+            # read outside the band
             D = Dv[1:b + 1]
             np.add(Cb[:b, 1:], C[:, :-1], out=D[:, :-1])
-            D[:, :-1] *= h
+            D[:, :-1] *= w
             _clear_left(D, restart[r0:r1])
             D[:, -1] = 0.0
             # cumulate down the columns one row at a time: numpy's cumsum along
@@ -572,12 +582,10 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
 
             # initial-interval correction: int_0^{|eta|} dy int_{-y}^{y} phi dz,
             # from E_k = C at (n0 + k, n0 - k) for k = 1 .. n0
-            k = np.arange(max(r0, 1), min(r1, n0 + 1))
             if k.size:
                 E = Cb[k - r0 + 1, W - 1 - 2 * k] + Cb[k - r0, W + 1 - 2 * k]
-                run = np.cumsum(np.concatenate([[cumE], h * E]))[1:]
-                corr[n0 + k] = corr[n0 - k] = q4 * run
-                cumE = run[-1]
+                run = np.cumsum(np.concatenate([[cumE], w * E]))[1:]
+                corr[n0 + k] = corr[n0 - k] = run
 
             # prolongation Corr(F(eta)) = Corr(eta) + (m^2/4) T(xi, eta) at eta*
             # for the columns j = n0 + r on this block; jstar < n0 + r0 is done
@@ -587,35 +595,35 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
                 c1 = W - 1 - (jj - js)
                 D1 = D[jj - n0 - r0, c1]
                 D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
-                # one-sided linear extrapolation of T(s_j, .) down to eta*
+                # one-sided linear extrapolation of (m^2/4) T(s_j, .) down to eta*
                 tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
                 corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
-                            + q4 * tri)
+                            + tri)
 
             # only the O(m^2) correction is ever interpolated; the massless part
             # of G is exact at every node via F-pullback
             lo = max(n0 + r0 + 1 - W, 0)
             np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
-            out = phi_new[r0:r1]
-            lat.fill_rows(Grows, r0, out, q4 * D)
-            step = out - phi_prev[r0:r1]
-            change = max(change, float(step.max()), -float(step.min()))
-            Cb[0] = Cb[b]
-            Dv[0] = Dv[b]
-        changes.append(change)
+            lat.fill_rows(Grows, r0, out, D)
+            old -= out
+            change = max(float(old.max()), -float(old.min()))
+            old[...] = out
+            if n == len(changes):
+                changes.append(0.0)
+            changes[n] = max(changes[n], change)
+            if change <= tol_abs:
+                break
+        else:
+            raise NotConverged(
+                "picard iteration: change %.3e > tol %.3e after %d passes on "
+                "band rows %d-%d" % (change, tol_abs, n_max, r0, r1 - 1), changes)
+        passes.append(n + 1)
+        Cb[0] = Cb[b]
+        Dv[0] = Dv[b]
+        if k.size:
+            cumE = run[-1]
 
-        phi_prev, phi_new = phi_new, phi_prev
-        if change <= tol_abs:
-            converged = True
-            break
-
-    if not converged:
-        raise NotConverged(
-            "picard iteration: change %.3e > tol %.3e after %d sweeps"
-            % (changes[-1], tol_abs, len(changes)), changes)
-
-    return FieldGrid(lat, profile, m, phi_prev, Gl, corr, changes,
-                     len(changes), True, tol_abs, sup0)
+    return FieldGrid(lat, profile, m, phi, Gl, corr, changes, passes, tol_abs, sup0)
 
 
 # ---------------------------------------------------------------------------
