@@ -1,0 +1,126 @@
+"""Time the backward-characteristic geometry of the ``crosscheck`` workload.
+
+On the crosscheck inputs of seed 1 (``perfbench/workloads.py``: the wall
+``0.5 + 0.012 sin(2 pi t)``, 800 probe points with ``t <= 10`` and a bump)
+this records
+
+- ``measure_M`` called once per probe: seconds (median of 3 runs) and the
+  sha256 of the values' ``float.hex`` strings;
+- ``measure_M`` called once on the arrays of all probes: seconds (median of
+  3) and its largest relative distance to the per-point values, or null
+  where the source tree has no array form;
+- ``verify_integral_identity(samples=100)`` on the ``m = 0.27`` Picard field
+  at resolution 256 and ``t_max`` 5: seconds (median of 3), the
+  ``tracemalloc`` peak of one further call and the residual.
+
+Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
+to measure, so the same script measures an older checkout too:
+
+    python bench/geometry.py --label change
+    python bench/geometry.py --label parent --src /path/to/old/checkout/src
+
+Each run replaces its label's entry in ``BENCH_7.json`` and keeps the others.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+MASS = 0.27
+RESOLUTION = 256
+T_MAX = 5.0
+SAMPLES = 100
+REPEAT = 3
+OUT = os.path.join(ROOT, "BENCH_7.json")
+
+
+def _median_seconds(fn):
+    times = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
+
+
+def measure():
+    import numpy as np
+    from kgcavity import boundary, experiment, kleingordon as kg
+    from perfbench.workloads import generate
+
+    spec = generate("crosscheck", SEED)
+    cfg = experiment.ExperimentConfig(spec["config"])
+    maps = boundary.CharacteristicMaps(boundary.make_motion({
+        "profile": "sinusoidal", "alpha": cfg.float_("boundary.alpha"),
+        "beta": cfg.float_("boundary.beta"), "period": cfg.float_("boundary.period")}))
+    t = np.array([p[0] for p in spec["points"]])
+    x = np.array([p[1] for p in spec["points"]])
+
+    point_s, single = _median_seconds(lambda: [
+        kg.measure_M(maps, a + b, a - b) for a, b in spec["points"]])
+    row = {"probes": len(single), "per_point_s": point_s,
+           "per_point_sha256": hashlib.sha256(
+               " ".join(float(v).hex() for v in single).encode()).hexdigest(),
+           "array_s": None, "array_rel_dev": None}
+    try:
+        array_s, whole = _median_seconds(lambda: kg.measure_M(maps, t + x, t - x))
+        single = np.array(single)
+        row.update({"array_s": array_s,
+                    "array_rel_dev": float(np.max(np.abs(whole - single) / single))})
+    except (TypeError, ValueError):
+        pass                     # a source tree whose measure_M takes scalars only
+
+    fg = kg.picard_solve(cfg.make_data(maps.a0), maps, MASS,
+                         resolution=RESOLUTION, t_max=T_MAX)
+    ident_s, residual = _median_seconds(
+        lambda: kg.verify_integral_identity(fg, samples=SAMPLES, seed=SEED))
+    tracemalloc.start()
+    kg.verify_integral_identity(fg, samples=SAMPLES, seed=SEED)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    row.update({"identity_s": ident_s, "identity_residual": residual,
+                "identity_tracemalloc_peak_mb": peak / 2**20})
+    return row
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory holding the kgcavity package (default: ./src)")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, ROOT)
+    import numpy
+
+    row = measure()
+    print(json.dumps(row), flush=True)
+    entry = {
+        "host": {"python": platform.python_version(), "numpy": numpy.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "repeat": REPEAT,
+        "config": {"seed": SEED, "m": MASS, "resolution": RESOLUTION,
+                   "t_max": T_MAX, "samples": SAMPLES},
+        **row,
+    }
+    bench = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            bench = json.load(fh)
+    bench[args.label] = entry
+    with open(OUT, "w") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -346,8 +346,8 @@ class CharacteristicMaps:
         hi = y - (sign * mot.a_min if sign > 0 else sign * mot.a_max) + 1e-9
         tol = self.inv_tol * (1.0 + np.abs(y))
 
+        f = t + sign * np.asarray(mot.a(t)) - y
         for _ in range(60):
-            f = t + sign * np.asarray(mot.a(t)) - y
             if np.all(np.abs(f) <= tol):
                 break
             df = 1.0 + sign * np.asarray(mot.da(t))
@@ -358,11 +358,12 @@ class CharacteristicMaps:
             if np.any(bad):
                 mid = 0.5 * (lo + hi)
                 t_new = np.where(bad, mid, t_new)
+            # the bracket residual is the next iteration's Newton residual
             fn = t_new + sign * np.asarray(mot.a(t_new)) - y
             pos = fn > 0.0
             hi = np.where(pos, t_new, hi)
             lo = np.where(pos, lo, t_new)
-            t = t_new
+            t, f = t_new, fn
         else:
             raise NoConvergence("inverse solve did not reach tolerance")
 
@@ -391,12 +392,6 @@ class CharacteristicMaps:
         """DF(x) = (1 + a'(t)) / (1 - a'(t)) with t = h^{-1}(x); positive."""
         da = np.asarray(self.motion.da(self.h_inv(x)))
         out = (1.0 + da) / (1.0 - da)
-        return out if np.ndim(x) else float(out)
-
-    def dF_inv(self, x):
-        """(F^{-1})'(x) = (1 - a'(t)) / (1 + a'(t)) with t = k^{-1}(x)."""
-        da = np.asarray(self.motion.da(self.k_inv(x)))
-        out = (1.0 - da) / (1.0 + da)
         return out if np.ndim(x) else float(out)
 
     def F_and_dF(self, x):

@@ -432,9 +432,10 @@ def asymptotic_coefficients(maps, f, points, p, q):
 def weighted_integral(maps, t, j, panels=1024):
     """S_j(t) = integral of (DF^{-j})^2 over (h(t), k(t)) by composite Simpson.
 
-    DF^{-j} is evaluated as the orbit product of (F^{-1})' along the
-    backward orbit.  The integral is recomputed at half the panel count
-    and the difference reported as an error estimate.
+    DF^{-j} is evaluated as 1 / DF^j at the end of the backward orbit, with
+    DF^j the product of DF(F^{-1}(x)) = 1 / (F^{-1})'(x) along it: one
+    inverse solve per step.  The integral is recomputed at half the panel
+    count and the difference reported as an error estimate.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -443,13 +444,11 @@ def weighted_integral(maps, t, j, panels=1024):
 
     def integrand(y):
         y = np.asarray(y, dtype=float)
-        prod = np.ones_like(y)
-        cur = y.copy()
+        prod, cur = np.ones_like(y), y
         for _ in range(int(j)):
-            d = maps.dF_inv(cur)
+            cur, d = maps.F_inv_and_dF(cur)
             prod = prod * d
-            cur = maps.F_inv(cur)
-        return prod**2
+        return 1.0 / prod**2
 
     def simpson(n):
         ys = np.linspace(lo, hi, n + 1)

@@ -118,7 +118,6 @@ _DEFAULTS = {
     "analysis.rotation_iterations": 100_000,
     "analysis.max_q": 20,
     "analysis.scan_samples": 10_000,
-    "analysis.tolerance": 1e-9,
     "fit.window": "auto",
     "fit.samples_per_window": 32,
     "fit.burn_in_windows": 2,
@@ -229,9 +228,8 @@ class ExperimentConfig:
         raise ConfigError("unknown data.family %r" % fam)
 
     def validate(self, need_fit=True):
-        for key in ("analysis.tolerance", "picard.tol"):
-            if self.float_(key) <= 0:
-                raise ConfigError("%s must be positive" % key)
+        if self.float_("picard.tol") <= 0:
+            raise ConfigError("picard.tol must be positive")
         if need_fit and self.float_("grid.horizon_periods") < 2:
             raise ConfigError("grid.horizon_periods must be >= 2 when fitting")
         out = self.str_("output.dir")
@@ -629,14 +627,15 @@ def _verify_checks(cfg):
 
     def chk_geometry():
         rng = spawn["geometry"]
-        worst = 0.0
+        pts = []
         for _ in range(200):
             t = rng.uniform(0.1, 4.0)
             x = rng.uniform(1e-3, float(motion.a(t)) - 1e-3)
-            xi, eta = t + x, t - x
-            mm = kleingordon.measure_M(maps, xi, eta)
-            bound = 2.0 * motion.a_max * kleingordon.time_of(xi, eta)
-            worst = max(worst, mm - bound)
+            pts.append((t + x, t - x))
+        xi, eta = np.array(pts).T
+        mm = kleingordon.measure_M(maps, xi, eta)
+        bound = 2.0 * motion.a_max * kleingordon.time_of(xi, eta)
+        worst = max(0.0, float(np.max(mm - bound)))
         return worst <= 1e-9, "max(measure(M) - 2 a_max T) = %.2e" % worst
 
     def chk_massive():

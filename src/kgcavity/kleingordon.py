@@ -27,7 +27,10 @@ through the O(m^2) correction.
 
 The backward-characteristic geometry (rectangles Q, vertex map B, depth N,
 signed union M) provides an independent integral-identity check of the
-converged field.
+converged field.  One walk builds it for arrays of points together: a table
+of backward coordinates, one F^{-1} step per row for all points, from which
+depth, measure(M) and the identity's rectangles are read; the identity
+integrates all rectangles of all samples in batched interpolation calls.
 
 Concurrency: passes are inherently sequential; within a pass every array
 operation is single-threaded numpy with a fixed summation order, so results
@@ -49,8 +52,6 @@ __all__ = [
     "picard_solve",
     "verify_integral_identity",
     "time_of",
-    "lowest_vertex",
-    "rectangle",
     "depth",
     "union_M",
     "theta_sign",
@@ -59,6 +60,7 @@ __all__ = [
 
 _G16, _W16 = np.polynomial.legendre.leggauss(16)
 _BLOCK_ROWS = 64        # band rows per block of the marched Picard iteration
+_QUAD_NODES = 4096      # Gauss nodes per interp_phi call of the identity checks
 
 
 class NotConverged(RuntimeError):
@@ -83,44 +85,37 @@ def time_of(xi, eta):
     return 0.5 * (np.asarray(xi) + np.asarray(eta))
 
 
-def lowest_vertex(maps, xi, eta):
-    """B(xi, eta) = (eta, F^{-1}(xi))."""
-    return float(eta), float(maps.F_inv(xi))
-
-
-def rectangle(maps, xi, eta):
-    """Q(xi, eta) = [eta, xi] x [F^{-1}(xi), eta] as ((y0, y1), (z0, z1))."""
-    return (float(eta), float(xi)), (float(maps.F_inv(xi)), float(eta))
-
-
 def _backward_walk(maps, xi, eta):
-    """Coordinates of the backward vertex orbit, one F^{-1} per vertex.
+    """Backward vertex orbits of the points (xi, eta), walked together.
 
-    Returns c with c[0] = xi, c[1] = eta and c[k + 2] = F^{-1}(c[k]), so
-    that B^n = (c[n], c[n + 1]) and Q(B^n) = [c[n+1], c[n]] x [c[n+2], c[n+1]]
-    for n = 0 .. N = len(c) - 3, where N is the depth.  Each vertex is tested
-    against max(-xi, F^{-1}(xi)) <= eta <= xi with the 1e-9 slack of
-    ``in_domain``.  Terminates because each B step lowers the time by
-    a(k^{-1}(xi)) >= inf a.
+    Returns (c, N): c[0] = xi, c[1] = eta and c[k + 2] = F^{-1}(c[k]), one
+    row per coordinate and one column per point, so that B^n = (c[n], c[n+1])
+    and Q(B^n) = [c[n+1], c[n]] x [c[n+2], c[n+1]]; N is each point's depth,
+    the last n before the first vertex outside max(-xi, F^{-1}(xi)) <= eta <=
+    xi (with the 1e-9 slack of ``in_domain``).  c has max(N) + 3 rows.  The
+    walk stops once every point's last vertex has 2t < -1e-8, where the test
+    must fail; points past their depth are walked along unmasked.
+    Terminates because each B step lowers the time by a(k^{-1}(xi)) >= inf a.
     """
-    c = [float(xi), float(eta), float(maps.F_inv(xi))]
-
-    def inside(n):
-        x, e = c[n], c[n + 1]
-        return e <= x + 1e-9 and e >= max(-x, c[n + 2]) - 1e-9
-
-    if not inside(0):
-        raise OutsideDomain("(%g, %g) outside the domain" % (xi, eta))
-    while True:
-        c.append(float(maps.F_inv(c[-2])))
-        if not inside(len(c) - 3):
-            c.pop()
-            return c
+    xi, eta = np.broadcast_arrays(np.atleast_1d(np.asarray(xi, dtype=float)),
+                                  np.atleast_1d(np.asarray(eta, dtype=float)))
+    c = [xi, eta, maps.F_inv(xi)]
+    while (c[-3] + c[-2]).max(initial=-1.0) >= -1e-8:
+        c.append(maps.F_inv(c[-2]))
+    c = np.array(c)
+    x, e = c[:-2], c[1:-1]
+    inside = (e <= x + 1e-9) & (e >= np.maximum(-x, c[2:]) - 1e-9)
+    if not inside[0].all():
+        k = int(np.argmin(inside[0]))
+        raise OutsideDomain("(%g, %g) outside the domain" % (xi[k], eta[k]))
+    N = np.argmin(inside, axis=0) - 1
+    return c[:N.max(initial=0) + 3], N
 
 
 def depth(maps, xi, eta):
     """N(xi, eta): largest n with B^n still inside the domain."""
-    return len(_backward_walk(maps, xi, eta)) - 3
+    N = _backward_walk(maps, xi, eta)[1]
+    return N if np.ndim(xi) or np.ndim(eta) else int(N[0])
 
 
 def theta_sign(n):
@@ -129,43 +124,42 @@ def theta_sign(n):
 
 
 def union_M(maps, xi, eta):
-    """Signed rectangles making up M(xi, eta).
+    """Signed rectangles making up M(xi, eta) at one point.
 
     Returns a list of (sign, (y0, y1), (z0, z1), clipped); the last entry is
     Q(B^N) intersected with the domain, i.e. additionally z >= -y.
     """
-    c = _backward_walk(maps, xi, eta)
-    N = len(c) - 3
+    c, N = _backward_walk(maps, xi, eta)
+    c, N = c[:, 0].tolist(), int(N[0])
     return [(theta_sign(n), (c[n + 1], c[n]), (c[n + 2], c[n + 1]), n == N)
             for n in range(N + 1)]
 
 
-def _rect_area_clipped(y0, y1, z0, z1, clipped):
-    """Area of [y0,y1]x[z0,z1], with z >= -y imposed when clipped."""
-    if y1 <= y0:
-        return 0.0
-    if not clipped or z0 >= -y0:
-        return max(y1 - y0, 0.0) * max(z1 - z0, 0.0)
-    # lower z-limit is max(z0, -y): z-extent z1 - max(z0, -y), clamped at 0
-    y0 = max(y0, -z1)          # below this the column is empty
-    if y1 <= y0:
-        return 0.0
-    ysplit = min(max(-z0, y0), y1)   # above ysplit the full column survives
-    area = 0.0
-    if ysplit > y0:
-        # length z1 + y, linear in y
-        area += 0.5 * ((z1 + y0) + (z1 + ysplit)) * (ysplit - y0)
-    if y1 > ysplit:
-        area += (z1 - z0) * (y1 - ysplit)
-    return area
+def _clipped_area(y0, y1, z0, z1):
+    """Area of [y0,y1]x[z0,z1] with z >= -y imposed, elementwise."""
+    dz = z1 - z0
+    full = np.maximum(y1 - y0, 0.0) * np.maximum(dz, 0.0)
+    # where z0 < -y0 the z-extent is z1 - max(z0, -y): zero below yc, linear
+    # in y up to ys, dz above ys
+    yc = np.maximum(y0, -z1)
+    ys = np.minimum(np.maximum(-z0, yc), y1)
+    cut = 0.5 * ((z1 + yc) + (z1 + ys)) * np.maximum(ys - yc, 0.0) + dz * (y1 - ys)
+    return np.where(z0 >= -y0, full, cut)
 
 
 def measure_M(maps, xi, eta):
-    """Lebesgue measure of M(xi, eta); bounded by 2 a_max T(xi, eta)."""
-    total = 0.0
-    for _, (y0, y1), (z0, z1), clipped in union_M(maps, xi, eta):
-        total += _rect_area_clipped(y0, y1, z0, z1, clipped)
-    return total
+    """Lebesgue measure of M(xi, eta); bounded by 2 a_max T(xi, eta).
+
+    Sums the rectangle areas w[n] w[n+1] (w = c[:-1] - c[1:], clamped at 0)
+    for n < N in order of n, then the clipped Q(B^N).
+    """
+    c, N = _backward_walk(maps, xi, eta)
+    w = np.maximum(c[:-1] - c[1:], 0.0)
+    n = np.arange(len(c) - 2)[:, None]
+    total = np.cumsum(np.where(n < N, w[:-1] * w[1:], 0.0), axis=0)[-1]
+    y1, z1, z0 = c[N + np.arange(3)[:, None], np.arange(len(N))]  # c[N .. N+2]
+    total = total + _clipped_area(z1, y1, z0, z1)
+    return total if np.ndim(xi) or np.ndim(eta) else float(total[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +397,8 @@ class FieldGrid:
         return (1.0 - wx) * va + wx * vb
 
     # -- energy ----------------------------------------------------------------
-    def _energy_parts(self, t):
+    def energy_components(self, t):
+        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time."""
         lat = self.lattice
         d = lat.delta
         L = self.slice_L(t)
@@ -473,12 +468,8 @@ class FieldGrid:
         slices (which share x nodes by lattice alignment); composite Simpson
         in x plus an exactly-anchored partial cell at the moving wall.
         """
-        kin, grad, mass, t_act = self._energy_parts(t)
+        kin, grad, mass, t_act = self.energy_components(t)
         return kin + grad + mass, mass, t_act
-
-    def energy_components(self, t):
-        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time."""
-        return self._energy_parts(t)
 
     def energy_series(self, ts):
         """(t_actual, E, mass share) arrays at the aligned times nearest ts."""
@@ -630,19 +621,42 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
 # independent verification path through the M-set identity
 # ---------------------------------------------------------------------------
 
-def _quad_rect(fieldgrid, y0, y1, z0, z1, clipped):
-    """Gauss quadrature of the interpolated field over one (possibly
-    clipped) backward rectangle, in a single batched interpolation."""
-    if y1 - y0 <= 1e-14:
-        return 0.0
-    yn = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * _G16
-    yw = 0.5 * (y1 - y0) * _W16
-    zlo = np.maximum(z0, -yn) if clipped else np.full_like(yn, z0)
-    span = np.maximum(z1 - zlo, 0.0)
-    zn = zlo[:, None] + 0.5 * span[:, None] * (1.0 + _G16[None, :])
-    zw = 0.5 * span[:, None] * _W16[None, :]
-    vals = fieldgrid.interp_phi(np.repeat(yn, len(_G16)), zn.ravel())
-    return float(np.sum(yw[:, None] * zw * vals.reshape(zn.shape)))
+def _quad_rects(fieldgrid, y0, y1, z0, z1, clipped):
+    """Gauss quadrature (16 x 16 nodes) of the interpolated field over each
+    (possibly clipped) backward rectangle [y0,y1]x[z0,z1]; 0 where y1 - y0 <=
+    1e-14.  The nodes go to ``interp_phi`` at most _QUAD_NODES at a time."""
+    q = np.zeros(len(y0))
+    todo = np.nonzero(y1 - y0 > 1e-14)[0]
+    step = _QUAD_NODES // len(_G16) ** 2
+    for k in range(0, len(todo), step):
+        r = todo[k:k + step]
+        ya, yb, za, zb = y0[r, None], y1[r, None], z0[r, None], z1[r, None]
+        yn = 0.5 * (ya + yb) + 0.5 * (yb - ya) * _G16
+        yw = 0.5 * (yb - ya) * _W16
+        zlo = np.where(clipped[r, None], np.maximum(za, -yn), za)
+        span = np.maximum(zb - zlo, 0.0)[..., None]
+        zn = zlo[..., None] + 0.5 * span * (1.0 + _G16)
+        zw = 0.5 * span * _W16
+        vals = fieldgrid.interp_phi(np.repeat(yn, len(_G16)), zn.ravel())
+        q[r] = np.sum((yw[..., None] * zw * vals.reshape(zn.shape)).reshape(
+            len(r), -1), axis=1)
+    return q
+
+
+def _sample_points(fieldgrid, samples, seed, accept):
+    """(xi, eta) arrays of ``samples`` random interior points, drawn one at a
+    time as (t, x) with a 4 delta margin and kept where accept(t, x, margin)."""
+    lat = fieldgrid.lattice
+    a = fieldgrid.maps.motion.a
+    rng = np.random.default_rng(seed)
+    margin = 4.0 * lat.delta
+    pts = []
+    while len(pts) < samples:
+        t = rng.uniform(margin, lat.t_max - margin)
+        x = rng.uniform(margin, float(a(t)) - margin)
+        if accept(t, x, margin):
+            pts.append((t + x, t - x))
+    return np.array(pts, dtype=float).reshape(-1, 2).T
 
 
 def verify_integral_identity(fieldgrid, samples=200, seed=0):
@@ -651,50 +665,37 @@ def verify_integral_identity(fieldgrid, samples=200, seed=0):
     The right side uses the signed backward-rectangle union M(xi, eta) with
     the converged field interpolated from the lattice and phi0 evaluated
     exactly; this is the independent geometry-route check of the solver.
+    All samples are walked together and every rectangle of every sample is
+    integrated in batched ``interp_phi`` calls.
     """
-    lat = fieldgrid.lattice
-    maps = fieldgrid.maps
-    rng = np.random.default_rng(seed)
-    margin = 4.0 * lat.delta
-    worst = 0.0
-    count = 0
-    while count < samples:
-        t = rng.uniform(margin, lat.t_max - margin)
-        x = rng.uniform(margin, float(maps.motion.a(t)) - margin)
-        if x <= margin:
-            continue
-        xi, eta = t + x, t - x
-        lhs = float(fieldgrid.interp_phi(xi, eta)[0])
-        phi0 = fieldgrid.profile.eval_phi(xi, eta)
-        acc = 0.0
-        for sign, (y0, y1), (z0, z1), clipped in union_M(maps, xi, eta):
-            acc += sign * _quad_rect(fieldgrid, y0, y1, z0, z1, clipped)
-        rhs = phi0 + 0.25 * fieldgrid.m**2 * acc
-        worst = max(worst, abs(lhs - rhs))
-        count += 1
-    return worst
+    xi, eta = _sample_points(fieldgrid, samples, seed,
+                             lambda t, x, margin: x > margin)
+    c, N = _backward_walk(fieldgrid.maps, xi, eta)
+    # rectangle Q(B^n) of each point, n = 0 .. N, in rows of n
+    n = np.arange(len(c) - 2)[:, None]
+    live = n <= N
+    q = np.zeros(live.shape)
+    mid = c[1:-1][live]
+    q[live] = _quad_rects(fieldgrid, mid, c[:-2][live], c[2:][live], mid,
+                          (n == N)[live])
+    sign = np.where(n % 2 == 0, -1.0, 1.0)         # theta_sign(n)
+    acc = np.cumsum(sign * q, axis=0)[-1]
+    rhs = fieldgrid.profile.eval_phi(xi, eta) + 0.25 * fieldgrid.m**2 * acc
+    lhs = fieldgrid.interp_phi(xi, eta)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def reflection_residual(fieldgrid, samples=500, seed=1):
     """Max residual of phi(xi,eta) + phi(B) + (m^2/4) int_Q phi over points
     with T(B) >= 0 (single backward reflection identity)."""
-    lat = fieldgrid.lattice
     maps = fieldgrid.maps
-    rng = np.random.default_rng(seed)
-    margin = 4.0 * lat.delta
-    worst = 0.0
-    count = 0
-    while count < samples:
-        t = rng.uniform(margin, lat.t_max - margin)
-        x = rng.uniform(margin, float(maps.motion.a(t)) - margin)
-        xi, eta = t + x, t - x
-        b = lowest_vertex(maps, xi, eta)
-        if time_of(*b) < margin:
-            continue
-        lhs = float(fieldgrid.interp_phi(xi, eta)[0])
-        phib = float(fieldgrid.interp_phi(b[0], b[1])[0])
-        (y0, y1), (z0, z1) = rectangle(maps, xi, eta)
-        q = _quad_rect(fieldgrid, y0, y1, z0, z1, False)
-        worst = max(worst, abs(lhs + phib + 0.25 * fieldgrid.m**2 * q))
-        count += 1
-    return worst
+    xi, eta = _sample_points(
+        fieldgrid, samples, seed,
+        lambda t, x, margin: time_of(t - x, maps.F_inv(t + x)) >= margin)
+    c = _backward_walk(maps, xi, eta)[0]
+    # B = (c[1], c[2]) and Q(B^0) = [c[1], c[0]] x [c[2], c[1]]
+    q = _quad_rects(fieldgrid, c[1], c[0], c[2], c[1], np.zeros(len(xi), bool))
+    lhs = fieldgrid.interp_phi(xi, eta)
+    phib = fieldgrid.interp_phi(c[1], c[2])
+    return float(np.max(np.abs(lhs + phib + 0.25 * fieldgrid.m**2 * q),
+                        initial=0.0))

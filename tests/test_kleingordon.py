@@ -14,9 +14,6 @@ from kgcavity.characteristics_solver import OutsideDomain, build_initial_profile
 
 def test_geometry_static_hand_iteration(static_maps):
     # F^{-1}(x) = x - 2: B(2.5, 2) = (2, 0.5), B^2 = (0.5, 0), B^3 leaves
-    assert kg.lowest_vertex(static_maps, 2.5, 2.0) == pytest.approx((2.0, 0.5))
-    b2 = kg.lowest_vertex(static_maps, *kg.lowest_vertex(static_maps, 2.5, 2.0))
-    assert b2 == pytest.approx((0.5, 0.0))
     assert kg.depth(static_maps, 2.5, 2.0) == 2
     assert kg.time_of(2.5, 2.0) == pytest.approx(2.25)
 
@@ -24,6 +21,32 @@ def test_geometry_static_hand_iteration(static_maps):
 def test_geometry_outside_domain(static_maps):
     with pytest.raises(OutsideDomain):
         kg.depth(static_maps, 1.0, 2.0)
+
+
+def test_geometry_array_one_point_outside(static_maps):
+    # (1, 2) has eta > xi; the other points are interior
+    xi, eta = np.array([2.5, 1.0, 3.0]), np.array([2.0, 2.0, 1.0])
+    with pytest.raises(OutsideDomain):
+        kg.depth(static_maps, xi, eta)
+    with pytest.raises(OutsideDomain):
+        kg.measure_M(static_maps, xi, eta)
+
+
+@pytest.mark.parametrize("name", ["static_maps", "tuned_maps", "strong_maps"])
+def test_geometry_array_matches_per_point(name, request):
+    maps = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    t = rng.uniform(0.01, 6.0, 2000)
+    x = rng.uniform(0.0, 1.0, 2000) * maps.motion.a(t)
+    xi, eta = t + x, t - x
+    depths = kg.depth(maps, xi, eta)
+    measures = kg.measure_M(maps, xi, eta)
+    assert depths.shape == measures.shape == (2000,)
+    # one batch runs Newton until every point has converged, so its vertices
+    # may sit a few ulps from the per-point ones; depths stay equal
+    assert depths.tolist() == [kg.depth(maps, a, b) for a, b in zip(xi, eta)]
+    single = np.array([kg.measure_M(maps, a, b) for a, b in zip(xi, eta)])
+    assert np.all(np.abs(measures - single) <= 1e-10 * single)
 
 
 def test_boundary_point_measure_zero(strong_maps):
@@ -56,6 +79,35 @@ def test_theta_alternating_signs(static_maps):
     assert [r[3] for r in rects] == [False, False, True]
     # 0.75 + 0.75 + the clipped triangle 0.125
     assert kg.measure_M(static_maps, 2.5, 2.0) == 1.625
+
+
+def _clipped_area_reference(y0, y1, z0, z1):
+    """Area of [y0,y1]x[z0,z1] with z >= -y imposed, one branch per case."""
+    if y1 <= y0:
+        return 0.0
+    if z0 >= -y0:
+        return max(y1 - y0, 0.0) * max(z1 - z0, 0.0)
+    y0 = max(y0, -z1)
+    if y1 <= y0:
+        return 0.0
+    ysplit = min(max(-z0, y0), y1)
+    area = 0.0
+    if ysplit > y0:
+        area += 0.5 * ((z1 + y0) + (z1 + ysplit)) * (ysplit - y0)
+    if y1 > ysplit:
+        area += (z1 - z0) * (y1 - ysplit)
+    return area
+
+
+def test_clipped_area_matches_branchwise_reference():
+    # random corners, half of them on a coarse grid so that the ties between
+    # the branches (y1 = y0, z0 = -y0, ysplit = y0, ...) occur
+    rng = np.random.default_rng(5)
+    v = rng.uniform(-3.0, 3.0, (4, 4000))
+    v[:, ::2] = np.round(2.0 * v[:, ::2]) / 2.0
+    got = 0.0 + kg._clipped_area(*v)       # measure_M adds it to a sum >= +0
+    want = [0.0 + _clipped_area_reference(*col) for col in v.T.tolist()]
+    assert [float(g).hex() for g in got] == [w.hex() for w in want]
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +167,10 @@ def test_picard_change_sequence_dominated(tuned_maps):
     # eventually strictly decreasing
     assert np.all(np.diff(ch[2:]) < 0)
     # converged no later than the n_max the factorial bound predicts:
-    # n_pred = first n with change_0 * base^n / n! <= tol
-    base = 0.5 * tuned_maps.motion.a_max * 0.5**2 * fg.lattice.s[fg.lattice.M]
+    # n_pred = first n with change_0 * base^n / n! <= tol, with the block
+    # extent dxi_block of picard_bound() in the base
+    dxi_block = fg.lattice.block * fg.lattice.delta
+    base = 0.5 * tuned_maps.motion.a_max * 0.5**2 * dxi_block
     term = ch[0]
     n_pred = 0
     while term > fg.tol_abs and n_pred < 1000:
