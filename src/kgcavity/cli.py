@@ -4,11 +4,12 @@ Subcommands::
 
     kgcavity analyze-map CONFIG      # MapAnalysis report as JSON
     kgcavity simulate CONFIG         # full experiment pipeline
-    kgcavity scan CONFIG             # parameter sweep to CSV
+    kgcavity scan CONFIG [-w N]      # parameter sweep to CSV
     kgcavity verify CONFIG [-w N]    # invariant battery
 
 Exit codes: 0 pass, 1 usage/config error, 2 numerical failure,
-3 acceptance criterion failed.
+3 acceptance criterion failed; scan records per-point failures in its
+``status`` column and exits 0.
 """
 
 import argparse
@@ -51,11 +52,9 @@ def cmd_simulate(args):
 def cmd_scan(args):
     cfg = _load(args.config)
     rows = experiment.scan(cfg, workers=args.workers)
-    bad = sum(1 for r in rows
-              if str(r["status"]).startswith(("ConfigError", "ERROR")))
     print("scan: %d points -> %s" % (
         len(rows), os.path.join(cfg.str_("output.dir"), "scan.csv")))
-    return 2 if bad else 0
+    return 0
 
 
 def cmd_verify(args):

@@ -22,6 +22,15 @@ Config grammar: flat ``key = value`` lines with dotted section names and
     output.dir = out
     seed = 1234
 
+Keys (defaults in ``_DEFAULTS``): ``boundary.{profile, alpha, beta, period,
+mean, cos, sin}``, ``mass.values``, ``data.{family, center, width, amplitude,
+direction, mode, path}``, ``grid.{resolution, horizon_periods}``,
+``analysis.{rotation_iterations, max_q}``, ``fit.{samples_per_window,
+burn_in_windows}``, ``picard.{tol, n_max}``, ``oracle.{enabled, n_y, horizon}``,
+``output.dir``, ``scan.{parameter, values, simulate, sim_periods}``, ``seed``.
+Energies are averaged over windows of p T for a p:q resonance, else of one
+period T.
+
 CSV schemas (headers mandatory, '.' decimal, no locale):
   energy series: ``t,E,E_mass_share,E_window_avg``
   scan:          ``param,rho,rho_err,p,q,gamma,gamma_fit,status``
@@ -54,41 +63,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-class EnergySeries:
-    """Sampled E_m(t) with window averages and the fitted growth exponent.
-
-    Invariants checked at construction: strictly increasing times,
-    nonnegative energies; window averaging uses the resonance period pT
-    when one exists.
-    """
-
-    def __init__(self, times, energies, mass_share, window):
-        self.times = np.asarray(times, dtype=float)
-        self.energies = np.asarray(energies, dtype=float)
-        self.mass_share = np.asarray(mass_share, dtype=float)
-        self.window = float(window)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        if np.any(self.energies < 0):
-            raise ValueError("energies must be nonnegative")
-        self.gamma_fit = None
-        self.gamma_fit_half_width = None
-        self.gamma_predicted = None
-        self.sandwich = None
-
-    def fit(self, burn_in_windows=0, gamma_predicted=None):
-        self.gamma_fit, self.gamma_fit_half_width, info = fit_exponent(
-            self.times, self.energies, self.window,
-            burn_in_windows=burn_in_windows)
-        self.window_times = info["window_times"]
-        self.window_averages = info["window_averages"]
-        self.gamma_predicted = gamma_predicted
-        if gamma_predicted:
-            self.sandwich = _sandwich(self.window_times, self.window_averages,
-                                      gamma_predicted, burn_in_windows)
-        return self
-
-
 class TooFewWindows(ValueError):
     """Exponent fitting needs at least 5 complete windows."""
 
@@ -117,8 +91,6 @@ _DEFAULTS = {
     "grid.horizon_periods": 8.0,
     "analysis.rotation_iterations": 100_000,
     "analysis.max_q": 20,
-    "analysis.scan_samples": 10_000,
-    "fit.window": "auto",
     "fit.samples_per_window": 32,
     "fit.burn_in_windows": 2,
     "picard.tol": 1e-9,
@@ -175,7 +147,7 @@ class ExperimentConfig:
     def int_(self, key):
         try:
             return int(float(self.values[key]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("key %s: expected an integer, got %r" % (key, self.values[key]))
 
     def bool_(self, key):
@@ -191,7 +163,10 @@ class ExperimentConfig:
         v = str(self.values[key]).strip()
         if not v:
             return []
-        return [float(s) for s in v.replace(";", ",").split(",") if s.strip()]
+        try:
+            return [float(s) for s in v.replace(";", ",").split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError("key %s: expected a list of numbers, got %r" % (key, v))
 
     # assembled objects ----------------------------------------------------
     def motion_dict(self, override=None):
@@ -246,6 +221,24 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _window_means(times, window, *series):
+    """Window index of every sample, and each series averaged per window.
+
+    Windows of length ``window`` start at ``times[0]``; the last one may be
+    incomplete.
+    """
+    idx = np.floor((times - times[0]) / window + 1e-9).astype(int)
+    sel = [idx == k for k in range(int(idx.max()) + 1)]
+    return idx, [np.array([np.mean(s[w]) for w in sel]) for s in series]
+
+
+def _lstsq_slope(t, y):
+    """Least-squares slope of y against t, with mean(t) and sum((t - mean t)^2)."""
+    tbar = np.mean(t)
+    sxx = float(np.sum((t - tbar) ** 2))
+    return float(np.sum((t - tbar) * (y - np.mean(y))) / sxx), tbar, sxx
+
+
 def fit_exponent(times, energies, window, burn_in_windows=0):
     """Least-squares growth rate of log window-averaged energy.
 
@@ -260,39 +253,30 @@ def fit_exponent(times, energies, window, burn_in_windows=0):
     energies = np.asarray(energies, dtype=float)
     if times.size != energies.size:
         raise ValueError("times and energies must have equal length")
-    t0 = times[0]
-    idx = np.floor((times - t0) / window + 1e-9).astype(int)
-    nwin = int(idx.max()) + 1
+    idx, (tmid, avg) = _window_means(times, window, times, energies)
+    nwin = len(avg)
     # drop a trailing incomplete window
     counts = np.bincount(idx, minlength=nwin)
     if nwin >= 2 and counts[-1] < 0.5 * counts[0]:
         nwin -= 1
     if nwin - burn_in_windows < 5:
         raise TooFewWindows("need >= 5 windows after burn-in, have %d" % (nwin - burn_in_windows))
-    tmid = np.empty(nwin)
-    avg = np.empty(nwin)
-    for k in range(nwin):
-        sel = idx == k
-        tmid[k] = float(np.mean(times[sel]))
-        avg[k] = float(np.mean(energies[sel]))
+    tmid, avg = tmid[:nwin], avg[:nwin]
     if np.any(avg <= 0.0):
         raise NonpositiveEnergy("window average <= 0 at window %d"
                                 % int(np.argmax(avg <= 0.0)))
     tw = tmid[burn_in_windows:]
     lw = np.log(avg[burn_in_windows:])
-    n = len(tw)
-    tbar = np.mean(tw)
-    sxx = float(np.sum((tw - tbar) ** 2))
-    slope = float(np.sum((tw - tbar) * (lw - np.mean(lw))) / sxx)
+    slope, tbar, sxx = _lstsq_slope(tw, lw)
     icept = float(np.mean(lw) - slope * tbar)
     resid = lw - (icept + slope * tw)
-    sigma2 = float(np.sum(resid**2)) / max(n - 2, 1)
+    sigma2 = float(np.sum(resid**2)) / max(len(tw) - 2, 1)
     half_width = math.sqrt(sigma2 / sxx)
     info = {
         "window": window,
         "window_times": tmid,
         "window_averages": avg,
-        "fit_windows": n,
+        "fit_windows": len(tw),
         "intercept": icept,
         "residuals": resid,
     }
@@ -307,29 +291,25 @@ def _sandwich(tmid, avg, gamma, burn_in=0):
     """
     t = np.asarray(tmid, dtype=float)[burn_in:]
     r = np.log(np.asarray(avg, dtype=float)[burn_in:]) - gamma * t
-    tbar = np.mean(t)
-    slope = float(np.sum((t - tbar) * (r - np.mean(r))) / np.sum((t - tbar) ** 2))
     return {
         "min_residual": float(np.min(r)),
         "max_residual": float(np.max(r)),
-        "trend_slope": slope,
+        "trend_slope": _lstsq_slope(t, r)[0],
     }
 
 
 def _energy_csv(path, times, E, share, window):
-    t0 = times[0] if len(times) else 0.0
-    idx = np.floor((np.asarray(times) - t0) / window + 1e-9).astype(int)
+    idx, (avg,) = _window_means(times, window, E)
     with open(path, "w", newline="") as fh:
         fh.write("t,E,E_mass_share,E_window_avg\n")
-        if len(times) == 0:
-            return
-        nwin = int(idx.max()) + 1
-        avg = np.zeros(nwin)
-        for k in range(nwin):
-            sel = idx == k
-            avg[k] = float(np.mean(np.asarray(E)[sel]))
         for t, e, s, k in zip(times, E, share, idx):
             fh.write("%s,%s,%s,%s\n" % (_fmt(t), _fmt(e), _fmt(s), _fmt(avg[k])))
+
+
+def _massless_energies(data, maps, window, spw, nwin):
+    """Exact E_0 at ``spw`` samples per window over ``nwin`` windows."""
+    times = window / spw * np.arange(nwin * spw)
+    return times, build_initial_profile(data, maps).energy_series(times)
 
 
 def analyze_config_map(cfg, override=None):
@@ -340,7 +320,6 @@ def analyze_config_map(cfg, override=None):
         maps,
         rotation_iterations=cfg.int_("analysis.rotation_iterations"),
         max_q=cfg.int_("analysis.max_q"),
-        scan_samples=cfg.int_("analysis.scan_samples"),
     )
     return motion, maps, analysis
 
@@ -374,13 +353,9 @@ def run_experiment(cfg, write_outputs=True):
     else:
         report["hypothesis_J_norm"] = None
 
-    T = motion.period
+    window = motion.period
     if analysis.resonance is not None:
-        p, _q = analysis.resonance
-        window = p * T
-    else:
-        w = cfg.values["fit.window"]
-        window = T if str(w) == "auto" else float(w)
+        window *= analysis.resonance[0]
     horizon = cfg.float_("grid.horizon_periods") * window
     spw = cfg.int_("fit.samples_per_window")
     burn = cfg.int_("fit.burn_in_windows")
@@ -390,11 +365,9 @@ def run_experiment(cfg, write_outputs=True):
     for m in cfg.list_("mass.values"):
         entry = {"m": m}
         try:
+            nwin = int(round(horizon / window))
             if m == 0.0:
-                profile = build_initial_profile(data, maps)
-                nwin = int(round(horizon / window))
-                times = window / spw * np.arange(nwin * spw)
-                E = profile.energy_series(times)
+                times, E = _massless_energies(data, maps, window, spw, nwin)
                 share = np.zeros_like(E)
                 entry["solver"] = "massless-exact"
             else:
@@ -404,7 +377,6 @@ def run_experiment(cfg, write_outputs=True):
                     t_max=horizon + 2.0 / spw * window,
                     tol=cfg.float_("picard.tol"),
                     n_max=cfg.int_("picard.n_max"))
-                nwin = int(round(horizon / window))
                 want = window / spw * (np.arange(nwin * spw) + 0.5)
                 times, E, share = fg.energy_series(want)
                 entry["solver"] = "picard"
@@ -414,13 +386,19 @@ def run_experiment(cfg, write_outputs=True):
                 entry["picard_bound_ok"] = bool(
                     np.all(ch[1:] <= bd[1:] + 1e-13 * fg.sup_phi0))
                 entry["field_bound_ratio"] = float(fg.field_bound_ratio())
-            series = EnergySeries(times, E, share, window).fit(
-                burn_in_windows=burn, gamma_predicted=gamma_pred)
-            entry["gamma_fit"] = series.gamma_fit
-            entry["gamma_fit_half_width"] = series.gamma_fit_half_width
+            if np.any(np.diff(times) <= 0):
+                raise ValueError("sample times must be strictly increasing")
+            if np.any(E < 0):
+                raise ValueError("energies must be nonnegative")
+            gfit, half_width, info = fit_exponent(times, E, window,
+                                                  burn_in_windows=burn)
+            entry["gamma_fit"] = gfit
+            entry["gamma_fit_half_width"] = half_width
             entry["gamma_predicted"] = gamma_pred
-            if series.sandwich:
-                entry["sandwich"] = series.sandwich
+            if gamma_pred:
+                entry["sandwich"] = _sandwich(info["window_times"],
+                                              info["window_averages"],
+                                              gamma_pred, burn)
             if write_outputs:
                 path = os.path.join(outdir, "energy_m%s.csv" % _fmt(m))
                 _energy_csv(path, times, E, share, window)
@@ -465,14 +443,29 @@ def _json_default(o):
 # parameter scan
 # ---------------------------------------------------------------------------
 
+# the numeric parameters each wall profile reads: the keys a scan may sweep
+_SCAN_FIELDS = {"sinusoidal": ("alpha", "beta", "period"),
+                "constant": ("alpha", "period"),
+                "fourier": ("mean", "period")}
+
+
+def _dispatch(fn, args, workers):
+    """[fn(a) for a in args], in a process pool when workers > 1."""
+    if workers > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, args))
+    return [fn(a) for a in args]
+
+
 def _parse_scan_values(cfg):
     spec_str = str(cfg.values["scan.values"]).strip()
-    if not spec_str:
-        return []
-    if ":" in spec_str:
+    if ":" not in spec_str:
+        return cfg.list_("scan.values")
+    try:
         lo, hi, n = spec_str.split(":")
         return list(np.linspace(float(lo), float(hi), int(n)))
-    return [float(s) for s in spec_str.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError("key scan.values: expected 'lo:hi:n', got %r" % spec_str)
 
 
 def _scan_point(args):
@@ -480,15 +473,9 @@ def _scan_point(args):
     cfg = ExperimentConfig(cfg_values)
     row = {"param": value, "rho": None, "rho_err": None, "p": None, "q": None,
            "gamma": None, "gamma_fit": None, "status": "ok"}
-    if not param.startswith("boundary."):
-        row["status"] = "ConfigError: can only scan boundary.* parameters"
-        return row
     field = param.split(".", 1)[1]
     try:
         motion, maps, analysis = analyze_config_map(cfg, {field: value})
-    except boundary.RejectedMotion as exc:
-        row["status"] = "RejectedMotion: %s" % exc
-        return row
     except Exception as exc:
         row["status"] = "%s: %s" % (type(exc).__name__, exc)
         return row
@@ -500,14 +487,11 @@ def _scan_point(args):
     row["status"] = analysis.status
     if cfg.bool_("scan.simulate") and analysis.status == "ok":
         try:
-            data = cfg.make_data(maps.a0)
-            profile = build_initial_profile(data, maps)
-            p, _ = analysis.resonance
-            window = p * motion.period
-            spw = cfg.int_("fit.samples_per_window")
+            window = analysis.resonance[0] * motion.period
             nwin = max(int(cfg.float_("scan.sim_periods")), 6)
-            times = window / spw * np.arange(nwin * spw)
-            E = profile.energy_series(times)
+            times, E = _massless_energies(
+                cfg.make_data(maps.a0), maps, window,
+                cfg.int_("fit.samples_per_window"), nwin)
             gfit, _, _ = fit_exponent(times, E, window, burn_in_windows=1)
             row["gamma_fit"] = gfit
         except Exception as exc:
@@ -524,12 +508,13 @@ def scan(cfg, workers=1, write_outputs=True):
     cfg.validate(need_fit=False)
     values = _parse_scan_values(cfg)
     param = cfg.str_("scan.parameter")
-    args = [(cfg.values, param, v) for v in values]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, args))
-    else:
-        rows = [_scan_point(a) for a in args]
+    profile = cfg.str_("boundary.profile")
+    allowed = ["boundary." + f for f in _SCAN_FIELDS.get(profile, ())]
+    if param not in allowed:
+        raise ConfigError("scan.parameter %r is not read by a %r wall (scannable: %s)"
+                          % (param, profile, ", ".join(allowed) or "none"))
+    rows = _dispatch(_scan_point, [(cfg.values, param, v) for v in values],
+                     workers)
     rows.sort(key=lambda r: r["param"])
     if write_outputs:
         path = os.path.join(cfg.str_("output.dir"), "scan.csv")
@@ -549,127 +534,125 @@ def scan(cfg, workers=1, write_outputs=True):
 # ---------------------------------------------------------------------------
 # invariant battery behind the `verify` subcommand
 # ---------------------------------------------------------------------------
+# Each check takes (cfg, motion, maps, rng) and returns (ok, detail).
 
-def _verify_checks(cfg):
-    """(name, callable) pairs; each callable returns (ok, detail)."""
-    motion = cfg.make_motion()
-    maps = boundary.CharacteristicMaps(motion)
+def _chk_motion(cfg, motion, maps, rng):
     T = motion.period
-    a0 = maps.a0
-    seed = cfg.int_("seed")
-    spawn = {name: np.random.default_rng([seed, i])
-             for i, name in enumerate([
-                 "maps", "herman", "profile", "geometry", "massive"])}
+    ts = np.linspace(0.0, T, 1000)
+    per = np.max(np.abs(np.asarray(motion.a(ts + T)) - np.asarray(motion.a(ts))))
+    ok = per <= 1e-10 * max(1.0, motion.a_max) and motion.a_min > 0 \
+        and motion.da_max < 1.0
+    return ok, "periodicity %.2e, a in [%g, %g], sup|a'| %.3f" % (
+        per, motion.a_min, motion.a_max, motion.da_max)
 
-    def chk_motion():
-        ts = np.linspace(0.0, T, 1000)
-        per = np.max(np.abs(np.asarray(motion.a(ts + T)) - np.asarray(motion.a(ts))))
-        ok = per <= 1e-10 * max(1.0, motion.a_max) and motion.a_min > 0 \
-            and motion.da_max < 1.0
-        return ok, "periodicity %.2e, a in [%g, %g], sup|a'| %.3f" % (
-            per, motion.a_min, motion.a_max, motion.da_max)
 
-    def chk_maps():
-        rng = spawn["maps"]
-        x = rng.uniform(-3 * T, 3 * T, 1000)
-        e1 = float(np.max(np.abs(maps.F(maps.F_inv(x)) - x)))
-        e2 = float(np.max(np.abs(maps.F(x + T) - maps.F(x) - T)))
-        xs = np.sort(x)
-        mono = bool(np.all(np.diff(maps.F(xs)) > 0))
-        d = np.asarray(maps.dF(x))
-        bounds = bool(np.all((d >= maps.dF_min - 1e-12) & (d <= maps.dF_max + 1e-12)))
-        step = x - np.asarray(maps.F_inv(x))
-        stp = bool(np.all((step >= 2 * motion.a_min - 1e-9)
-                          & (step <= 2 * motion.a_max + 1e-9)))
-        ok = e1 <= 1e-10 and e2 <= 1e-10 and mono and bounds and stp
-        return ok, "inv %.1e, lift %.1e, monotone %s, dF in bounds %s, step identity %s" % (
-            e1, e2, mono, bounds, stp)
+def _chk_maps(cfg, motion, maps, rng):
+    T = motion.period
+    x = rng.uniform(-3 * T, 3 * T, 1000)
+    e1 = float(np.max(np.abs(maps.F(maps.F_inv(x)) - x)))
+    e2 = float(np.max(np.abs(maps.F(x + T) - maps.F(x) - T)))
+    xs = np.sort(x)
+    mono = bool(np.all(np.diff(maps.F(xs)) > 0))
+    d = np.asarray(maps.dF(x))
+    bounds = bool(np.all((d >= maps.dF_min - 1e-12) & (d <= maps.dF_max + 1e-12)))
+    step = x - np.asarray(maps.F_inv(x))
+    stp = bool(np.all((step >= 2 * motion.a_min - 1e-9)
+                      & (step <= 2 * motion.a_max + 1e-9)))
+    ok = e1 <= 1e-10 and e2 <= 1e-10 and mono and bounds and stp
+    return ok, "inv %.1e, lift %.1e, monotone %s, dF in bounds %s, step identity %s" % (
+        e1, e2, mono, bounds, stp)
 
-    def chk_herman():
-        rng = spawn["herman"]
-        x0 = float(rng.uniform(-a0, a0))
-        n = 500
-        e1, h1 = circle_dynamics.rotation_number(maps, n, x0)
-        e2, _ = circle_dynamics.rotation_number(maps, 10 * n, x0)
-        ok = abs(e1 - e2) <= h1
-        return ok, "|rho_n - rho_10n| = %.2e <= T/n = %.2e" % (abs(e1 - e2), h1)
 
-    def chk_profile():
-        data = cfg.make_data(a0)
-        comp = cauchy.check_compatibility(data, motion)
-        if not comp.all_passed:
-            return False, "compatibility failed: " + "; ".join(
-                l for l, okk in zip(comp.lines(), comp.passed) if not okk)
-        prof = build_initial_profile(data, maps)
-        rng = spawn["profile"]
-        eta = rng.uniform(-a0, a0 + 3 * T, 100)
-        wall = np.max(np.abs(prof.eval_phi(np.asarray(maps.F(eta)), eta)))
-        x = rng.uniform(0.0, a0, 100)
-        tr = np.max(np.abs(prof.eval_phi(x, -x) - np.asarray(data.phi0(x))))
-        pro = np.max(np.abs(prof.G(np.asarray(maps.F(eta))) - prof.G(eta)))
-        ok = wall <= 1e-9 and tr <= 1e-9 and pro <= 1e-9
-        return ok, "wall trace %.1e, initial trace %.1e, prolongation %.1e" % (wall, tr, pro)
+def _chk_herman(cfg, motion, maps, rng):
+    x0 = float(rng.uniform(-maps.a0, maps.a0))
+    n = 500
+    e1, h1 = circle_dynamics.rotation_number(maps, n, x0)
+    e2, _ = circle_dynamics.rotation_number(maps, 10 * n, x0)
+    ok = abs(e1 - e2) <= h1
+    return ok, "|rho_n - rho_10n| = %.2e <= T/n = %.2e" % (abs(e1 - e2), h1)
 
-    def chk_energy_step():
-        data = cfg.make_data(a0)
-        prof = build_initial_profile(data, maps)
-        rng = spawn["profile"]
-        t1 = float(rng.uniform(0.5, 3.0))
-        t2 = t1 + float(rng.uniform(0.0, 2 * motion.a_min))
-        E1, E2 = prof.energy(t1), prof.energy(t2)
-        lo = E1 / maps.dF_max - 1e-12
-        hi = E1 / maps.dF_min + 1e-12
-        ok = lo <= E2 <= hi
-        s1, _ = circle_dynamics.weighted_integral(maps, t1, 2, panels=512)
-        s2, _ = circle_dynamics.weighted_integral(maps, t2, 2, panels=512)
-        okS = (maps.dF_min**2 / maps.dF_max) * s1 - 1e-12 <= s2 <= (maps.dF_max**2 / maps.dF_min) * s1 + 1e-12
-        return ok and okS, "E0 step %s, S_j step %s (t1=%.3f, t2=%.3f)" % (ok, okS, t1, t2)
 
-    def chk_geometry():
-        rng = spawn["geometry"]
-        pts = []
-        for _ in range(200):
-            t = rng.uniform(0.1, 4.0)
-            x = rng.uniform(1e-3, float(motion.a(t)) - 1e-3)
-            pts.append((t + x, t - x))
-        xi, eta = np.array(pts).T
-        mm = kleingordon.measure_M(maps, xi, eta)
-        bound = 2.0 * motion.a_max * kleingordon.time_of(xi, eta)
-        worst = max(0.0, float(np.max(mm - bound)))
-        return worst <= 1e-9, "max(measure(M) - 2 a_max T) = %.2e" % worst
+def _chk_profile(cfg, motion, maps, rng):
+    a0, T = maps.a0, motion.period
+    data = cfg.make_data(a0)
+    comp = cauchy.check_compatibility(data, motion)
+    if not comp.all_passed:
+        return False, "compatibility failed: " + "; ".join(
+            l for l, okk in zip(comp.lines(), comp.passed) if not okk)
+    prof = build_initial_profile(data, maps)
+    eta = rng.uniform(-a0, a0 + 3 * T, 100)
+    wall = np.max(np.abs(prof.eval_phi(np.asarray(maps.F(eta)), eta)))
+    x = rng.uniform(0.0, a0, 100)
+    tr = np.max(np.abs(prof.eval_phi(x, -x) - np.asarray(data.phi0(x))))
+    pro = np.max(np.abs(prof.G(np.asarray(maps.F(eta))) - prof.G(eta)))
+    ok = wall <= 1e-9 and tr <= 1e-9 and pro <= 1e-9
+    return ok, "wall trace %.1e, initial trace %.1e, prolongation %.1e" % (wall, tr, pro)
 
-    def chk_massive():
-        data = cfg.make_data(a0)
-        m = 0.4
-        fg = kleingordon.picard_solve(data, maps, m, resolution=128,
-                                      t_max=2.5, tol=1e-9)
-        ch, bd = fg.picard_bound()
-        dom = bool(np.all(ch[1:] <= bd[1:] + 1e-13 * fg.sup_phi0))
-        fb = fg.field_bound_ratio() <= 1.1
-        res = kleingordon.verify_integral_identity(fg, samples=40,
-                                                   seed=cfg.int_("seed"))
-        budget = 50.0 * fg.lattice.delta * max(fg.sup_phi(), 1e-30)
-        ok = dom and fb and res <= budget
-        return ok, "picard bound %s, field bound %s, M-identity %.2e <= %.2e" % (
-            dom, fb, res, budget)
 
-    return [
-        ("motion_invariants", chk_motion),
-        ("map_identities", chk_maps),
-        ("rotation_herman", chk_herman),
-        ("profile_traces", chk_profile),
-        ("energy_sandwich_steps", chk_energy_step),
-        ("geometry_measure", chk_geometry),
-        ("massive_bounds", chk_massive),
-    ]
+def _chk_energy_step(cfg, motion, maps, rng):
+    prof = build_initial_profile(cfg.make_data(maps.a0), maps)
+    t1 = float(rng.uniform(0.5, 3.0))
+    t2 = t1 + float(rng.uniform(0.0, 2 * motion.a_min))
+    E1, E2 = prof.energy(t1), prof.energy(t2)
+    lo = E1 / maps.dF_max - 1e-12
+    hi = E1 / maps.dF_min + 1e-12
+    ok = lo <= E2 <= hi
+    s1, _ = circle_dynamics.weighted_integral(maps, t1, 2, panels=512)
+    s2, _ = circle_dynamics.weighted_integral(maps, t2, 2, panels=512)
+    okS = (maps.dF_min**2 / maps.dF_max) * s1 - 1e-12 <= s2 <= (maps.dF_max**2 / maps.dF_min) * s1 + 1e-12
+    return ok and okS, "E0 step %s, S_j step %s (t1=%.3f, t2=%.3f)" % (ok, okS, t1, t2)
+
+
+def _chk_geometry(cfg, motion, maps, rng):
+    pts = []
+    for _ in range(200):
+        t = rng.uniform(0.1, 4.0)
+        x = rng.uniform(1e-3, float(motion.a(t)) - 1e-3)
+        pts.append((t + x, t - x))
+    xi, eta = np.array(pts).T
+    mm = kleingordon.measure_M(maps, xi, eta)
+    bound = 2.0 * motion.a_max * kleingordon.time_of(xi, eta)
+    worst = max(0.0, float(np.max(mm - bound)))
+    return worst <= 1e-9, "max(measure(M) - 2 a_max T) = %.2e" % worst
+
+
+def _chk_massive(cfg, motion, maps, rng):
+    data = cfg.make_data(maps.a0)
+    m = 0.4
+    fg = kleingordon.picard_solve(data, maps, m, resolution=128,
+                                  t_max=2.5, tol=1e-9)
+    ch, bd = fg.picard_bound()
+    dom = bool(np.all(ch[1:] <= bd[1:] + 1e-13 * fg.sup_phi0))
+    fb = fg.field_bound_ratio() <= 1.1
+    res = kleingordon.verify_integral_identity(fg, samples=40,
+                                               seed=cfg.int_("seed"))
+    budget = 50.0 * fg.lattice.delta * max(fg.sup_phi(), 1e-30)
+    ok = dom and fb and res <= budget
+    return ok, "picard bound %s, field bound %s, M-identity %.2e <= %.2e" % (
+        dom, fb, res, budget)
+
+
+# (name, check, random stream): a check draws from its own fresh generator
+# default_rng([seed, stream]); the two stream-2 checks draw the same numbers
+_VERIFY_CHECKS = (
+    ("motion_invariants", _chk_motion, None),
+    ("map_identities", _chk_maps, 0),
+    ("rotation_herman", _chk_herman, 1),
+    ("profile_traces", _chk_profile, 2),
+    ("energy_sandwich_steps", _chk_energy_step, 2),
+    ("geometry_measure", _chk_geometry, 3),
+    ("massive_bounds", _chk_massive, None),
+)
 
 
 def _verify_one(args):
-    cfg_values, name = args
+    cfg_values, name, check, stream = args
     cfg = ExperimentConfig(cfg_values)
-    checks = dict(_verify_checks(cfg))
+    motion = cfg.make_motion()
+    maps = boundary.CharacteristicMaps(motion)
+    rng = None if stream is None else np.random.default_rng([cfg.int_("seed"), stream])
     try:
-        ok, detail = checks[name]()
+        ok, detail = check(cfg, motion, maps, rng)
     except Exception as exc:
         return name, False, "ERROR %s: %s" % (type(exc).__name__, exc)
     return name, bool(ok), detail
@@ -682,13 +665,8 @@ def run_verify(cfg, workers=1, write_outputs=True):
     of the worker count.
     """
     cfg.validate(need_fit=False)
-    names = [n for n, _ in _verify_checks(cfg)]
-    args = [(cfg.values, n) for n in names]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one, args))
-    else:
-        results = [_verify_one(a) for a in args]
+    results = _dispatch(_verify_one, [(cfg.values, *c) for c in _VERIFY_CHECKS],
+                        workers)
     results.sort(key=lambda r: r[0])
     lines = ["%-4s %-24s %s" % ("PASS" if ok else "FAIL", name, detail)
              for name, ok, detail in results]

@@ -279,3 +279,67 @@ def test_cli_verify_failure_exit_code(tmp_path):
     path = _write_cfg(tmp_path, **{"data.family": "eigenmode",
                                    "grid.horizon_periods": "4"})
     assert cli.main(["verify", path, "-w", "1"]) == 3
+
+
+@pytest.mark.parametrize("command, over", [
+    ("simulate", {"mass.values": "0.0, abc"}),
+    ("simulate", {"boundary.profile": "fourier", "boundary.cos": "0.01, x"}),
+    ("simulate", {"analysis.rotation_iterations": "inf"}),
+    ("scan", {"scan.values": "0.0:0.03"}),
+    ("scan", {"scan.values": "0.01, abc"}),
+])
+def test_cli_malformed_value_is_config_error(tmp_path, capsys, command, over):
+    path = _write_cfg(tmp_path, **over)
+    assert cli.main([command, path]) == 1
+    assert "config error: key " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", [
+    "boundary.alfa",     # misspelled: the motion would ignore it
+    "mass.values",       # not a boundary key
+    "boundary.mean",     # read only by a fourier wall, and this one is sinusoidal
+])
+def test_cli_scan_parameter_not_read_by_wall(tmp_path, param):
+    path = _write_cfg(tmp_path, **{"scan.parameter": param,
+                                   "scan.values": "0.3, 0.6"})
+    assert cli.main(["scan", path]) == 1
+    assert not os.path.exists(tmp_path / "out" / "scan.csv")
+
+
+def test_cli_scan_point_failure_in_status(tmp_path):
+    # alpha = 0.05 puts the wall through zero: that row is rejected, the scan
+    # still succeeds and records the failure in the status column
+    path = _write_cfg(tmp_path, **{"scan.parameter": "boundary.alpha",
+                                   "scan.values": "0.05, 0.5",
+                                   "analysis.rotation_iterations": "5000"})
+    assert cli.main(["scan", path]) == 0
+    with open(tmp_path / "out" / "scan.csv") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert rows[0].split(",")[-1].startswith("RejectedMotion: ")
+    assert rows[1].split(",")[-1] == "ok"
+
+
+def test_removed_config_keys_are_unknown():
+    for key in ("analysis.scan_samples", "fit.window"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig({key: "1"})
+
+
+def test_run_experiment_oracle_discrepancy_falls(tmp_path):
+    sup = {}
+    for n_y in (256, 512):
+        cfg = _cfg(tmp_path, **{"oracle.enabled": "true", "oracle.n_y": n_y})
+        report = experiment.run_experiment(cfg, write_outputs=False)
+        assert not report["errors"]
+        oracle = report["oracle"]
+        assert oracle["n_y"] == n_y and oracle["horizon"] == 3.0
+        sup[n_y] = oracle["sup_discrepancy"]
+    assert sup[512] <= 0.5 * sup[256]
+
+
+def test_verify_random_streams_pinned(tmp_path):
+    # profile_traces and energy_sandwich_steps each draw from a fresh
+    # generator of stream 2; sharing one would move t1 and t2
+    ok, lines = experiment.run_verify(_cfg(tmp_path), write_outputs=False)
+    line = next(ln for ln in lines if "energy_sandwich_steps" in ln)
+    assert line.endswith("(t1=1.195, t2=1.596)")
