@@ -1,14 +1,19 @@
-"""Time and count the two circle-map layers of the ``scan`` workload.
+"""Time and count ``analyze_map`` on the motions of the ``scan`` workload.
 
 For each of the 8 motions of the benchmark's scan grid (sinusoidal wall,
 ``beta = 0.14``, period 1, ``alpha`` from ``perfbench/workloads.py``) this
-records
+runs ``analyze_map(maps, 1e5, max_q=20)``, the call the scan makes per
+point, and records
 
-- ``rotation_number(maps, 1e5)``: seconds (median of 3 runs without
-  counters) and profile evaluations (``a_scalar`` plus
-  ``da_scalar`` calls) per orbit step, counted in one further run;
-- ``find_periodic_points`` at the detected ``p:q`` (when there is one):
-  seconds (median of 3 runs) and ``_invert`` calls.
+- its seconds (median of 3 runs without counters);
+- the route that produced the rotation number: ``certified`` (a short
+  orbit proposed p/q and a periodic orbit certified it) or ``full`` (the
+  1e5-step orbit; the only route of source trees without the certificate);
+- the orbit steps taken (the ``n`` of every ``orbit_translation`` call);
+- each ``find_periodic_points`` call, with its ``p:q`` and the points
+  passed to ``F_and_dF`` inside it;
+
+all counted in one further run.
 
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
@@ -16,7 +21,9 @@ to measure, so the same script measures an older checkout too:
     python bench/orbits.py --label change
     python bench/orbits.py --label parent --src /path/to/old/checkout/src
 
-Each run replaces its label's entry in ``BENCH_5.json`` and keeps the others.
+Each run replaces its label's entry in ``BENCH_9.json`` and keeps the
+others.  (``BENCH_5.json`` was written by an earlier version of this script,
+which timed ``rotation_number`` and ``find_periodic_points`` on their own.)
 """
 
 import argparse
@@ -27,27 +34,13 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITERATIONS = 100_000
 MAX_Q = 20
 REPEAT = 3
-OUT = os.path.join(ROOT, "BENCH_5.json")
-
-
-def _counting(fn, counter):
-    def wrapped(*args):
-        counter[0] += 1
-        return fn(*args)
-    return wrapped
-
-
-def _median_seconds(fn):
-    times = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
+OUT = os.path.join(ROOT, "BENCH_9.json")
 
 
 def measure(alpha, beta):
@@ -55,39 +48,45 @@ def measure(alpha, beta):
 
     maps = boundary.CharacteristicMaps(boundary.make_motion(
         {"profile": "sinusoidal", "alpha": alpha, "beta": beta, "period": 1.0}))
-    rot_s, (est, hw) = _median_seconds(
-        lambda: cd.rotation_number(maps, ITERATIONS))
+    times = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        analysis = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
+        times.append(time.perf_counter() - t0)
 
-    prof = maps.motion.profile
-    evals = [0]
-    prof.a_scalar = _counting(prof.a_scalar, evals)
-    prof.da_scalar = _counting(prof.da_scalar, evals)
-    cd.rotation_number(maps, ITERATIONS)
-    del prof.a_scalar, prof.da_scalar
+    steps, points, scans = [0], [0], []
+    orbit_translation, F_and_dF = maps.orbit_translation, maps.F_and_dF
+    find = cd.find_periodic_points
 
-    row = {"alpha": alpha, "rho": est, "rotation_number_s": rot_s,
-           "evals_per_step": evals[0] / ITERATIONS, "resonance": None}
+    def counting_orbit(x0, n):
+        steps[0] += int(n)
+        return orbit_translation(x0, n)
+
+    def counting_F(x):
+        points[0] += np.size(x)
+        return F_and_dF(x)
+
+    def counting_find(maps_, p, q, *args, **kwargs):
+        before = points[0]
+        try:
+            return find(maps_, p, q, *args, **kwargs)
+        finally:
+            scans.append({"p": p, "q": q, "F_and_dF_points": points[0] - before})
+
+    maps.orbit_translation, maps.F_and_dF = counting_orbit, counting_F
+    cd.find_periodic_points = counting_find
     try:
-        res = cd.detect_resonance(est, hw, maps.T, MAX_Q)
-    except cd.AmbiguousResonance:
-        res = None
-    if res is None:
-        return row
-    p, q = res
-    row["resonance"] = [p, q]
-    try:
-        fpp_s, points = _median_seconds(
-            lambda: cd.find_periodic_points(maps, p, q))
-    except (cd.DegenerateMap, cd.NeutralPoint) as exc:
-        row["find_periodic_points"] = type(exc).__name__
-        return row
-    calls = [0]
-    maps._invert = _counting(maps._invert, calls)
-    cd.find_periodic_points(maps, p, q)
-    del maps._invert
-    row.update({"find_periodic_points_s": fpp_s, "invert_calls": calls[0],
-                "periodic_points": len(points)})
-    return row
+        counted = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
+    finally:
+        del maps.orbit_translation, maps.F_and_dF
+        cd.find_periodic_points = find
+    assert counted.to_dict() == analysis.to_dict()
+
+    return {"alpha": alpha, "analyze_map_s": statistics.median(times),
+            "route": "certified" if getattr(analysis, "rotation_certified", False) else "full",
+            "rho": analysis.rotation_estimate, "resonance": analysis.resonance,
+            "status": analysis.status, "orbit_steps": steps[0],
+            "find_periodic_points": scans}
 
 
 def main(argv=None):
@@ -99,7 +98,6 @@ def main(argv=None):
 
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, ROOT)
-    import numpy
     from perfbench.workloads import SCAN_ALPHAS, SCAN_BETA
 
     rows = []
@@ -108,15 +106,17 @@ def main(argv=None):
         print(json.dumps(row), flush=True)
         rows.append(row)
     entry = {
-        "host": {"python": platform.python_version(), "numpy": numpy.__version__,
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "repeat": REPEAT,
         "iterations": ITERATIONS,
+        "max_q": MAX_Q,
         "motions": rows,
         "totals": {
-            "rotation_number_s": sum(r["rotation_number_s"] for r in rows),
-            "find_periodic_points_s": sum(r.get("find_periodic_points_s", 0.0) for r in rows),
-            "invert_calls": sum(r.get("invert_calls", 0) for r in rows),
+            "analyze_map_s": sum(r["analyze_map_s"] for r in rows),
+            "orbit_steps": sum(r["orbit_steps"] for r in rows),
+            "F_and_dF_points": sum(s["F_and_dF_points"] for r in rows
+                                   for s in r["find_periodic_points"]),
         },
     }
     bench = {}

@@ -2,8 +2,10 @@
 
 The wall a(t) = 0.5 + 0.05 sin(2 pi t) makes a ray's round trip resonate
 1:1 with the wall period.  The script estimates the rotation number of the
-lift F with its rigorous Herman error bar, locates the periodic points,
-classifies them and prints the resulting energy-growth exponent.
+lift F with its rigorous Herman error bar, then lets ``analyze_map``
+certify it exactly: a short orbit proposes p/q and the periodic orbit found
+for it fixes rho = (p/q) T.  It prints the periodic points, their
+classification and the resulting energy-growth exponent.
 
 Run:  python3 demos/demo_map_analysis.py
 """
@@ -21,11 +23,18 @@ for n in (100, 10_000, 1_000_000):
     est, hw = cd.rotation_number(maps, n)
     print("rotation estimate at n=%-8d: %.9f +- %.1e" % (n, est, hw))
 
-est, hw = cd.rotation_number(maps, 100_000)
-res = cd.detect_resonance(est, hw, maps.T, max_q=20)
+analysis = cd.analyze_map(maps, rotation_iterations=100_000, max_q=20)
+res = analysis.resonance
+if analysis.rotation_certified:
+    print("%-31s: %.9f = (%d/%d) T exactly" % (
+        "certified by its periodic orbit", analysis.rotation_estimate, *res))
+else:
+    print("%-31s: %.9f +- %.1e" % (
+        "not certified, n=%d" % analysis.rotation_iterations,
+        analysis.rotation_estimate, analysis.rotation_half_width))
 print("resonance: p/q =", res)
 
-points = cd.find_periodic_points(maps, *res)
+points = analysis.periodic_points
 for pt in points:
     print("  periodic point x = %+.6f  DF^q = %.6f  (%s)"
           % (pt.x, pt.multiplier, pt.kind))

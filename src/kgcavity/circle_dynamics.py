@@ -8,7 +8,14 @@ The rotation number is taken in the additive-lift sense
     rho = lim (F^n(x) - x) / n        (time units),
 
 so a p:q resonance means rho = (p/q) * T.  Reports carry both the raw
-estimate and this convention explicitly.
+estimate and this convention explicitly.  By Poincare's theorem rho is
+exactly (p/q) T as soon as F^q(x) = x + pT has a solution, so
+:func:`analyze_map` certifies a resonant rotation number by the periodic
+orbit it finds anyway and runs the long orbit only when none is found
+(``MapAnalysis.rotation_certified`` records the route).  The periodic
+orbits are ordered like those of the rigid rotation, so
+:func:`find_periodic_points` scans one fundamental domain of them and maps
+its roots around.
 
 For a resonant map the attracting periodic points a_i (multiplier
 DF^q(a_i) < 1) drive exponential energy growth at rate
@@ -45,6 +52,8 @@ __all__ = [
 ]
 
 NEUTRAL_TOL = 1e-8
+#: orbit steps that propose the p/q a periodic orbit then certifies
+SHORT_ORBIT = 1000
 ROOT_TOL = 1e-12
 DEGENERATE_TOL = 1e-9
 
@@ -95,6 +104,7 @@ class MapAnalysis:
     rotation_estimate: float
     rotation_half_width: float
     rotation_iterations: int
+    rotation_certified: bool = False          # rho = pT/q from a periodic orbit
     convention: str = "rho = lim (F^n(x)-x)/n; resonance when rho = (p/q) T"
     resonance: tuple | None = None           # (p, q) coprime
     periodic_points: list = field(default_factory=list)
@@ -110,6 +120,7 @@ class MapAnalysis:
             "rotation_estimate": self.rotation_estimate,
             "rotation_half_width": self.rotation_half_width,
             "rotation_iterations": self.rotation_iterations,
+            "rotation_certified": self.rotation_certified,
             "convention": self.convention,
             "resonance": None if self.resonance is None else {"p": self.resonance[0], "q": self.resonance[1]},
             "periodic_points": [
@@ -177,12 +188,57 @@ def _g_and_multiplier(maps, x, p, q):
     return y - np.asarray(x, dtype=float) - p * maps.T, mult
 
 
+def _grid_roots(maps, lo, dx, idx, p, q):
+    """g on the grid nodes lo + i dx (i in the sorted array ``idx``), and its
+    roots there: exact node hits, then every sign change between adjacent
+    nodes, all brackets bisected together to ROOT_TOL."""
+    xs = lo + dx * idx
+    g, _ = _g_and_multiplier(maps, xs, p, q)
+    scale = max(1.0, abs(p) * maps.T)
+    sign = np.sign(g)
+    crossings = np.nonzero((idx[1:] == idx[:-1] + 1) & (sign[:-1] * sign[1:] < 0.0))[0]
+    a = xs[crossings]
+    # the width xs[1] - xs[0] of a scan of all nodes, so that every bracket
+    # is bit for bit the one that scan would bisect
+    b = a + ((lo + dx) - lo)
+    fa = g[crossings]
+    # a bracket drops out of the active set once it is no wider than ROOT_TOL
+    active = np.ones(a.shape, dtype=bool)
+    for _ in range(64):
+        act = np.nonzero(active)[0]
+        if not act.size:
+            break
+        m = 0.5 * (a[act] + b[act])
+        fm, _ = _g_and_multiplier(maps, m, p, q)
+        left = fa[act] * fm <= 0.0
+        b[act[left]] = m[left]
+        right = act[~left]
+        a[right], fa[right] = m[~left], fm[~left]
+        active[act] = b[act] - a[act] > ROOT_TOL
+    # exact hits on nodes (e.g. a repeller pinned at -a(0)) come first
+    return g, np.concatenate([xs[np.abs(g) <= 1e-13 * scale], 0.5 * (a + b)])
+
+
 def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     """All periodic points F^q(x) = x + pT on [lo, hi) (default [-a(0), a(0))).
 
-    Sign-change scan on a dense grid, then one batched bisection of every
-    bracket to 1e-12; each root is classified by its multiplier DF^q, all
-    taken in one orbit pass.
+    The roots of g = F^q - Id - pT are found on the grid of nodes
+    lo + i dx, 0 <= i < n, dx = (hi - lo) / n, n = max(samples q, 1024):
+    exact node hits, and sign changes between adjacent nodes bisected
+    together to 1e-12.  Only one fundamental domain of the p:q orbits is
+    scanned in full: with s p = 1 (mod q) and r = (s p - 1)/q, the lift
+    G = F^s - rT has rotation number T/q when F has pT/q, so every p:q
+    orbit has exactly one point in [lo, G(lo)) (Poincare: the orbit is
+    ordered like the rigid rotation, and G steps each point to its right
+    neighbour).  That scan runs two nodes past G(lo), so a root on lo also
+    shows as a sign change at G(lo).  Each root found there is mapped to
+    its orbit images F^k(x) + jT (the same set as G^k(x) + jT), and the
+    grid is scanned again on the four nodes around every image, which
+    finds the roots a scan of all n nodes would find, bracket for bracket.
+    When the domain is not shorter than [lo, hi) (every q = 1 with
+    hi - lo <= T) all n nodes are scanned at once.  Roots are then
+    deduplicated and classified by their multipliers DF^q, all taken in
+    one orbit pass.
 
     Raises
     ------
@@ -192,50 +248,41 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
         An isolated root has |DF^q - 1| <= 1e-8; the hyperbolicity
         assumptions exclude this case.
     """
-    if math.gcd(int(p), int(q)) != 1:
+    p, q = int(p), int(q)
+    if math.gcd(p, q) != 1:
         raise ValueError("(p, q) must be coprime")
     a0 = maps.a0
     if lo is None:
         lo = -a0
     if hi is None:
         hi = a0
-    n = max(int(samples) * int(q), 1024)
-    xs = np.linspace(lo, hi, n, endpoint=False)
-    g, _ = _g_and_multiplier(maps, xs, p, q)
-
-    scale = max(1.0, abs(p) * maps.T)
-    if np.max(np.abs(g)) <= DEGENERATE_TOL * scale:
+    T = maps.T
+    n = max(int(samples) * q, 1024)
+    dx = (hi - lo) / n
+    # G(lo) = F^s(lo) - rT; pow(p, -1, 1) = 0 makes G = Id + T for q = 1
+    s = pow(p, -1, q)
+    top = lo
+    for _ in range(s):
+        top = maps.F(top)
+    top -= (s * p - 1) // q * T
+    nodes = min(max(math.ceil((top - lo) / dx) + 2, 2), n)
+    g, roots = _grid_roots(maps, lo, dx, np.arange(nodes), p, q)
+    if np.max(np.abs(g)) <= DEGENERATE_TOL * max(1.0, abs(p) * T):
         raise DegenerateMap("F^q - Id - pT vanishes identically on [%g, %g)" % (lo, hi))
 
-    roots = []
-    # exact hits on scan nodes (e.g. a repeller pinned at -a(0))
-    node_zero = np.abs(g) <= 1e-13 * scale
-    roots.extend(xs[node_zero].tolist())
-
-    # bisect every sign-change bracket in one vector pass; a bracket drops out
-    # of the active set once it is no wider than ROOT_TOL
-    sign = np.sign(g)
-    crossings = np.nonzero((sign[:-1] * sign[1:] < 0.0))[0]
-    dx = xs[1] - xs[0]
-    a = xs[crossings]
-    b = a + dx
-    fa = g[crossings]
-    active = np.ones(a.shape, dtype=bool)
-    for _ in range(64):
-        idx = np.nonzero(active)[0]
-        if not idx.size:
-            break
-        m = 0.5 * (a[idx] + b[idx])
-        fm, _ = _g_and_multiplier(maps, m, p, q)
-        left = fa[idx] * fm <= 0.0
-        b[idx[left]] = m[left]
-        right = idx[~left]
-        a[right], fa[right] = m[~left], fm[~left]
-        active[idx] = b[idx] - a[idx] > ROOT_TOL
-    roots.extend((0.5 * (a + b)).tolist())
+    if nodes < n and roots.size:
+        # every orbit image in [lo, hi), then the four nodes around each
+        orbit = [roots]
+        for _ in range(q - 1):
+            orbit.append(maps.F(orbit[-1]))
+        v = np.concatenate(orbit)
+        shifts = T * np.arange(math.floor((lo - v.max()) / T), math.ceil((hi - v.min()) / T) + 1)
+        cells = np.floor((np.add.outer(v, shifts) - lo) / dx).astype(int)
+        idx = np.unique(np.add.outer(cells.ravel(), np.arange(-1, 3)))
+        _, roots = _grid_roots(maps, lo, dx, idx[(idx >= 0) & (idx < n)], p, q)
 
     # dedupe and keep the half-open interval convention
-    roots = sorted(r for r in roots if lo - 1e-12 <= r < hi - 1e-13)
+    roots = sorted(r for r in roots.tolist() if lo - 1e-12 <= r < hi - 1e-13)
     dedup = []
     for r in roots:
         if not dedup or r - dedup[-1] > 1e-10:
@@ -464,30 +511,66 @@ def analyze_map(maps, rotation_iterations=100_000, max_q=20, x0=0.0,
                 scan_samples=10_000):
     """Run the full analysis pipeline on one lift and return a MapAnalysis.
 
+    With n = ``rotation_iterations`` > max(SHORT_ORBIT, 2 max_q^2), a
+    resonant rotation number is certified by its periodic orbit first: an
+    orbit of SHORT_ORBIT steps proposes p/q (bar T/SHORT_ORBIT), and if
+    ``find_periodic_points(p, q)`` finds a root of F^q - Id - pT (or raises
+    DegenerateMap or NeutralPoint, which also mean a root), rho = pT/q
+    exactly by Poincare's theorem.  The estimate is then pT/q, the
+    half-width stays T/n and the scan is the one the analysis uses.  Every
+    output but the estimate is what the n-step orbit gives: that orbit lies
+    within T/n of pT/q, and a second fraction within 2T/n of p/q with
+    q' <= max_q would contradict |p/q - p'/q'| >= 1/(q q') > 2/n.  Without a
+    certificate the n-step orbit runs as before (a scan already made for the
+    same p/q is reused).
+
     Errors from the sub-steps (degenerate map, neutral point, no resonance,
     no attractor) are recorded in ``status`` instead of propagating, so
     parameter scans can log them per point.
     """
-    est, hw = rotation_number(maps, rotation_iterations, x0)
-    analysis = MapAnalysis(rotation_estimate=est, rotation_half_width=hw,
-                           rotation_iterations=int(rotation_iterations))
-    try:
-        res = detect_resonance(est, hw, maps.T, max_q)
-    except AmbiguousResonance as exc:
-        analysis.status = "AmbiguousResonance: %s" % exc
-        return analysis
-    if res is None:
-        analysis.status = "no_resonance"
-        return analysis
+    n = int(rotation_iterations)
+    scans = {}
+
+    def scan(res):
+        if res not in scans:
+            try:
+                scans[res] = find_periodic_points(maps, *res, samples=scan_samples)
+            except (DegenerateMap, NeutralPoint) as exc:
+                scans[res] = exc
+        return scans[res]
+
+    analysis = None
+    if n > max(SHORT_ORBIT, 2 * max_q ** 2):
+        try:
+            res = detect_resonance(*rotation_number(maps, SHORT_ORBIT, x0), maps.T, max_q)
+        except AmbiguousResonance:
+            res = None
+        # a root, or DegenerateMap / NeutralPoint, certifies rho = pT/q
+        if res is not None and scan(res) != []:
+            p, q = res
+            analysis = MapAnalysis(rotation_estimate=p * maps.T / q,
+                                   rotation_half_width=maps.T / n,
+                                   rotation_iterations=n, rotation_certified=True)
+    if analysis is None:
+        est, hw = rotation_number(maps, n, x0)
+        analysis = MapAnalysis(rotation_estimate=est, rotation_half_width=hw,
+                               rotation_iterations=n)
+        try:
+            res = detect_resonance(est, hw, maps.T, max_q)
+        except AmbiguousResonance as exc:
+            analysis.status = "AmbiguousResonance: %s" % exc
+            return analysis
+        if res is None:
+            analysis.status = "no_resonance"
+            return analysis
     analysis.resonance = res
     p, q = res
-    try:
-        points = find_periodic_points(maps, p, q, samples=scan_samples)
-    except DegenerateMap:
+    points = scan(res)
+    if isinstance(points, DegenerateMap):
         analysis.status = "DegenerateMap"
         return analysis
-    except NeutralPoint as exc:
-        analysis.status = "NeutralPoint at x=%.12g" % exc.x
+    if isinstance(points, NeutralPoint):
+        analysis.status = "NeutralPoint at x=%.12g" % points.x
         return analysis
     analysis.periodic_points = points
     if not points:

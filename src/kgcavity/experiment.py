@@ -140,9 +140,12 @@ class ExperimentConfig:
 
     def float_(self, key):
         try:
-            return float(self.values[key])
+            value = float(self.values[key])
         except (TypeError, ValueError):
-            raise ConfigError("key %s: expected a number, got %r" % (key, self.values[key]))
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError("key %s: expected a finite number, got %r" % (key, self.values[key]))
+        return value
 
     def int_(self, key):
         try:

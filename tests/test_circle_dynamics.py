@@ -310,3 +310,167 @@ def test_periodic_points_15_17_pinned():
         assert pt.multiplier == pytest.approx(mult, rel=1e-10)
     gamma = cd.growth_exponent(maps, pts, 15, 17)[0]
     assert gamma == pytest.approx(0.017678492254952546, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# periodic points from one fundamental domain
+# ---------------------------------------------------------------------------
+
+def _dense_scan_points(maps, p, q, lo, hi, samples=10_000):
+    """Reference: sign scan of F^q - Id - pT over all of [lo, hi) at the
+    spacing find_periodic_points uses, every bracket bisected to 1e-12."""
+    n = max(samples * q, 1024)
+    xs = np.linspace(lo, hi, n, endpoint=False)
+    g, _ = cd._g_and_multiplier(maps, xs, p, q)
+    hits = xs[np.abs(g) <= 1e-13 * max(1.0, p * maps.T)]
+    cross = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
+    a, fa = xs[cross], g[cross]
+    b = a + (xs[1] - xs[0])
+    while np.any(b - a > cd.ROOT_TOL):
+        act = np.nonzero(b - a > cd.ROOT_TOL)[0]
+        m = 0.5 * (a[act] + b[act])
+        fm, _ = cd._g_and_multiplier(maps, m, p, q)
+        left = fa[act] * fm <= 0.0
+        b[act[left]] = m[left]
+        a[act[~left]], fa[act[~left]] = m[~left], fm[~left]
+    roots = sorted(r for r in np.concatenate([hits, 0.5 * (a + b)])
+                   if lo - 1e-12 <= r < hi - 1e-13)
+    roots = [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-10]
+    _, mults = cd._g_and_multiplier(maps, np.asarray(roots), p, q)
+    return roots, ["attracting" if m < 1.0 else "repelling" for m in mults]
+
+
+def _assert_matches_dense_scan(maps, p, q, lo, hi):
+    pts = cd.find_periodic_points(maps, p, q, lo=lo, hi=hi)
+    roots, kinds = _dense_scan_points(maps, p, q, lo, hi)
+    assert len(pts) == len(roots) > 0
+    assert [pt.kind for pt in pts] == kinds
+    for pt, r in zip(pts, roots):
+        assert abs(pt.x - r) <= 1e-12
+    return pts
+
+
+@pytest.mark.parametrize("alpha, p, q", [(0.35, 15, 17), (0.30, 2, 3), (0.70, 4, 3)])
+def test_periodic_points_fundamental_domain_matches_dense_scan(alpha, p, q):
+    maps = _maps({"profile": "sinusoidal", "alpha": alpha, "beta": 0.14,
+                  "period": 1.0})
+    pts = _assert_matches_dense_scan(maps, p, q, -maps.a0, maps.a0)
+    # the interval [a_1, F(a_1)) of asymptotic_coefficients, with a root on lo
+    a1 = next(pt.x for pt in pts if pt.kind == "attracting")
+    _assert_matches_dense_scan(maps, p, q, a1, float(maps.F(a1)))
+    # an interval of the default length whose domain [lo, G(lo)) ends 1e-3
+    # grid spacings above a root, inside the domain's last partial grid cell:
+    # lo = G^{-1}(x + 1e-3 dx) with G^{-1} = F^{-s} + rT
+    s = pow(p, -1, q)
+    lo = pts[0].x + 1e-3 * 2 * maps.a0 / (10_000 * q) + (s * p - 1) // q * maps.T
+    for _ in range(s):
+        lo = maps.F_inv(lo)
+    _assert_matches_dense_scan(maps, p, q, lo, lo + 2 * maps.a0)
+
+
+def test_periodic_points_15_17_scans_one_domain():
+    # a scan of all 170 000 nodes passes 17 * 170 000 points through F
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.35, "beta": 0.14,
+                  "period": 1.0})
+    points = [0]
+    F_and_dF = maps.F_and_dF
+
+    def counting(x):
+        points[0] += np.size(x)
+        return F_and_dF(x)
+
+    maps.F_and_dF = counting
+    assert len(cd.find_periodic_points(maps, 15, 17)) == 30
+    assert points[0] <= 0.1 * 17 * 170_000
+
+
+# ---------------------------------------------------------------------------
+# analyze_map: resonant rotation numbers certified by their periodic orbit
+# ---------------------------------------------------------------------------
+
+def _full_orbit_reference(maps, n, max_q):
+    """rotation_number(n), its resonance and the analysis built from it."""
+    est, hw = cd.rotation_number(maps, n)
+    ref = {"est": est, "resonance": cd.detect_resonance(est, hw, maps.T, max_q),
+           "points": [], "gamma": None, "J": []}
+    if ref["resonance"] is None:
+        ref["status"] = "no_resonance"
+        return ref
+    p, q = ref["resonance"]
+    try:
+        ref["points"] = cd.find_periodic_points(maps, p, q)
+    except cd.DegenerateMap:
+        ref["status"] = "DegenerateMap"
+        return ref
+    if not ref["points"]:
+        ref["status"] = "no_periodic_points"
+        return ref
+    ref["gamma"], _, _, ref["J"], _ = cd.growth_exponent(maps, ref["points"], p, q)
+    ref["status"] = "ok"
+    return ref
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.30, 0.14), (0.35, 0.14), (0.36, 0.14), (0.40, 0.14), (0.50, 0.14),
+    (0.66, 0.14), (0.70, 0.14), (0.80, 0.14),
+    (0.5, 0.004), (0.5, 0.01), (0.5, 0.02), (0.5, 0.03), (0.5, 0.06), (0.5, 0.1),
+])
+def test_analyze_map_certificate_matches_full_orbit(alpha, beta):
+    maps = _maps({"profile": "sinusoidal", "alpha": alpha, "beta": beta,
+                  "period": 1.0})
+    n = 100_000
+    analysis = cd.analyze_map(maps, rotation_iterations=n, max_q=20)
+    ref = _full_orbit_reference(maps, n, 20)
+    assert analysis.resonance == ref["resonance"]
+    assert analysis.status == ref["status"]
+    assert analysis.periodic_points == ref["points"]
+    assert analysis.gamma == ref["gamma"]
+    assert analysis.J == ref["J"]
+    assert analysis.rotation_half_width == maps.T / n
+    assert analysis.rotation_iterations == n
+    # alpha = 0.36 is a tongue edge without periodic points, 0.66 is
+    # quasi-periodic: both keep the n-step estimate bit for bit
+    fallback = alpha in (0.36, 0.66)
+    assert analysis.rotation_certified is not fallback
+    assert analysis.to_dict()["rotation_certified"] is not fallback
+    if fallback:
+        assert float.hex(analysis.rotation_estimate) == float.hex(ref["est"])
+    else:
+        p, q = analysis.resonance
+        assert analysis.rotation_estimate == p * maps.T / q
+
+
+def test_analyze_map_fallback_scans_once(monkeypatch):
+    # the short orbit proposes 1:1, the scan finds no root, and the n-step
+    # orbit detects 1:1 again: its scan is reused
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.36, "beta": 0.14,
+                  "period": 1.0})
+    calls = []
+    find = cd.find_periodic_points
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(cd, "find_periodic_points", counting)
+    analysis = cd.analyze_map(maps, rotation_iterations=100_000, max_q=20)
+    assert analysis.status == "no_periodic_points"
+    assert not analysis.rotation_certified
+    assert calls == [(1, 1)]
+
+
+def test_analyze_map_certificate_needs_n_above_two_max_q_squared():
+    # 2 max_q^2 >= n: a second fraction could fit the n-step bar, so the
+    # n-step orbit runs; one q less and the periodic orbit certifies 1:1
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.5, "beta": 0.05,
+                  "period": 1.0})
+    n = 5000
+    full = cd.analyze_map(maps, rotation_iterations=n, max_q=50)
+    est, _ = cd.rotation_number(maps, n)
+    assert not full.rotation_certified
+    assert float.hex(full.rotation_estimate) == float.hex(est)
+    cert = cd.analyze_map(maps, rotation_iterations=n, max_q=49)
+    assert cert.rotation_certified
+    assert cert.rotation_estimate == maps.T
+    assert cert.resonance == full.resonance == (1, 1)
+    assert cert.periodic_points == full.periodic_points

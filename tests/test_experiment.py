@@ -287,6 +287,9 @@ def test_cli_verify_failure_exit_code(tmp_path):
     ("simulate", {"analysis.rotation_iterations": "inf"}),
     ("scan", {"scan.values": "0.0:0.03"}),
     ("scan", {"scan.values": "0.01, abc"}),
+    ("simulate", {"grid.horizon_periods": "inf"}),
+    ("simulate", {"picard.tol": "nan"}),
+    ("simulate", {"boundary.alpha": "nan"}),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, command, over):
     path = _write_cfg(tmp_path, **over)
