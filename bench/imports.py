@@ -1,0 +1,166 @@
+"""Import cost of ``kgcavity``, the scipy modules each command loads, and the
+oracle's solve time, for one or more source trees.
+
+For each tree, every measurement runs in a fresh interpreter:
+
+- ``import kgcavity.cli``, timed inside the child (interpreter start-up
+  excluded), the minimum over ``--repeat`` processes, and the ``scipy``
+  modules in ``sys.modules`` afterwards (their count and subpackages);
+- the same ``scipy`` record after each of ``analyze-map``, ``simulate``,
+  ``scan -w 1`` and ``verify -w 1`` on ``demos/example.cfg`` (each in a
+  scratch directory holding a copy of the config), with the exit code;
+- ``oracle_fdm.solve_oracle`` at ``n_y = 512``, ``t_max = 4`` with the
+  example wall and data at ``m = 0.27``: the first call in a fresh process
+  (which pays any scipy import the solver makes) and a second call, each the
+  minimum over ``--repeat`` processes, and the sha256 of ``psi``.
+
+Run from the repository root; ``--src`` names a directory holding the
+``kgcavity`` package and may be repeated, so a parent checkout can be set
+against the working tree:
+
+    python bench/imports.py --src src
+    python bench/imports.py --src /path/to/parent/src --src src
+
+Trees are labelled A, B, ... in ``--src`` order; each entry carries the
+sha256 of its ``kgcavity/*.py`` sources.  Results go to
+``BENCH_10.json``.  The exit code is 1 when a command exits nonzero or the
+oracle's ``psi`` differs between trees.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import string
+import subprocess
+import sys
+import tempfile
+
+from outputs import _tree_sha
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG = os.path.join(ROOT, "demos", "example.cfg")
+OUT = os.path.join(ROOT, "BENCH_10.json")
+COMMANDS = (("analyze-map", ["analyze-map"]), ("simulate", ["simulate"]),
+            ("scan -w 1", ["scan", "-w", "1"]), ("verify -w 1", ["verify", "-w", "1"]))
+
+# scipy modules in sys.modules: their count and the subpackages they are in
+_SCIPY = """{"count": sum(m.split('.')[0] == 'scipy' for m in sys.modules),
+ "packages": sorted({'.'.join(m.split('.')[:2]) for m in sys.modules
+                     if m.split('.')[0] == 'scipy'})}"""
+
+IMPORT_CHILD = """
+import json, sys, time
+t0 = time.perf_counter()
+import kgcavity.cli
+seconds = time.perf_counter() - t0
+print(json.dumps({"seconds": seconds, "scipy": %s}))
+""" % _SCIPY
+
+COMMAND_CHILD = """
+import contextlib, io, json, sys
+from kgcavity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"exit": rc, "scipy": %s}))
+""" % _SCIPY
+
+ORACLE_CHILD = """
+import hashlib, json, sys, time
+from kgcavity import oracle_fdm
+from kgcavity.experiment import ExperimentConfig
+cfg = ExperimentConfig.from_file(sys.argv[1])
+motion = cfg.make_motion()
+data = cfg.make_data(motion.a0)
+times = []
+for _ in range(2):
+    t0 = time.perf_counter()
+    run = oracle_fdm.solve_oracle(data, motion, 0.27, n_y=512, t_max=4.0)
+    times.append(time.perf_counter() - t0)
+print(json.dumps({"first_s": times[0], "second_s": times[1],
+                  "psi_shape": list(run.psi.shape),
+                  "psi_sha256": hashlib.sha256(run.psi.tobytes()).hexdigest()}))
+"""
+
+
+def _child(src, code, args=(), cwd=None):
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit("child failed in %s" % src)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def measure(src, repeat):
+    imports = [_child(src, IMPORT_CHILD) for _ in range(repeat)]
+    commands = {}
+    for name, argv in COMMANDS:
+        with tempfile.TemporaryDirectory(prefix="kgcavity-imports-") as run:
+            shutil.copy(CONFIG, os.path.join(run, "example.cfg"))
+            commands[name] = _child(src, COMMAND_CHILD,
+                                    [argv[0], "example.cfg", *argv[1:]], cwd=run)
+    oracle = [_child(src, ORACLE_CHILD, [CONFIG]) for _ in range(repeat)]
+    return {
+        "import_s_min": min(r["seconds"] for r in imports),
+        "import_s_all": [round(r["seconds"], 4) for r in imports],
+        "scipy_after_import": imports[0]["scipy"],
+        "commands": commands,
+        "oracle": {"first_s_min": min(r["first_s"] for r in oracle),
+                   "second_s_min": min(r["second_s"] for r in oracle),
+                   "psi_shape": oracle[0]["psi_shape"],
+                   "psi_sha256": sorted({r["psi_sha256"] for r in oracle})},
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", required=True,
+                    help="directory holding the kgcavity package (repeatable)")
+    ap.add_argument("--repeat", type=int, default=7,
+                    help="fresh processes per timing (default 7)")
+    args = ap.parse_args(argv)
+
+    trees, failed = [], False
+    for label, src in zip(string.ascii_uppercase, args.src):
+        src = os.path.abspath(src)
+        res = measure(src, args.repeat)
+        res.update(label=label, source_sha256=_tree_sha(src))
+        trees.append(res)
+        print("%s import kgcavity.cli: %.3f s (min of %d), %d scipy modules"
+              % (label, res["import_s_min"], args.repeat, res["scipy_after_import"]["count"]))
+        for name, cmd in res["commands"].items():
+            print("    %-12s exit %d, %d scipy modules" % (name, cmd["exit"], cmd["scipy"]["count"]))
+            failed |= cmd["exit"] != 0
+        o = res["oracle"]
+        print("    oracle 512/4: first %.3f s, second %.3f s, psi %s"
+              % (o["first_s_min"], o["second_s_min"], o["psi_sha256"][0][:16]))
+
+    psi = {sha for tree in trees for sha in tree["oracle"]["psi_sha256"]}
+    if len(psi) > 1:
+        print("oracle psi differs across trees or runs")
+        failed = True
+    elif len(trees) > 1:
+        print("oracle psi bit-identical across trees")
+
+    import numpy
+    import scipy
+    doc = {
+        "host": {"python": platform.python_version(), "numpy": numpy.__version__,
+                 "scipy": scipy.__version__, "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "config": "demos/example.cfg",
+        "repeat": args.repeat,
+        "trees": trees,
+        "oracle_psi_identical": len(psi) == 1,
+    }
+    with open(OUT, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

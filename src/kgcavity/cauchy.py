@@ -13,7 +13,6 @@ two derivatives vanish near both endpoints.
 """
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "BumpOutOfRange",
@@ -257,6 +256,8 @@ def load_tabulated(path, a0):
     for name in ("phi0", "phi1"):
         if len(tables[name]) < 4:
             raise ValueError("section [%s] needs at least 4 points" % name)
+
+    from scipy.interpolate import PchipInterpolator
 
     interps = {}
     for name in ("phi0", "phi1"):

@@ -24,7 +24,6 @@ This module evaluates that exact massless profile; the massive solver in
 """
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "OutsideDomain",
@@ -57,6 +56,8 @@ def _antiderivative_phi1(data, n=8192):
     exact = getattr(data, "int_phi1", None)
     if exact is not None:
         return exact
+    from scipy.interpolate import PchipInterpolator
+
     xs = np.linspace(0.0, data.a0, n + 1)
     vals = np.asarray(data.phi1(xs), dtype=float)
     h = data.a0 / n

@@ -97,8 +97,9 @@ class MapAnalysis:
     """Full diagnostic record of one lift F.
 
     ``intervals`` holds the basin intervals J_i (one list of (lo, hi) pairs
-    per attractor, inside [-a(0), a(0))); ``J`` is the union over attractors
-    attaining the minimal multiplier.
+    per attractor, inside [-a(0), a(0))); ``J`` is their union over the
+    attractors attaining the minimal multiplier, found by following the
+    orbits of those that tie it.
     """
 
     rotation_estimate: float
@@ -358,8 +359,13 @@ def growth_exponent(maps, points, p, q):
 
     gamma = -ln(DF^q(a_i0)) / (pT) with a_i0 the attractor of smallest
     multiplier; J unions the basin intervals of every attractor whose
-    multiplier ties the minimum.  Also returns the safe-mass heuristic
-    sqrt(gamma / a_max).
+    multiplier is the minimum.  Points of one orbit share their multiplier
+    only up to rounding (1.5e-10 relative at 15:17), so a tie within 1e-12
+    picks the orbits (a_i0's, and any other with the same multiplier, as on
+    a wall with a half-period symmetry) and each is followed through F: an
+    attractor is on one when some image F^k(a), 0 <= k < q, of a tied
+    attractor a lies closer to it modulo T than every image F^k(r) of a
+    repeller r.  Also returns the safe-mass heuristic sqrt(gamma / a_max).
     """
     attract = [pt for pt in points if pt.kind == "attracting"]
     if not attract:
@@ -369,9 +375,23 @@ def growth_exponent(maps, points, p, q):
     mu = mults[i0]
     gamma = -math.log(mu) / (p * maps.T)
     intervals = basin_intervals(maps, points, p, q)
+    T = maps.T
+
+    def images(xs):
+        orbit = [np.asarray(xs, dtype=float)]
+        for _ in range(q - 1):
+            orbit.append(maps.F(orbit[-1]))
+        return np.concatenate(orbit)
+
+    def distance(x, ys):
+        # distance on the circle R / TZ
+        return float(np.min(np.abs(np.mod(x - ys + 0.5 * T, T) - 0.5 * T)))
+
+    orbit = images([pt.x for pt in attract if pt.multiplier <= mu * (1.0 + 1e-12)])
+    repellers = images([pt.x for pt in points if pt.kind == "repelling"])
     J = []
     for i, pt in enumerate(attract):
-        if pt.multiplier <= mu * (1.0 + 1e-12):
+        if distance(pt.x, orbit) < distance(pt.x, repellers):
             J.extend(intervals[i])
     J.sort()
     m0 = math.sqrt(gamma / maps.motion.a_max)

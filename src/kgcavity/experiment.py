@@ -40,7 +40,6 @@ CSV schemas (headers mandatory, '.' decimal, no locale):
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -167,9 +166,12 @@ class ExperimentConfig:
         if not v:
             return []
         try:
-            return [float(s) for s in v.replace(";", ",").split(",") if s.strip()]
+            values = [float(s) for s in v.replace(";", ",").split(",") if s.strip()]
         except ValueError:
-            raise ConfigError("key %s: expected a list of numbers, got %r" % (key, v))
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("key %s: expected a list of finite numbers, got %r" % (key, v))
+        return values
 
     # assembled objects ----------------------------------------------------
     def motion_dict(self, override=None):
@@ -455,6 +457,8 @@ _SCAN_FIELDS = {"sinusoidal": ("alpha", "beta", "period"),
 def _dispatch(fn, args, workers):
     """[fn(a) for a in args], in a process pool when workers > 1."""
     if workers > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]
@@ -466,9 +470,13 @@ def _parse_scan_values(cfg):
         return cfg.list_("scan.values")
     try:
         lo, hi, n = spec_str.split(":")
-        return list(np.linspace(float(lo), float(hi), int(n)))
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("non-finite bound")
+        return list(np.linspace(lo, hi, int(n)))
     except ValueError:
-        raise ConfigError("key scan.values: expected 'lo:hi:n', got %r" % spec_str)
+        raise ConfigError("key scan.values: expected 'lo:hi:n' with finite lo and hi, got %r"
+                          % spec_str)
 
 
 def _scan_point(args):

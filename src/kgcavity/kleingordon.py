@@ -41,8 +41,8 @@ solve and safe to share read-only.
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._quadrature import simpson
 from .characteristics_solver import OutsideDomain, build_initial_profile
 
 __all__ = [

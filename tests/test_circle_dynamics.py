@@ -312,6 +312,26 @@ def test_periodic_points_15_17_pinned():
     assert gamma == pytest.approx(0.017678492254952546, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec, p, q, members", [
+    # one attracting orbit of 15 points in I0, multipliers spread 1.5e-10
+    ({"profile": "sinusoidal", "alpha": 0.35, "beta": 0.14, "period": 1.0},
+     15, 17, list(range(15))),
+    # 2:1 with two attracting orbits (mu 0.587 and 0.610); I0 = [-1.022,
+    # 1.022) holds two translates of each, and J keeps those of the first
+    ({"profile": "fourier", "mean": 1.0, "cos": [0.002, 0.02], "period": 1.0},
+     2, 1, [0, 2]),
+    # a(t + T/2) = a(t): two attracting orbits with one multiplier, both in J
+    ({"profile": "fourier", "mean": 0.5, "cos": [0.0, 0.02], "period": 1.0},
+     1, 1, [0, 1]),
+])
+def test_growth_exponent_J_follows_the_orbit(spec, p, q, members):
+    maps = _maps(spec)
+    pts = cd.find_periodic_points(maps, p, q)
+    _, i0, intervals, J, _ = cd.growth_exponent(maps, pts, p, q)
+    assert i0 in members
+    assert J == sorted(iv for i in members for iv in intervals[i])
+
+
 # ---------------------------------------------------------------------------
 # periodic points from one fundamental domain
 # ---------------------------------------------------------------------------

@@ -290,6 +290,10 @@ def test_cli_verify_failure_exit_code(tmp_path):
     ("simulate", {"grid.horizon_periods": "inf"}),
     ("simulate", {"picard.tol": "nan"}),
     ("simulate", {"boundary.alpha": "nan"}),
+    ("simulate", {"mass.values": "0.0, nan"}),
+    ("simulate", {"mass.values": "inf"}),
+    ("scan", {"scan.values": "0.3, nan"}),
+    ("scan", {"scan.values": "0.3:inf:3"}),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, command, over):
     path = _write_cfg(tmp_path, **over)

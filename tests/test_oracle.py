@@ -49,6 +49,40 @@ def test_unstable_smoke():
         orc.solve_oracle(data, m, m=0.0, n_y=128, t_max=5.0, cfl=4.0)
 
 
+def test_nonfinite_data_raises_unstable():
+    m = boundary.make_motion({"profile": "constant", "alpha": 1.0, "period": 1.0})
+    bump = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "standing")
+
+    def nan_phi0(x):
+        out = np.array(bump.phi0(x), dtype=float)
+        out[len(out) // 2] = np.nan
+        return out
+
+    data = cauchy.CauchyData(nan_phi0, bump.phi1, bump.dphi0, bump.ddphi0,
+                             bump.dphi1, bump.a0)
+    with pytest.raises(orc.Unstable):
+        orc.solve_oracle(data, m, m=0.0, n_y=64, t_max=0.1)
+
+
+@pytest.mark.parametrize("n", [3, 64, 511, 1000])
+def test_tridiagonal_step_matches_solve_banded(n):
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = rng.uniform(2.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
+        rhs = rng.standard_normal(n)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+        ref = solve_banded((1, 1), ab, rhs)
+        diag_in = diag.copy()
+        x = orc._tridiagonal_solve(sub.copy(), diag, sup.copy(), rhs.copy())
+        assert x.shape == (n,)
+        assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref.tolist()]
+        assert np.array_equal(diag, diag_in)     # reused every oracle step
+
+
 def test_compare_zero_vs_zero(static_maps):
     run = orc.solve_oracle(cauchy.zero_data(1.0), static_maps.motion, m=0.0,
                            n_y=64, t_max=1.0)
