@@ -42,7 +42,9 @@ class CauchyData:
     Evaluators are vectorized callables.  Endpoint derivative values are
     stored explicitly; for analytic families they come from closed forms,
     for tabulated data the user supplies them (differencing a table for a
-    corner condition is ill-conditioned, so it is not attempted).
+    corner condition is ill-conditioned, so it is not attempted).  The
+    massless profile also needs the attribute ``int_phi1``, the exact
+    antiderivative x -> int_0^x phi1; every family here sets it.
     """
 
     def __init__(self, phi0, phi1, dphi0, ddphi0, dphi1, a0, provenance="user"):
@@ -60,7 +62,9 @@ class CauchyData:
 
 def zero_data(a0):
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return CauchyData(z, z, z, z, z, a0, provenance="zero")
+    data = CauchyData(z, z, z, z, z, a0, provenance="zero")
+    data.int_phi1 = z
+    return data
 
 
 def make_bump(a0, center, width, amplitude, direction="standing"):
@@ -287,5 +291,10 @@ def load_tabulated(path, a0):
     ddphi0 = _corner_aware(ddp0, derivs["phi0_second_0"], derivs["phi0_second_a"])
     dphi1 = _corner_aware(dp1, float(dp1(0.0)), derivs["phi1_prime_a"])
 
-    return CauchyData(phi0, phi1, dphi0, ddphi0, dphi1, a0,
+    data = CauchyData(phi0, phi1, dphi0, ddphi0, dphi1, a0,
                       provenance="table:%s" % path)
+    # the PCHIP's own antiderivative, zero at the first node; phi1 reads 0
+    # outside the table, so clipping to its range extends it exactly
+    ip1 = p1.antiderivative()
+    data.int_phi1 = lambda x: ip1(np.clip(np.asarray(x, dtype=float), p1.x[0], p1.x[-1]))
+    return data

@@ -17,7 +17,11 @@ For f == 0 everything is exact: G at any coordinate equals its value at the
 F-pullback into the initial interval, and the derivative obeys the chain
 rule G'(F(eta)) = G'(eta)/F'(eta).  The massless energy is
 
-    E_0(t) = int_{h(t)}^{k(t)} G'(y)^2 dy.
+    E_0(t) = int_{h(t)}^{k(t)} G'(y)^2 dy,
+
+and since [h(t), k(t)) is a fundamental domain of F it is computed in the
+pulled-back coordinate, where the integrand G'(zeta)^2 / DF^n(zeta) never
+compresses (see MasslessProfile.energy_series).
 
 This module evaluates that exact massless profile; the massive solver in
 ``kleingordon`` builds the f = -(m^2/4) phi profile on its lattice.
@@ -51,21 +55,6 @@ def in_domain(maps, xi, eta, tol=1e-9):
     return (eta <= xi + tol) & (eta >= lower - tol)
 
 
-def _antiderivative_phi1(data, n=8192):
-    """x -> int_0^x phi1, exact when the data family provides it."""
-    exact = getattr(data, "int_phi1", None)
-    if exact is not None:
-        return exact
-    from scipy.interpolate import PchipInterpolator
-
-    xs = np.linspace(0.0, data.a0, n + 1)
-    vals = np.asarray(data.phi1(xs), dtype=float)
-    h = data.a0 / n
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
-    interp = PchipInterpolator(xs, cum)
-    return lambda x: interp(np.clip(np.asarray(x, dtype=float), 0.0, data.a0))
-
-
 class MasslessProfile:
     """Exact d'Alembert profile (f == 0) evaluated by F-pullback.
 
@@ -79,14 +68,15 @@ class MasslessProfile:
         self.data = data
         self.maps = maps
         self.a0 = maps.a0
-        self.int_phi1 = _antiderivative_phi1(data)
+        if getattr(data, "int_phi1", None) is None:
+            raise AttributeError("%r has no int_phi1 (x -> int_0^x phi1)" % (data,))
+        self.int_phi1 = data.int_phi1
         # locations where G loses smoothness inside the initial interval
         kinks = {0.0, self.a0, -self.a0}
         for kx in getattr(data, "kinks", ()):
             kinks.add(float(kx))
             kinks.add(-float(kx))
         self._initial_kinks = np.array(sorted(kinks))
-        self._image_cache = None
 
     # -- closed forms on the initial interval -------------------------------
     def _G0(self, eta):
@@ -159,53 +149,43 @@ class MasslessProfile:
         dxi, deta = self.G_prime(xi), self.G_prime(eta)
         return geta - gxi, deta - dxi, -(deta + dxi)
 
-    # -- breakpoints and energy -----------------------------------------------
-    def breakpoints(self, x_max):
-        """Sorted F-images of the initial kink set up to x_max."""
-        # idempotent memo: concurrent rebuilds produce identical arrays, so
-        # sharing across workers stays deterministic
-        cache = self._image_cache
-        if cache is not None and cache[0] >= x_max:
-            brks = cache[1]
-            return brks[brks <= x_max]
-        pts = list(self._initial_kinks)
-        current = np.array([k for k in self._initial_kinks if k > -self.a0])
-        limit = x_max + 1e-12
-        while len(current) > 0:
-            current = np.asarray(self.maps.F(current))
-            current = current[current <= limit]
-            pts.extend(current.tolist())
-        brks = np.unique(np.asarray(pts))
-        self._image_cache = (x_max, brks)
-        return brks
-
+    # -- energy ----------------------------------------------------------------
     def energy(self, t):
         return float(self.energy_series(np.asarray([t]))[0])
 
     def energy_series(self, ts):
-        """E_0 at each time by breakpoint-split Gauss quadrature of G'^2."""
-        ts = np.asarray(ts, dtype=float)
-        his = np.asarray(self.maps.k(ts))
-        los = np.asarray(self.maps.h(ts))
-        brks = self.breakpoints(float(np.max(his)) + 1e-9)
+        """E_0 at each time, integrated over one pulled-back fundamental domain.
 
-        all_nodes, all_weights, owner = [], [], []
-        for i, (lo, hi) in enumerate(zip(los, his)):
-            inner = brks[(brks > lo + 1e-13) & (brks < hi - 1e-13)]
-            edges = np.concatenate([[lo], inner, [hi]])
-            e0, e1 = edges[:-1], edges[1:]
-            nodes = 0.5 * (e0 + e1)[:, None] + 0.5 * (e1 - e0)[:, None] * _GAUSS_NODES
-            weights = 0.5 * (e1 - e0)[:, None] * _GAUSS_WEIGHTS
-            all_nodes.append(nodes.ravel())
-            all_weights.append(weights.ravel())
-            owner.append(np.full(nodes.size, i))
-        nodes = np.concatenate(all_nodes)
-        weights = np.concatenate(all_weights)
-        owner = np.concatenate(owner)
-        vals = self.G_prime(nodes) ** 2
-        out = np.zeros(ts.shape)
-        np.add.at(out, owner, weights * vals)
-        return out
+        k(t) = F(h(t)), so [h(t), k(t)) is a fundamental domain of F.  With
+        y = F^{-n}(h(t)) in [-a(0), a(0)) it is F^n([y, a(0))) followed by
+        F^{n+1}([-a(0), y)), and the chain rule gives
+
+            E_0(t) = int_y^{a(0)} G0'^2 / DF^n + int_{-a(0)}^y G0'^2 / DF^{n+1},
+
+        whose integrand does not compress however deep the pullback.  One set
+        of 24-node Gauss panels, cut at the initial kinks and at every y,
+        serves all samples: its nodes are pushed forward once, row k of P
+        holds every panel's sum of w G0'^2 / DF^k, and each E_0 adds two
+        cumulative sums of P.  1/DF^k overflows only past gamma t ~ 700.
+        """
+        ys, ns, _ = self.pullback(self.maps.h(ts))
+        cuts = np.unique(np.concatenate([self._initial_kinks, ys]))
+        e0, e1 = cuts[:-1, None], cuts[1:, None]
+        x = (0.5 * (e0 + e1) + 0.5 * (e1 - e0) * _GAUSS_NODES).ravel()
+        wg = (0.5 * (e1 - e0) * _GAUSS_WEIGHTS).ravel() * self._G0_prime(x) ** 2
+        P = np.empty((int(ns.max()) + 2, cuts.size - 1))
+        P[0] = wg.reshape(P.shape[1], -1).sum(axis=1)
+        dfk = np.ones_like(x)
+        for k in range(1, P.shape[0]):
+            x, d = self.maps.F_and_dF(x)
+            dfk *= d
+            P[k] = (wg / dfk).reshape(P.shape[1], -1).sum(axis=1)
+        # below[k, j]: panels on [-a(0), cuts[j]); above[k, j]: on [cuts[j], a(0))
+        zero = np.zeros((P.shape[0], 1))
+        below = np.hstack([zero, np.cumsum(P, axis=1)])
+        above = np.hstack([np.cumsum(P[:, ::-1], axis=1)[:, ::-1], zero])
+        j = np.searchsorted(cuts, ys)
+        return above[ns, j] + below[ns + 1, j]
 
 
 def build_initial_profile(data, maps):

@@ -224,7 +224,7 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     """All periodic points F^q(x) = x + pT on [lo, hi) (default [-a(0), a(0))).
 
     The roots of g = F^q - Id - pT are found on the grid of nodes
-    lo + i dx, 0 <= i < n, dx = (hi - lo) / n, n = max(samples q, 1024):
+    lo + i dx, 0 <= i <= n, dx = (hi - lo) / n, n = max(samples q, 1024):
     exact node hits, and sign changes between adjacent nodes bisected
     together to 1e-12.  Only one fundamental domain of the p:q orbits is
     scanned in full: with s p = 1 (mod q) and r = (s p - 1)/q, the lift
@@ -235,9 +235,9 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     shows as a sign change at G(lo).  Each root found there is mapped to
     its orbit images F^k(x) + jT (the same set as G^k(x) + jT), and the
     grid is scanned again on the four nodes around every image, which
-    finds the roots a scan of all n nodes would find, bracket for bracket.
+    finds the roots a scan of all n + 1 nodes would find, bracket for bracket.
     When the domain is not shorter than [lo, hi) (every q = 1 with
-    hi - lo <= T) all n nodes are scanned at once.  Roots are then
+    hi - lo <= T) all n + 1 nodes are scanned at once.  Roots are then
     deduplicated and classified by their multipliers DF^q, all taken in
     one orbit pass.
 
@@ -266,12 +266,12 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     for _ in range(s):
         top = maps.F(top)
     top -= (s * p - 1) // q * T
-    nodes = min(max(math.ceil((top - lo) / dx) + 2, 2), n)
+    nodes = min(max(math.ceil((top - lo) / dx) + 2, 2), n + 1)
     g, roots = _grid_roots(maps, lo, dx, np.arange(nodes), p, q)
     if np.max(np.abs(g)) <= DEGENERATE_TOL * max(1.0, abs(p) * T):
         raise DegenerateMap("F^q - Id - pT vanishes identically on [%g, %g)" % (lo, hi))
 
-    if nodes < n and roots.size:
+    if nodes <= n and roots.size:
         # every orbit image in [lo, hi), then the four nodes around each
         orbit = [roots]
         for _ in range(q - 1):
@@ -280,10 +280,12 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
         shifts = T * np.arange(math.floor((lo - v.max()) / T), math.ceil((hi - v.min()) / T) + 1)
         cells = np.floor((np.add.outer(v, shifts) - lo) / dx).astype(int)
         idx = np.unique(np.add.outer(cells.ravel(), np.arange(-1, 3)))
-        _, roots = _grid_roots(maps, lo, dx, idx[(idx >= 0) & (idx < n)], p, q)
+        _, roots = _grid_roots(maps, lo, dx, idx[(idx >= 0) & (idx <= n)], p, q)
 
-    # dedupe and keep the half-open interval convention
-    roots = sorted(r for r in roots.tolist() if lo - 1e-12 <= r < hi - 1e-13)
+    # dedupe and keep the half-open interval convention: a root closer to hi
+    # than the dedupe distance is the periodic point on hi, which the last
+    # cell's bisection can return just below hi
+    roots = sorted(r for r in roots.tolist() if lo - 1e-12 <= r < hi - 1e-10)
     dedup = []
     for r in roots:
         if not dedup or r - dedup[-1] > 1e-10:

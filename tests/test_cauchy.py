@@ -153,6 +153,29 @@ def test_tabulated_roundtrip(tmp_path, static_maps):
     assert rep.all_passed
 
 
+def test_tabulated_int_phi1_is_exact_antiderivative(tmp_path):
+    # a right-moving bump: phi1 = -phi0' is nonzero, int_0^x phi1 = -phi0(x)
+    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
+    xs = np.linspace(0.0, 1.0, 101)
+    path = tmp_path / "data.txt"
+    with open(path, "w") as fh:
+        fh.write("[phi0]\n")
+        fh.writelines("%.17g %.17g\n" % (x, v) for x, v in zip(xs, data.phi0(xs)))
+        fh.write("[phi1]\n")
+        fh.writelines("%.17g %.17g\n" % (x, v) for x, v in zip(xs, data.phi1(xs)))
+        fh.write("[derivatives]\nphi0_prime_0 = 0.0\nphi0_prime_a = 0.0\n"
+                 "phi0_second_0 = 0.0\nphi0_second_a = 0.0\nphi1_prime_a = 0.0\n")
+    loaded = cauchy.load_tabulated(str(path), 1.0)
+    fine = np.linspace(0.0, 1.0, 200_001)
+    vals = loaded.phi1(fine)
+    trap = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(fine))])
+    probe = slice(None, None, 997)
+    assert np.max(np.abs(loaded.int_phi1(fine[probe]) - trap[probe])) <= 1e-9
+    # constant past the table, where phi1 reads 0
+    assert np.all(loaded.int_phi1([-0.5, 0.0]) == 0.0)
+    assert loaded.int_phi1(1.5) == loaded.int_phi1(1.0)
+
+
 def test_tabulated_missing_derivatives(tmp_path):
     path = tmp_path / "bad.txt"
     with open(path, "w") as fh:

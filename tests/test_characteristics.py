@@ -167,3 +167,91 @@ def test_energy_two_time_sandwich(strong_maps):
         t2 = t1 + rng.uniform(0.0, 2 * strong_maps.motion.a_min)
         E1, E2 = prof.energy(t1), prof.energy(t2)
         assert E1 / strong_maps.dF_max - 1e-12 <= E2 <= E1 / strong_maps.dF_min + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# E_0 over one pulled-back fundamental domain
+# ---------------------------------------------------------------------------
+
+def _eta_route(prof, ts, cut=1):
+    """E_0 by 24-node Gauss panels in eta over [h(t), k(t)], split at the
+    F-images of the initial kinks and each cut into ``cut`` equal parts
+    (``cut = 1`` is how E_0 was integrated before the pulled-back route)."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    maps = prof.maps
+    his, los = np.asarray(maps.k(ts)), np.asarray(maps.h(ts))
+    images = list(prof._initial_kinks)
+    cur = prof._initial_kinks[prof._initial_kinks > -prof.a0]
+    while cur.size:
+        cur = np.asarray(maps.F(cur))
+        cur = cur[cur <= his.max() + 1e-9]
+        images.extend(cur.tolist())
+    images = np.unique(images)
+    out = []
+    for lo, hi in zip(los, his):
+        edges = np.concatenate([[lo], images[(images > lo + 1e-13) & (images < hi - 1e-13)],
+                                [hi]])
+        e0 = (edges[:-1, None] + np.diff(edges)[:, None] * np.arange(cut) / cut).ravel()
+        e1 = np.append(e0[1:], hi)
+        x = 0.5 * (e0 + e1)[:, None] + 0.5 * (e1 - e0)[:, None] * nodes
+        w = 0.5 * (e1 - e0)[:, None] * weights
+        out.append(float(np.sum(w * prof.G_prime(x.ravel()).reshape(x.shape) ** 2)))
+    return np.array(out)
+
+
+def _scan_profile(alpha):
+    # the scan workload's wall and a bump inside its draw range
+    maps = boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": alpha, "beta": 0.14, "period": 1.0}))
+    return cs.build_initial_profile(cauchy.make_bump(maps.a0, 0.13, 0.06, 1.0, "right"),
+                                    maps)
+
+
+@pytest.mark.parametrize("alpha, p, picks", [
+    (0.35, 15, [113, 227]),           # 15:17, t = 53.0, 106.4
+    (0.30, 2, [100, 244, 255]),       # 2:3, t = 6.25, 15.25, 15.94
+])
+def test_energy_matches_refined_eta_reference(alpha, p, picks):
+    # scan sampling (32 per window of p periods, 8 windows); G' compresses
+    # like 1/DF^n in eta, where the unrefined panels were off by up to 2.4
+    prof = _scan_profile(alpha)
+    ts = p / 32.0 * np.arange(8 * 32)
+    E = prof.energy_series(ts)
+    ref = _eta_route(prof, ts[picks], cut=512)
+    assert np.max(np.abs(E[picks] / ref - 1.0)) <= 1e-8
+
+
+def test_energy_deep_attractor_positive_and_sandwiched():
+    # 1:1 with gamma = 2.75: by t ~ 11.5 the eta feature of G' is narrower
+    # than double spacing, and the eta route returned exactly 0 from there
+    prof = _scan_profile(0.5)
+    maps = prof.maps
+    assert np.all(prof.energy_series(np.arange(12 * 32) / 32.0) > 0.0)
+    # gamma t ~ 60; the attractor x = 0 reflects where DF = dF_min, so each
+    # period multiplies E_0 by 1/dF_min and the upper bound is attained
+    rng = np.random.default_rng(3)
+    t1 = rng.uniform(21.5, 22.5, 20)
+    t2 = t1 + rng.uniform(0.0, 2 * maps.motion.a_min, 20)
+    E1, E2 = prof.energy_series(t1), prof.energy_series(t2)
+    assert np.all(np.isfinite(E1)) and np.all(E1 > 1e27)
+    assert np.all(E1 / maps.dF_max * (1.0 - 1e-10) <= E2)
+    assert np.all(E2 <= E1 / maps.dF_min * (1.0 + 1e-10))
+
+
+def test_energy_example_wall_matches_eta_route():
+    # demos/example.cfg's 1:1 wall and bump, its m = 0 leg's 384 samples:
+    # a mild attractor, where unrefined eta panels were already exact
+    maps = boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0}))
+    prof = cs.build_initial_profile(cauchy.make_bump(0.5, 0.15, 0.10, 1.0, "right"), maps)
+    ts = np.arange(12 * 32) / 32.0
+    E = prof.energy_series(ts)
+    assert np.max(np.abs(E / _eta_route(prof, ts) - 1.0)) <= 1e-12
+
+
+def test_profile_needs_int_phi1(strong_maps):
+    bump = cauchy.make_bump(strong_maps.a0, 0.45, 0.2, 1.0, "right")
+    data = cauchy.CauchyData(bump.phi0, bump.phi1, bump.dphi0, bump.ddphi0,
+                             bump.dphi1, bump.a0)
+    with pytest.raises(AttributeError, match="int_phi1"):
+        cs.MasslessProfile(data, strong_maps)

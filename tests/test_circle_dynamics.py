@@ -337,10 +337,10 @@ def test_growth_exponent_J_follows_the_orbit(spec, p, q, members):
 # ---------------------------------------------------------------------------
 
 def _dense_scan_points(maps, p, q, lo, hi, samples=10_000):
-    """Reference: sign scan of F^q - Id - pT over all of [lo, hi) at the
+    """Reference: sign scan of F^q - Id - pT over all of [lo, hi] at the
     spacing find_periodic_points uses, every bracket bisected to 1e-12."""
     n = max(samples * q, 1024)
-    xs = np.linspace(lo, hi, n, endpoint=False)
+    xs = lo + (hi - lo) / n * np.arange(n + 1)
     g, _ = cd._g_and_multiplier(maps, xs, p, q)
     hits = xs[np.abs(g) <= 1e-13 * max(1.0, p * maps.T)]
     cross = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
@@ -354,7 +354,7 @@ def _dense_scan_points(maps, p, q, lo, hi, samples=10_000):
         b[act[left]] = m[left]
         a[act[~left]], fa[act[~left]] = m[~left], fm[~left]
     roots = sorted(r for r in np.concatenate([hits, 0.5 * (a + b)])
-                   if lo - 1e-12 <= r < hi - 1e-13)
+                   if lo - 1e-12 <= r < hi - 1e-10)
     roots = [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-10]
     _, mults = cd._g_and_multiplier(maps, np.asarray(roots), p, q)
     return roots, ["attracting" if m < 1.0 else "repelling" for m in mults]
@@ -386,6 +386,26 @@ def test_periodic_points_fundamental_domain_matches_dense_scan(alpha, p, q):
     for _ in range(s):
         lo = maps.F_inv(lo)
     _assert_matches_dense_scan(maps, p, q, lo, lo + 2 * maps.a0)
+
+
+def test_periodic_points_last_cell_scanned():
+    # sinusoidal(0.5, 0.05, 1): repeller at -1/2, attractor at 0; the
+    # attractor lies 0.3 grid spacings below hi, in the last cell [hi - dx, hi)
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.5, "beta": 0.05, "period": 1.0})
+    dx = 2 * maps.a0 / 10_000
+    pts = cd.find_periodic_points(maps, 1, 1, lo=0.3 * dx - 2 * maps.a0, hi=0.3 * dx)
+    assert [pt.kind for pt in pts] == ["repelling", "attracting"]
+    assert abs(pts[0].x + 0.5) <= 1e-12 and abs(pts[1].x) <= 1e-12
+    # the one-domain pass (q = 3, so the domain is shorter than [lo, hi))
+    # scans the last cell too: a 2:3 root 0.3 dx below hi comes back
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.30, "beta": 0.14, "period": 1.0})
+    r = cd.find_periodic_points(maps, 2, 3)[-1].x
+    hi = r + 0.3 * 2 * maps.a0 / 30_000
+    pts = cd.find_periodic_points(maps, 2, 3, lo=hi - 2 * maps.a0, hi=hi)
+    wide = cd.find_periodic_points(maps, 2, 3, lo=hi - 2 * maps.a0, hi=hi + 0.01)
+    wide = [pt.x for pt in wide if pt.x < hi]
+    assert len(pts) == len(wide) and abs(pts[-1].x - r) <= 1e-12
+    assert np.max(np.abs(np.subtract([pt.x for pt in pts], wide))) <= 1e-12
 
 
 def test_periodic_points_15_17_scans_one_domain():

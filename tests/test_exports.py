@@ -18,8 +18,8 @@ def test_every_export_resolves():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only where tabulated data, the int_phi1 fallback or
-    # the oracle need it, so the bump and eigenmode runs never pay for it
+    # scipy is imported only where tabulated data or the oracle need it, so
+    # the bump and eigenmode runs never pay for it
     code = ("import sys, kgcavity.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
