@@ -4,6 +4,8 @@ On the crosscheck inputs of seed 1 (``perfbench/workloads.py``: the wall
 ``0.5 + 0.012 sin(2 pi t)``, 800 probe points with ``t <= 10`` and a bump)
 this records
 
+- ``F_inv`` called on 10 000 Python floats spread over ``[-3T, 30T]``:
+  seconds (median of 3 runs);
 - ``measure_M`` called once per probe: seconds (median of 3 runs) and the
   sha256 of the values' ``float.hex`` strings;
 - ``measure_M`` called once on the arrays of all probes: seconds (median of
@@ -13,13 +15,17 @@ this records
   at resolution 256 and ``t_max`` 5: seconds (median of 3), the
   ``tracemalloc`` peak of one further call and the residual.
 
+Each entry also stores the per-point values (``float.hex``) and, against
+every other entry already in the file, whether the per-point sha256 matches
+and the largest relative move of a per-point value.
+
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
 
     python bench/geometry.py --label change
     python bench/geometry.py --label parent --src /path/to/old/checkout/src
 
-Each run replaces its label's entry in ``BENCH_7.json`` and keeps the others.
+Each run replaces its label's entry in ``BENCH_12.json`` and keeps the others.
 """
 
 import argparse
@@ -39,7 +45,8 @@ RESOLUTION = 256
 T_MAX = 5.0
 SAMPLES = 100
 REPEAT = 3
-OUT = os.path.join(ROOT, "BENCH_7.json")
+SCALAR_CALLS = 10_000
+OUT = os.path.join(ROOT, "BENCH_12.json")
 
 
 def _median_seconds(fn):
@@ -64,12 +71,16 @@ def measure():
     t = np.array([p[0] for p in spec["points"]])
     x = np.array([p[1] for p in spec["points"]])
 
+    ys = (maps.T * np.linspace(-3.0, 30.0, SCALAR_CALLS)).tolist()
+    scalar_s, _ = _median_seconds(lambda: [maps.F_inv(y) for y in ys])
+
     point_s, single = _median_seconds(lambda: [
         kg.measure_M(maps, a + b, a - b) for a, b in spec["points"]])
-    row = {"probes": len(single), "per_point_s": point_s,
-           "per_point_sha256": hashlib.sha256(
-               " ".join(float(v).hex() for v in single).encode()).hexdigest(),
-           "array_s": None, "array_rel_dev": None}
+    hexes = " ".join(float(v).hex() for v in single)
+    row = {"scalar_F_inv_calls": SCALAR_CALLS, "scalar_F_inv_s": scalar_s,
+           "probes": len(single), "per_point_s": point_s,
+           "per_point_sha256": hashlib.sha256(hexes.encode()).hexdigest(),
+           "per_point_hex": hexes, "array_s": None, "array_rel_dev": None}
     try:
         array_s, whole = _median_seconds(lambda: kg.measure_M(maps, t + x, t - x))
         single = np.array(single)
@@ -91,6 +102,15 @@ def measure():
     return row
 
 
+def _compare(row, other):
+    """sha256 match and largest relative move of the per-point values."""
+    mine = [float.fromhex(v) for v in row["per_point_hex"].split()]
+    theirs = [float.fromhex(v) for v in other["per_point_hex"].split()]
+    return {"sha256_match": row["per_point_sha256"] == other["per_point_sha256"],
+            "max_rel_move": max(abs(a - b) / abs(b) if b else abs(a)
+                                for a, b in zip(mine, theirs))}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
@@ -103,7 +123,7 @@ def main(argv=None):
     import numpy
 
     row = measure()
-    print(json.dumps(row), flush=True)
+    print(json.dumps({k: v for k, v in row.items() if k != "per_point_hex"}), flush=True)
     entry = {
         "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count()},
@@ -116,6 +136,9 @@ def main(argv=None):
     if os.path.exists(OUT):
         with open(OUT) as fh:
             bench = json.load(fh)
+    bench.pop(args.label, None)
+    entry["per_point_vs"] = {label: _compare(row, other) for label, other in bench.items()}
+    print(json.dumps(entry["per_point_vs"]), flush=True)
     bench[args.label] = entry
     with open(OUT, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)

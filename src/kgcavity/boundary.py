@@ -134,6 +134,9 @@ class fourier_profile(_Profile):
         self.order = order
         self.omega = 2.0 * math.pi / float(period)
         self._kw = self.omega * np.arange(1, order + 1)
+        # (k omega, cos_k, sin_k) as Python floats for the scalar path
+        self._terms = list(zip(self._kw.tolist(), self.cos_coeffs.tolist(),
+                               self.sin_coeffs.tolist()))
 
     def a(self, t):
         t = np.asarray(t, dtype=float)
@@ -152,16 +155,16 @@ class fourier_profile(_Profile):
 
     def a_scalar(self, t):
         s = self.mean
-        for k in range(self.order):
-            ph = self._kw[k] * t
-            s += self.cos_coeffs[k] * math.cos(ph) + self.sin_coeffs[k] * math.sin(ph)
+        for kw, c, sn in self._terms:
+            ph = kw * t
+            s += c * math.cos(ph) + sn * math.sin(ph)
         return s
 
     def da_scalar(self, t):
         s = 0.0
-        for k in range(self.order):
-            ph = self._kw[k] * t
-            s += self._kw[k] * (-self.cos_coeffs[k] * math.sin(ph) + self.sin_coeffs[k] * math.cos(ph))
+        for kw, c, sn in self._terms:
+            ph = kw * t
+            s += kw * (-c * math.sin(ph) + sn * math.cos(ph))
         return s
 
     def describe(self):
@@ -293,6 +296,9 @@ class CharacteristicMaps:
     All evaluations are pure functions of (motion, x); a coarse inverse
     table built at construction seeds the Newton iterations and is never
     mutated afterwards, so instances are safe to share across workers.
+    The h and k tables are kept twice: as arrays for the vector inverse and
+    as list copies for the scalar one (a Python float argument) and for
+    :meth:`orbit_translation`.
     """
 
     #: residual tolerance for the inverse solves, scaled by (1 + |y|)
@@ -312,8 +318,9 @@ class CharacteristicMaps:
         self._tab_t = ts
         self._tab_h = ts - av
         self._tab_k = ts + av
-        # list copy of the h table for the scalar seed in orbit_translation
+        # list copies of the h and k tables for the scalar seeds
         self._seed_h = self._tab_h.tolist()
+        self._seed_k = self._tab_k.tolist()
 
     # -- forward maps -----------------------------------------------------
     def h(self, t):
@@ -330,11 +337,11 @@ class CharacteristicMaps:
 
         sign = -1 inverts h, sign = +1 inverts k.  Monotone because
         |a'| < 1, so the bracket [y - s*a_max, y - s*a_min] (s = sign)
-        always contains the root.
+        always contains the root.  A 0-d y takes :meth:`_invert_scalar`.
         """
+        if np.ndim(y) == 0:
+            return self._invert_scalar(float(y), sign)[0]
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y).astype(float)
         mot = self.motion
 
         tab = self._tab_h if sign < 0 else self._tab_k
@@ -367,7 +374,55 @@ class CharacteristicMaps:
         else:
             raise NoConvergence("inverse solve did not reach tolerance")
 
-        return float(t[0]) if scalar else t
+        return t
+
+    def _invert_scalar(self, y, sign):
+        """(t, a(t)) with t + sign*a(t) = y for one Python float y.
+
+        The vector path's steps on Python floats: the seed interpolates a
+        list copy of the table exactly as ``np.interp`` does (``bisect``
+        for the node, the same slope and clamping), and the bracket, the
+        tolerance, the 60-step cap and the bisection fallback are the same.
+        """
+        mot = self.motion
+        a_s, da_s = mot.profile.a_scalar, mot.profile.da_scalar
+        tab = self._seed_h if sign < 0 else self._seed_k
+        last, T = len(tab) - 1, self.T
+        dt = T / last
+        shift = math.floor((y - tab[0]) / T) * T
+        u = y - shift
+        # the table's t nodes are uniform, t_j = j dt as np.linspace makes
+        # them; np.interp's slope is (t_{j+1} - t_j) / (h_{j+1} - h_j)
+        j = bisect.bisect_right(tab, u) - 1
+        if j < 0:
+            t = 0.0
+        elif j >= last:
+            t = T
+        else:
+            t = ((j + 1) * dt - j * dt) / (tab[j + 1] - tab[j]) * (u - tab[j]) + j * dt
+        t += shift
+
+        lo = y - (sign * mot.a_max if sign > 0 else sign * mot.a_min) - 1e-9
+        hi = y - (sign * mot.a_min if sign > 0 else sign * mot.a_max) + 1e-9
+        tol = self.inv_tol * (1.0 + abs(y))
+
+        a = a_s(t)
+        f = t + sign * a - y
+        for _ in range(60):
+            if abs(f) <= tol:
+                return t, a
+            t_new = t - f / (1.0 + sign * da_s(t))
+            # fall back to bisection when Newton leaves the bracket
+            if t_new < lo or t_new > hi:
+                t_new = 0.5 * (lo + hi)
+            a = a_s(t_new)
+            f = t_new + sign * a - y
+            if f > 0.0:
+                hi = t_new
+            else:
+                lo = t_new
+            t = t_new
+        raise NoConvergence("inverse solve did not reach tolerance")
 
     def h_inv(self, y):
         """t with t - a(t) = y, residual <= 1e-12 * (1 + |y|)."""
@@ -380,13 +435,17 @@ class CharacteristicMaps:
     # -- lift F and its derivative ----------------------------------------
     def F(self, x):
         """F(x) = x + 2 a(h^{-1}(x))."""
-        t = self.h_inv(x)
-        return x + 2.0 * np.asarray(self.motion.a(t)) if np.ndim(x) else float(x + 2.0 * self.motion.a(t))
+        if np.ndim(x) == 0:
+            x = float(x)
+            return x + 2.0 * self._invert_scalar(x, -1.0)[1]
+        return x + 2.0 * np.asarray(self.motion.a(self.h_inv(x)))
 
     def F_inv(self, x):
         """F^{-1}(x) = x - 2 a(k^{-1}(x))."""
-        t = self.k_inv(x)
-        return x - 2.0 * np.asarray(self.motion.a(t)) if np.ndim(x) else float(x - 2.0 * self.motion.a(t))
+        if np.ndim(x) == 0:
+            x = float(x)
+            return x - 2.0 * self._invert_scalar(x, +1.0)[1]
+        return x - 2.0 * np.asarray(self.motion.a(self.k_inv(x)))
 
     def dF(self, x):
         """DF(x) = (1 + a'(t)) / (1 - a'(t)) with t = h^{-1}(x); positive."""
@@ -445,7 +504,7 @@ class CharacteristicMaps:
                     break
                 t -= f / (1.0 - da_s(t))
             else:
-                # Newton stalled; fall back to the vector path
+                # Newton stalled; fall back to the safeguarded scalar inverse
                 a = a_s(float(self.h_inv(x)))
             step = 2.0 * a
             total += step

@@ -297,4 +297,6 @@ def load_tabulated(path, a0):
     # outside the table, so clipping to its range extends it exactly
     ip1 = p1.antiderivative()
     data.int_phi1 = lambda x: ip1(np.clip(np.asarray(x, dtype=float), p1.x[0], p1.x[-1]))
+    # G0' = -(phi0' + phi1 sgn)/2 has a kink at every node of either table
+    data.kinks = tuple(np.union1d(p0.x, p1.x).tolist())
     return data

@@ -96,18 +96,22 @@ def _backward_walk(maps, xi, eta):
     walk stops once every point's last vertex has 2t < -1e-8, where the test
     must fail; points past their depth are walked along unmasked.
     Terminates because each B step lowers the time by a(k^{-1}(xi)) >= inf a.
+    One point walks on Python floats, where F^{-1} takes the scalar inverse.
     """
-    xi, eta = np.broadcast_arrays(np.atleast_1d(np.asarray(xi, dtype=float)),
-                                  np.atleast_1d(np.asarray(eta, dtype=float)))
+    if np.ndim(xi) == np.ndim(eta) == 0:
+        xi, eta = float(xi), float(eta)
+    else:
+        xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                      np.asarray(eta, dtype=float))
     c = [xi, eta, maps.F_inv(xi)]
-    while (c[-3] + c[-2]).max(initial=-1.0) >= -1e-8:
+    while np.max(c[-3] + c[-2], initial=-1.0) >= -1e-8:
         c.append(maps.F_inv(c[-2]))
-    c = np.array(c)
+    c = np.array(c).reshape(len(c), -1)
     x, e = c[:-2], c[1:-1]
     inside = (e <= x + 1e-9) & (e >= np.maximum(-x, c[2:]) - 1e-9)
     if not inside[0].all():
         k = int(np.argmin(inside[0]))
-        raise OutsideDomain("(%g, %g) outside the domain" % (xi[k], eta[k]))
+        raise OutsideDomain("(%g, %g) outside the domain" % (c[0, k], c[1, k]))
     N = np.argmin(inside, axis=0) - 1
     return c[:N.max(initial=0) + 3], N
 

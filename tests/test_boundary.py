@@ -80,6 +80,36 @@ def test_inverse_residual_contract(strong_maps):
     assert np.all(res <= 1e-12 * (1 + np.abs(y)))
 
 
+_SCALAR_PROFILES = [
+    {"profile": "constant", "alpha": 0.7, "period": 1.3},
+    {"profile": "sinusoidal", "alpha": 1.0, "beta": 0.1, "period": 1.0},
+    {"profile": "fourier", "mean": 0.5, "cos": [-0.00315827, 0.0024102],
+     "sin": [-0.00497221, 0.0, 0.02], "period": 1.2},
+]
+
+
+@pytest.mark.parametrize("spec", _SCALAR_PROFILES, ids=lambda s: s["profile"])
+def test_scalar_inverse_contract(spec, monkeypatch):
+    # a Python float takes the scalar Newton; it must keep the array path's
+    # return type, residual and values
+    maps = CharacteristicMaps(make_motion(spec))
+    a = maps.motion.a
+    ys = np.linspace(-3.0 * maps.T, 30.0 * maps.T, 997)
+    for fn in (maps.h_inv, maps.k_inv, maps.F, maps.F_inv):
+        scalar = [fn(y) for y in ys.tolist()]
+        assert all(type(v) is float for v in scalar)
+        assert np.all(np.abs(np.array(scalar) - fn(ys)) <= 1e-11 * (1.0 + np.abs(ys)))
+    for fn, sign in ((maps.h_inv, -1.0), (maps.k_inv, 1.0)):
+        for y in ys.tolist():
+            t = fn(y)
+            assert abs(t + sign * float(a(t)) - y) <= maps.inv_tol * (1.0 + abs(y))
+    monkeypatch.setattr(maps, "inv_tol", -1.0)
+    with pytest.raises(boundary.NoConvergence):
+        maps.F_inv(0.3)
+    with pytest.raises(boundary.NoConvergence):
+        maps.F_inv(np.array([0.3]))
+
+
 def test_F_static_translation(static_maps):
     x = np.linspace(-3, 3, 101)
     assert np.allclose(static_maps.F(x), x + 2.0, atol=1e-12)

@@ -255,3 +255,30 @@ def test_profile_needs_int_phi1(strong_maps):
                              bump.dphi1, bump.a0)
     with pytest.raises(AttributeError, match="int_phi1"):
         cs.MasslessProfile(data, strong_maps)
+
+
+def test_energy_tabulated_data_cut_at_table_nodes(tmp_path):
+    # a 51-node table of the example bump on the example wall: G0' has a
+    # kink at every node, so the panels must be cut there; without the cuts
+    # E_0 was 1.7e-3 off
+    maps = boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0}))
+    bump = cauchy.make_bump(maps.a0, 0.15, 0.10, 1.0, "right")
+    xs = np.linspace(0.0, maps.a0, 51)
+    path = tmp_path / "bump.txt"
+    with open(path, "w") as fh:
+        fh.write("[phi0]\n")
+        fh.writelines("%.17g %.17g\n" % (x, v) for x, v in zip(xs, bump.phi0(xs)))
+        fh.write("[phi1]\n")
+        fh.writelines("%.17g %.17g\n" % (x, v) for x, v in zip(xs, bump.phi1(xs)))
+        fh.write("[derivatives]\nphi0_prime_0 = 0.0\nphi0_prime_a = 0.0\n"
+                 "phi0_second_0 = 0.0\nphi0_second_a = 0.0\nphi1_prime_a = 0.0\n")
+    data = cauchy.load_tabulated(str(path), maps.a0)
+    ts = np.arange(12 * 8) / 8.0
+    E = cs.MasslessProfile(data, maps).energy_series(ts)
+    # the same route with 4096 extra uniform cuts
+    fine = cauchy.load_tabulated(str(path), maps.a0)
+    fine.kinks = tuple(getattr(data, "kinks", ())) \
+        + tuple(np.linspace(0.0, maps.a0, 4098)[1:-1])
+    ref = cs.MasslessProfile(fine, maps).energy_series(ts)
+    assert np.max(np.abs(E / ref - 1.0)) <= 1e-12

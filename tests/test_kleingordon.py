@@ -32,6 +32,27 @@ def test_geometry_array_one_point_outside(static_maps):
         kg.measure_M(static_maps, xi, eta)
 
 
+def test_geometry_one_point_types(strong_maps):
+    # one point walks on Python floats whatever scalar type it arrives as
+    for cast in (float, np.float64, np.asarray):
+        xi, eta = cast(2.9), cast(1.3)
+        assert type(kg.depth(strong_maps, xi, eta)) is int
+        assert type(kg.measure_M(strong_maps, xi, eta)) is float
+    d, m = kg.depth(strong_maps, 2.9, 1.3), kg.measure_M(strong_maps, 2.9, 1.3)
+    one = np.array([2.9]), np.array([1.3])
+    assert kg.depth(strong_maps, *one).shape == kg.measure_M(strong_maps, *one).shape == (1,)
+    assert kg.depth(strong_maps, *one)[0] == d
+    assert kg.measure_M(strong_maps, *one)[0] == m
+    # a scalar xi broadcasts against an array eta
+    eta = np.array([1.3, 2.0, 2.8])
+    depths = kg.depth(strong_maps, 2.9, eta)
+    measures = kg.measure_M(strong_maps, 2.9, eta)
+    assert depths.shape == measures.shape == (3,)
+    assert depths.tolist() == [kg.depth(strong_maps, 2.9, e) for e in eta]
+    assert np.allclose(measures, [kg.measure_M(strong_maps, 2.9, e) for e in eta],
+                       rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("name", ["static_maps", "tuned_maps", "strong_maps"])
 def test_geometry_array_matches_per_point(name, request):
     maps = request.getfixturevalue(name)
