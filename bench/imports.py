@@ -11,8 +11,11 @@ For each tree, every measurement runs in a fresh interpreter:
   scratch directory holding a copy of the config), with the exit code;
 - ``oracle_fdm.solve_oracle`` at ``n_y = 512``, ``t_max = 4`` with the
   example wall and data at ``m = 0.27``: the first call in a fresh process
-  (which pays any scipy import the solver makes) and a second call, each the
-  minimum over ``--repeat`` processes, and the sha256 of ``psi``.
+  (which pays any scipy import the solver makes), a second call and one
+  ``oracle_fdm.compare`` of that run against the exact massless field of the
+  same data on the default probe times, each the minimum over ``--repeat``
+  processes; the sha256 of ``psi`` and of the per-slice discrepancies, the
+  process's peak RSS (maximum over the processes) and its ``scipy`` record.
 
 Run from the repository root; ``--src`` names a directory holding the
 ``kgcavity`` package and may be repeated, so a parent checkout can be set
@@ -22,9 +25,9 @@ against the working tree:
     python bench/imports.py --src /path/to/parent/src --src src
 
 Trees are labelled A, B, ... in ``--src`` order; each entry carries the
-sha256 of its ``kgcavity/*.py`` sources.  Results go to
-``BENCH_10.json``.  The exit code is 1 when a command exits nonzero or the
-oracle's ``psi`` differs between trees.
+sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``
+(default ``BENCH_10.json``).  The exit code is 1 when a command exits
+nonzero or the oracle's ``psi`` or ``compare`` values differ between trees.
 """
 
 import argparse
@@ -41,7 +44,7 @@ from outputs import _tree_sha
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "demos", "example.cfg")
-OUT = os.path.join(ROOT, "BENCH_10.json")
+OUT = "BENCH_10.json"
 COMMANDS = (("analyze-map", ["analyze-map"]), ("simulate", ["simulate"]),
             ("scan -w 1", ["scan", "-w", "1"]), ("verify -w 1", ["verify", "-w", "1"]))
 
@@ -67,8 +70,9 @@ print(json.dumps({"exit": rc, "scipy": %s}))
 """ % _SCIPY
 
 ORACLE_CHILD = """
-import hashlib, json, sys, time
-from kgcavity import oracle_fdm
+import hashlib, json, resource, sys, time
+from kgcavity import boundary, oracle_fdm
+from kgcavity.characteristics_solver import build_initial_profile
 from kgcavity.experiment import ExperimentConfig
 cfg = ExperimentConfig.from_file(sys.argv[1])
 motion = cfg.make_motion()
@@ -78,10 +82,17 @@ for _ in range(2):
     t0 = time.perf_counter()
     run = oracle_fdm.solve_oracle(data, motion, 0.27, n_y=512, t_max=4.0)
     times.append(time.perf_counter() - t0)
-print(json.dumps({"first_s": times[0], "second_s": times[1],
+profile = build_initial_profile(data, boundary.CharacteristicMaps(motion))
+t0 = time.perf_counter()
+_, sups, _ = oracle_fdm.compare(run, profile)
+compare_s = time.perf_counter() - t0
+print(json.dumps({"first_s": times[0], "second_s": times[1], "compare_s": compare_s,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "psi_shape": list(run.psi.shape),
-                  "psi_sha256": hashlib.sha256(run.psi.tobytes()).hexdigest()}))
-"""
+                  "psi_sha256": hashlib.sha256(run.psi.tobytes()).hexdigest(),
+                  "compare_sha256": hashlib.sha256(sups.tobytes()).hexdigest(),
+                  "scipy": %s}))
+""" % _SCIPY
 
 
 def _child(src, code, args=(), cwd=None):
@@ -110,8 +121,12 @@ def measure(src, repeat):
         "commands": commands,
         "oracle": {"first_s_min": min(r["first_s"] for r in oracle),
                    "second_s_min": min(r["second_s"] for r in oracle),
+                   "compare_s_min": min(r["compare_s"] for r in oracle),
+                   "peak_rss_mb_max": max(r["peak_rss_mb"] for r in oracle),
+                   "scipy_after": oracle[0]["scipy"],
                    "psi_shape": oracle[0]["psi_shape"],
-                   "psi_sha256": sorted({r["psi_sha256"] for r in oracle})},
+                   "psi_sha256": sorted({r["psi_sha256"] for r in oracle}),
+                   "compare_sha256": sorted({r["compare_sha256"] for r in oracle})},
     }
 
 
@@ -121,6 +136,8 @@ def main(argv=None):
                     help="directory holding the kgcavity package (repeatable)")
     ap.add_argument("--repeat", type=int, default=7,
                     help="fresh processes per timing (default 7)")
+    ap.add_argument("--out", default=OUT,
+                    help="result file, relative to the repository root (default %s)" % OUT)
     args = ap.parse_args(argv)
 
     trees, failed = [], False
@@ -135,15 +152,20 @@ def main(argv=None):
             print("    %-12s exit %d, %d scipy modules" % (name, cmd["exit"], cmd["scipy"]["count"]))
             failed |= cmd["exit"] != 0
         o = res["oracle"]
-        print("    oracle 512/4: first %.3f s, second %.3f s, psi %s"
-              % (o["first_s_min"], o["second_s_min"], o["psi_sha256"][0][:16]))
+        print("    oracle 512/4: first %.3f s, second %.3f s, compare %.3f s, "
+              "peak %.1f MB, %d scipy modules, psi %s"
+              % (o["first_s_min"], o["second_s_min"], o["compare_s_min"],
+                 o["peak_rss_mb_max"], o["scipy_after"]["count"], o["psi_sha256"][0][:16]))
 
-    psi = {sha for tree in trees for sha in tree["oracle"]["psi_sha256"]}
-    if len(psi) > 1:
-        print("oracle psi differs across trees or runs")
-        failed = True
-    elif len(trees) > 1:
-        print("oracle psi bit-identical across trees")
+    identical = {}
+    for what in ("psi", "compare"):
+        identical[what] = len({sha for tree in trees
+                               for sha in tree["oracle"][what + "_sha256"]}) == 1
+        if not identical[what]:
+            print("oracle %s differs across trees or runs" % what)
+            failed = True
+        elif len(trees) > 1:
+            print("oracle %s bit-identical across trees" % what)
 
     import numpy
     import scipy
@@ -154,9 +176,10 @@ def main(argv=None):
         "config": "demos/example.cfg",
         "repeat": args.repeat,
         "trees": trees,
-        "oracle_psi_identical": len(psi) == 1,
+        "oracle_psi_identical": identical["psi"],
+        "oracle_compare_identical": identical["compare"],
     }
-    with open(OUT, "w") as fh:
+    with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 1 if failed else 0

@@ -16,13 +16,21 @@ Simpson rule of its energy, and exists to cross-validate it on short
 horizons.
 """
 
+import functools
 import math
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 
 from ._quadrature import simpson
 
 __all__ = ["Unstable", "NoOverlap", "OracleRun", "solve_oracle", "compare"]
+
+# time steps whose coefficients are built together (rows of one array)
+STEP_CHUNK = 64
 
 
 class Unstable(RuntimeError):
@@ -74,20 +82,43 @@ class OracleRun:
         return float(simpson(dens, dx=dy) * a_t)
 
 
+@functools.cache
+def _flapack():
+    """scipy's ``_flapack`` extension, loaded on its own the first time.
+
+    ``import scipy.linalg.lapack`` would run all of ``scipy.linalg``'s
+    ``__init__`` (and through it numpy's ``testing``, ``f2py`` and ``ma``) to
+    reach one routine.  The extension is loaded from the same shared object
+    under its usual name and registered in ``sys.modules``, so a later
+    ``import scipy.linalg`` reuses it; an entry already there is used as is.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    found = PathFinder.find_spec("_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    spec = spec_from_file_location(name, found.origin)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tridiagonal_solve(sub, diag, sup, rhs):
     """x with A x = rhs, A tridiagonal with the given sub-, main and
     superdiagonal.
 
     Calls LAPACK's dgtsv, the routine ``scipy.linalg.solve_banded((1, 1),
-    ...)`` dispatches to, without that wrapper's per-call validation, which
-    costs more than the solve at the oracle's sizes.  ``sub``, ``sup`` and
-    ``rhs`` are overwritten; ``diag`` is not.  Values are not checked for
-    finiteness: NaN and inf pass through to the result.
+    ...)`` dispatches to, from scipy's ``_flapack`` extension (see
+    :func:`_flapack`) and without ``solve_banded``'s per-call validation,
+    which costs more than the solve at the oracle's sizes; ``scipy.linalg``
+    itself is never imported.  ``sub``, ``sup`` and ``rhs`` are overwritten;
+    ``diag`` is not.  Values are not checked for finiteness: NaN and inf pass
+    through to the result.
     """
-    from scipy.linalg.lapack import dgtsv
-
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs,
-                             overwrite_dl=1, overwrite_du=1, overwrite_b=1)
+    _, _, _, x, info = _flapack().dgtsv(sub, diag, sup, rhs, overwrite_dl=1,
+                                        overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise Unstable("singular tridiagonal system (dgtsv info %d)" % info)
     return x
@@ -141,32 +172,47 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
 
     yint = ys[1:-1]
     idt2 = 1.0 / dt**2
+    m2 = m**2
+    dy2 = dy**2
+    two_dy = 2.0 * dy
     diag = np.full(n_y - 1, idt2)
-    for n in range(1, n_t):
-        t = ts[n]
-        a_t = float(motion.a(t))
-        da_t = float(motion.da(t))
-        dda_t = float(motion.dda(t))
-        g = (da_t / a_t) * yint
-        c2 = (1.0 - (da_t * yint) ** 2) / a_t**2
-        c1 = (dda_t / a_t - 2.0 * (da_t / a_t) ** 2) * yint
-
-        cur = psi[n]
-        old = psi[n - 1]
-        dyy = (cur[2:] - 2.0 * cur[1:-1] + cur[:-2]) / dy**2
-        dyc = (cur[2:] - cur[:-2]) / (2.0 * dy)
-        dyo = (old[2:] - old[:-2]) / (2.0 * dy)
-        rhs = (2.0 * cur[1:-1] - old[1:-1]) * idt2 \
-            - (g / dt) * dyo + c2 * dyy + c1 * dyc - m**2 * cur[1:-1]
-
-        # tridiagonal (1/dt^2) I - (g/dt) D_y on the interior
+    dyc = (psi0[2:] - psi0[:-2]) / two_dy
+    for n0 in range(1, n_t, STEP_CHUNK):
+        steps = range(n0, min(n0 + STEP_CHUNK, n_t))
+        # per-step scalars in Python floats, as a step-by-step build takes
+        # them (psi stays bit-identical), then the chunk's coefficient rows
+        scalars = []
+        for n in steps:
+            a_t = float(motion.a(ts[n]))
+            da_t = float(motion.da(ts[n]))
+            dda_t = float(motion.dda(ts[n]))
+            scalars.append((da_t / a_t, da_t, a_t**2,
+                            dda_t / a_t - 2.0 * (da_t / a_t) ** 2))
+        g_s, da_s, a2_s, c1_s = np.array(scalars).T[:, :, None]
+        g = g_s * yint
+        g_dt = g / dt
+        c2 = (1.0 - (da_s * yint) ** 2) / a2_s
+        c1 = c1_s * yint
+        # tridiagonal (1/dt^2) I - (g/dt) D_y on the interior; dgtsv
+        # overwrites the sub- and superdiagonal rows, each used once
         coef = g / (dt * 2.0 * dy)
-        new = _tridiagonal_solve(coef[1:], diag, -coef[:-1], rhs)
-        psi[n + 1, 1:-1] = new
-        psi[n + 1, 0] = psi[n + 1, -1] = 0.0
-        # 'not <=' also catches NaN and inf
-        if not float(np.max(np.abs(new))) <= 1e6 * sup0:
-            raise Unstable("|psi| exceeded 1e+06 x initial or is not finite at t=%g" % t)
+        sup = -coef[:, :-1]
+
+        for k, n in enumerate(steps):
+            cur = psi[n]
+            old = psi[n - 1]
+            dyy = (cur[2:] - 2.0 * cur[1:-1] + cur[:-2]) / dy2
+            dyo = dyc                             # old's centred D_y
+            dyc = (cur[2:] - cur[:-2]) / two_dy
+            rhs = (2.0 * cur[1:-1] - old[1:-1]) * idt2 \
+                - g_dt[k] * dyo + c2[k] * dyy + c1[k] * dyc - m2 * cur[1:-1]
+            new = _tridiagonal_solve(coef[k, 1:], diag, sup[k], rhs)
+            psi[n + 1, 1:-1] = new
+            psi[n + 1, 0] = psi[n + 1, -1] = 0.0
+            # 'not <=' also catches NaN and inf
+            if not float(np.abs(new).max()) <= 1e6 * sup0:
+                raise Unstable("|psi| exceeded 1e+06 x initial or is not finite at t=%g"
+                               % ts[n])
 
     return OracleRun(motion, m, ts, ys, psi, cfl)
 
@@ -175,8 +221,10 @@ def compare(run, field, times=None):
     """Discrepancy between the oracle and a characteristic-route solution.
 
     ``field`` may be a MasslessProfile (exact evaluator) or a FieldGrid;
-    both are probed at the oracle's own nodes on the requested time slices.
-    Returns (times, per-slice sup discrepancies, their maximum).
+    both are probed at the oracle's interior nodes on the stored slices
+    nearest to the requested times, all slices in one evaluation of the
+    field.  A slice whose stored time lies past the common range is skipped.
+    Returns (probe times kept, per-slice sup discrepancies, their maximum).
     """
     t_lo, t_hi = run.ts[0], run.ts[-1]
     other_hi = getattr(field, "t_max", None)
@@ -188,21 +236,19 @@ def compare(run, field, times=None):
         times = np.linspace(t_lo, t_hi, 41)[1:]
     times = np.asarray([t for t in np.asarray(times, dtype=float)
                         if t_lo <= t <= t_hi])
-    if times.size == 0:
+    slices = [run.slice_at(float(t)) for t in times]
+    kept = np.array([t_act <= t_hi + 1e-12 for t_act, _, _ in slices], dtype=bool)
+    slices = [s for s, keep in zip(slices, kept) if keep]
+    if not slices:
         raise NoOverlap("no probe times inside the common range")
 
-    out = []
-    for t in times:
-        t_act, xs, psi_vals = run.slice_at(float(t))
-        if t_act > t_hi + 1e-12:
-            continue
-        interior = slice(1, -1)
-        x_in = xs[interior]
-        if hasattr(field, "phi_txy"):            # exact massless profile
-            ref = field.phi_txy(np.full_like(x_in, t_act), x_in)[0]
-        else:                                     # FieldGrid
-            ref = field.interp_phi(t_act + x_in, t_act - x_in)
-        out.append(float(np.max(np.abs(psi_vals[interior] - ref))))
-    if not out:
-        raise NoOverlap("no probe times inside the common range")
-    return times[:len(out)], np.asarray(out), max(out)
+    X = np.concatenate([xs[1:-1] for _, xs, _ in slices])
+    T = np.repeat([t_act for t_act, _, _ in slices], run.n_y - 1)
+    xi, eta = T + X, T - X
+    if hasattr(field, "eval_phi"):               # exact massless profile
+        ref = field.eval_phi(xi, eta, check=False)
+    else:                                         # FieldGrid
+        ref = field.interp_phi(xi, eta)
+    psi = np.concatenate([vals[1:-1] for _, _, vals in slices])
+    out = np.max(np.abs(psi - ref).reshape(len(slices), -1), axis=1)
+    return times[kept], out, float(out.max())

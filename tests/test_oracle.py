@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import kgcavity
 from kgcavity import boundary, cauchy, kleingordon as kg, oracle_fdm as orc
 from kgcavity.characteristics_solver import build_initial_profile
 
@@ -83,6 +88,70 @@ def test_tridiagonal_step_matches_solve_banded(n):
         assert np.array_equal(diag, diag_in)     # reused every oracle step
 
 
+def _reference_march(motion, m, ts, ys, psi):
+    """The oracle's step loop with every step building its own coefficients,
+    the reference the chunked loop must match bit for bit: fills psi[2:]
+    from psi[0] and psi[1]."""
+    dy = ys[1] - ys[0]
+    dt = ts[1] - ts[0]
+    sup0 = max(float(np.max(np.abs(psi[0]))), 1e-30)
+    yint = ys[1:-1]
+    idt2 = 1.0 / dt**2
+    diag = np.full(len(ys) - 2, idt2)
+    for n in range(1, len(ts) - 1):
+        t = ts[n]
+        a_t = float(motion.a(t))
+        da_t = float(motion.da(t))
+        dda_t = float(motion.dda(t))
+        g = (da_t / a_t) * yint
+        c2 = (1.0 - (da_t * yint) ** 2) / a_t**2
+        c1 = (dda_t / a_t - 2.0 * (da_t / a_t) ** 2) * yint
+
+        cur = psi[n]
+        old = psi[n - 1]
+        dyy = (cur[2:] - 2.0 * cur[1:-1] + cur[:-2]) / dy**2
+        dyc = (cur[2:] - cur[:-2]) / (2.0 * dy)
+        dyo = (old[2:] - old[:-2]) / (2.0 * dy)
+        rhs = (2.0 * cur[1:-1] - old[1:-1]) * idt2 \
+            - (g / dt) * dyo + c2 * dyy + c1 * dyc - m**2 * cur[1:-1]
+        coef = g / (dt * 2.0 * dy)
+        new = orc._tridiagonal_solve(coef[1:], diag, -coef[:-1], rhs)
+        psi[n + 1, 1:-1] = new
+        psi[n + 1, 0] = psi[n + 1, -1] = 0.0
+        if not float(np.max(np.abs(new))) <= 1e6 * sup0:
+            raise orc.Unstable("|psi| exceeded 1e+06 x initial or is not finite at t=%g" % t)
+    return psi
+
+
+def test_chunked_steps_match_reference_loop(strong_maps):
+    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
+    run = orc.solve_oracle(data, strong_maps.motion, m=0.5, n_y=64, t_max=3.0)
+    steps = len(run.ts) - 2
+    assert steps > 3 * orc.STEP_CHUNK and steps % orc.STEP_CHUNK != 0
+    ref = np.empty_like(run.psi)
+    ref[:2] = run.psi[:2]
+    _reference_march(strong_maps.motion, 0.5, run.ts, run.ys, ref)
+    assert ref.tobytes() == run.psi.tobytes()
+
+
+def test_chunked_steps_unstable_message_matches_reference(strong_maps):
+    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
+    motion, n_y, t_max, cfl = strong_maps.motion, 64, 3.0, 4.0
+    with pytest.raises(orc.Unstable) as got:
+        orc.solve_oracle(data, motion, m=0.5, n_y=n_y, t_max=t_max, cfl=cfl)
+    # the solver's grid, and its two seed rows from a run of two equal steps
+    dt = cfl * (1.0 / n_y) / ((1.0 + motion.da_max) / motion.a_min)
+    n_t = int(math.ceil(t_max / dt))
+    ts = (t_max / n_t) * np.arange(n_t + 1)
+    seed = orc.solve_oracle(data, motion, m=0.5, n_y=n_y, t_max=ts[2], cfl=cfl)
+    assert seed.ts.tolist() == ts[:3].tolist()
+    ref = np.empty((len(ts), n_y + 1))
+    ref[:2] = seed.psi[:2]
+    with pytest.raises(orc.Unstable) as want:
+        _reference_march(motion, 0.5, ts, seed.ys, ref)
+    assert str(got.value) == str(want.value)
+
+
 def test_compare_zero_vs_zero(static_maps):
     run = orc.solve_oracle(cauchy.zero_data(1.0), static_maps.motion, m=0.0,
                            n_y=64, t_max=1.0)
@@ -97,6 +166,74 @@ def test_compare_no_overlap(static_maps):
     prof = build_initial_profile(cauchy.zero_data(1.0), static_maps)
     with pytest.raises(orc.NoOverlap):
         orc.compare(run, prof, times=[5.0, 6.0])
+
+
+def test_compare_pairs_each_value_with_its_probe_time(static_maps):
+    # the slice nearest t_max = 1.00559 lies at 72 dt = 1.00699, past the
+    # field's range, and is skipped; the time kept is 0.5, the one measured
+    data = cauchy.make_eigenmode(1.0, 1, 1.0)
+    run = orc.solve_oracle(data, static_maps.motion, m=0.5, n_y=64, t_max=2.0)
+    fg = kg.picard_solve(data, static_maps, m=0.5, resolution=64, t_max=1.00559)
+    assert run.slice_at(fg.t_max)[0] > fg.t_max
+    ts, sups, overall = orc.compare(run, fg, times=[fg.t_max, 0.5])
+    ts_half, sups_half, _ = orc.compare(run, fg, times=[0.5])
+    assert ts.tolist() == [0.5] == ts_half.tolist()
+    assert sups.tolist() == sups_half.tolist() and overall == sups[0]
+
+
+def test_compare_batched_matches_per_slice(strong_maps):
+    # one evaluation of the profile gives each slice's sup bit for bit
+    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
+    prof = build_initial_profile(data, strong_maps)
+    run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=64, t_max=2.0)
+    ts, sups, overall = orc.compare(run, prof)
+    assert len(ts) == 40
+    for t, sup in zip(ts, sups):
+        t_act, xs, vals = run.slice_at(t)
+        ref = prof.phi_txy(np.full(len(xs) - 2, t_act), xs[1:-1])[0]
+        assert sup == float(np.max(np.abs(vals[1:-1] - ref)))
+    assert overall == max(sups.tolist())
+
+
+ORACLE_CHILD = textwrap.dedent("""
+    import hashlib, sys
+    import numpy as np
+    from kgcavity import boundary, cauchy, oracle_fdm as orc
+    from kgcavity.characteristics_solver import build_initial_profile
+
+    if sys.argv[1] == "linalg_first":
+        import scipy.linalg
+    maps = boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": 1.0, "beta": 0.1, "period": 1.0}))
+    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
+    prof = build_initial_profile(data, maps)
+
+    def solve():
+        run = orc.solve_oracle(data, maps.motion, m=0.3, n_y=64, t_max=2.0)
+        _, sups, _ = orc.compare(run, prof)
+        return run.psi.tobytes() + sups.tobytes()
+
+    first = solve()
+    print("scipy.linalg" in sys.modules)
+    import scipy.linalg
+    print(orc._flapack() is scipy.linalg.lapack._flapack)
+    print(solve() == first)
+    print(hashlib.sha256(first).hexdigest())
+""")
+
+
+def test_oracle_loads_no_scipy_linalg():
+    # the oracle loads scipy's _flapack extension alone; a later (or earlier)
+    # import of scipy.linalg shares that module and changes no value
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(kgcavity.__path__[0]), os.environ.get("PYTHONPATH", "")]))
+    out = {}
+    for order in ("oracle_first", "linalg_first"):
+        out[order] = subprocess.run([sys.executable, "-c", ORACLE_CHILD, order], env=env,
+                                    check=True, capture_output=True, text=True).stdout.split()
+    assert out["oracle_first"][:3] == ["False", "True", "True"]
+    assert out["linalg_first"][:3] == ["True", "True", "True"]
+    assert out["oracle_first"][3] == out["linalg_first"][3]
 
 
 def test_compare_against_fieldgrid_massive(static_maps):
