@@ -9,11 +9,15 @@ point, and records
 - the route that produced the rotation number: ``certified`` (a short
   orbit proposed p/q and a periodic orbit certified it) or ``full`` (the
   1e5-step orbit; the only route of source trees without the certificate);
-- the orbit steps taken (the ``n`` of every ``orbit_translation`` call);
+- the orbit steps taken (the ``n`` of every ``orbit_translation`` call)
+  and the scalar wall evaluations (``a_scalar`` and ``da_scalar`` calls)
+  inside them, per step;
 - each ``find_periodic_points`` call, with its ``p:q`` and the points
   passed to ``F_and_dF`` inside it;
 
-all counted in one further run.
+all counted in one further run, on maps built from a counting subclass of
+``sinusoidal_profile`` (built before the maps, since they may bind its
+scalar evaluators at construction).
 
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
@@ -21,9 +25,10 @@ to measure, so the same script measures an older checkout too:
     python bench/orbits.py --label change
     python bench/orbits.py --label parent --src /path/to/old/checkout/src
 
-Each run replaces its label's entry in ``BENCH_9.json`` and keeps the
-others.  (``BENCH_5.json`` was written by an earlier version of this script,
-which timed ``rotation_number`` and ``find_periodic_points`` on their own.)
+Each run replaces its label's entry in the ``--out`` file (default
+``BENCH_9.json``) and keeps the others.  (``BENCH_5.json`` was written by an
+earlier version of this script, which timed ``rotation_number`` and
+``find_periodic_points`` on their own.)
 """
 
 import argparse
@@ -40,27 +45,46 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITERATIONS = 100_000
 MAX_Q = 20
 REPEAT = 3
-OUT = os.path.join(ROOT, "BENCH_9.json")
+OUT = "BENCH_9.json"
 
 
 def measure(alpha, beta):
     from kgcavity import boundary, circle_dynamics as cd
 
-    maps = boundary.CharacteristicMaps(boundary.make_motion(
-        {"profile": "sinusoidal", "alpha": alpha, "beta": beta, "period": 1.0}))
+    class CountingSinusoid(boundary.sinusoidal_profile):
+        evals = 0
+
+        def a_scalar(self, t):
+            self.evals += 1
+            return super().a_scalar(t)
+
+        def da_scalar(self, t):
+            self.evals += 1
+            return super().da_scalar(t)
+
+    def build(profile):
+        return boundary.CharacteristicMaps(boundary.validate_motion(profile, 1.0))
+
+    maps = build(boundary.sinusoidal_profile(alpha, beta, 1.0))
     times = []
     for _ in range(REPEAT):
         t0 = time.perf_counter()
         analysis = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
         times.append(time.perf_counter() - t0)
 
-    steps, points, scans = [0], [0], []
+    prof = CountingSinusoid(alpha, beta, 1.0)
+    maps = build(prof)
+    steps, evals, points, scans = [0], [0], [0], []
     orbit_translation, F_and_dF = maps.orbit_translation, maps.F_and_dF
     find = cd.find_periodic_points
 
     def counting_orbit(x0, n):
         steps[0] += int(n)
-        return orbit_translation(x0, n)
+        before = prof.evals
+        try:
+            return orbit_translation(x0, n)
+        finally:
+            evals[0] += prof.evals - before
 
     def counting_F(x):
         points[0] += np.size(x)
@@ -78,7 +102,6 @@ def measure(alpha, beta):
     try:
         counted = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
     finally:
-        del maps.orbit_translation, maps.F_and_dF
         cd.find_periodic_points = find
     assert counted.to_dict() == analysis.to_dict()
 
@@ -86,6 +109,8 @@ def measure(alpha, beta):
             "route": "certified" if getattr(analysis, "rotation_certified", False) else "full",
             "rho": analysis.rotation_estimate, "resonance": analysis.resonance,
             "status": analysis.status, "orbit_steps": steps[0],
+            "orbit_evals": evals[0],
+            "orbit_evals_per_step": evals[0] / steps[0] if steps[0] else None,
             "find_periodic_points": scans}
 
 
@@ -94,6 +119,8 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the kgcavity package (default: ./src)")
+    ap.add_argument("--out", default=OUT,
+                    help="result file, relative to the repository root (default %s)" % OUT)
     args = ap.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -115,16 +142,18 @@ def main(argv=None):
         "totals": {
             "analyze_map_s": sum(r["analyze_map_s"] for r in rows),
             "orbit_steps": sum(r["orbit_steps"] for r in rows),
+            "orbit_evals": sum(r["orbit_evals"] for r in rows),
             "F_and_dF_points": sum(s["F_and_dF_points"] for r in rows
                                    for s in r["find_periodic_points"]),
         },
     }
     bench = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
+    out = os.path.join(ROOT, args.out)
+    if os.path.exists(out):
+        with open(out) as fh:
             bench = json.load(fh)
     bench[args.label] = entry
-    with open(OUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -8,6 +8,9 @@ C^2 function with sub-luminal wall speed |a'(t)| < 1.  The maps
 encode one light-ray reflection off both walls: a ray leaving x = 0 at
 characteristic coordinate eta returns to x = 0 at F(eta).  F is a degree-one
 lift of a circle diffeomorphism, F(x + T) = F(x) + T.
+
+A wall profile gives ``a``, ``da`` and ``dda`` on arrays, ``a_scalar`` and
+``da_scalar`` on Python floats, ``kind`` and ``describe()``.
 """
 
 import bisect
@@ -38,29 +41,9 @@ class NoConvergence(RuntimeError):
     """
 
 
-class _Profile:
-    """Closed-form wall trajectory with two derivatives."""
+class constant_profile:
+    """a(t) = alpha: the static wall."""
 
-    kind = "generic"
-
-    def a(self, t):
-        raise NotImplementedError
-
-    def da(self, t):
-        raise NotImplementedError
-
-    def dda(self, t):
-        raise NotImplementedError
-
-    # scalar fast path for long orbit iterations (python floats, no numpy)
-    def a_scalar(self, t):
-        return float(self.a(t))
-
-    def da_scalar(self, t):
-        return float(self.da(t))
-
-
-class constant_profile(_Profile):
     kind = "constant"
 
     def __init__(self, alpha):
@@ -84,7 +67,7 @@ class constant_profile(_Profile):
         return {"profile": "constant", "alpha": self.alpha}
 
 
-class sinusoidal_profile(_Profile):
+class sinusoidal_profile:
     """a(t) = alpha + beta * sin(2 pi t / period)."""
 
     kind = "sinusoidal"
@@ -118,7 +101,7 @@ class sinusoidal_profile(_Profile):
         }
 
 
-class fourier_profile(_Profile):
+class fourier_profile:
     """a(t) = mean + sum_k cos_k cos(2 pi k t / T) + sin_k sin(2 pi k t / T)."""
 
     kind = "fourier"
@@ -297,8 +280,8 @@ class CharacteristicMaps:
     table built at construction seeds the Newton iterations and is never
     mutated afterwards, so instances are safe to share across workers.
     The h and k tables are kept twice: as arrays for the vector inverse and
-    as list copies for the scalar one (a Python float argument) and for
-    :meth:`orbit_translation`.
+    as list copies for the scalar one (a Python float argument), which is
+    also the step of :meth:`orbit_translation`.
     """
 
     #: residual tolerance for the inverse solves, scaled by (1 + |y|)
@@ -318,9 +301,17 @@ class CharacteristicMaps:
         self._tab_t = ts
         self._tab_h = ts - av
         self._tab_k = ts + av
-        # list copies of the h and k tables for the scalar seeds
+        # list copies of the h and k tables and the evaluators for the
+        # scalar inverse, bound once because every orbit step calls it
         self._seed_h = self._tab_h.tolist()
         self._seed_k = self._tab_k.tolist()
+        self._last = len(ts) - 1
+        self._dt = self.T / self._last
+        self._a_scalar = motion.profile.a_scalar
+        self._da_scalar = motion.profile.da_scalar
+        # (lo_off, hi_off) per sign, indexed by sign > 0: |a'| < 1 makes
+        # t + sign*a(t) monotone, so its root for y is in [y - lo_off, y - hi_off]
+        self._offsets = ((-motion.a_min, -motion.a_max), (motion.a_max, motion.a_min))
 
     # -- forward maps -----------------------------------------------------
     def h(self, t):
@@ -336,8 +327,9 @@ class CharacteristicMaps:
         """Solve t + sign*a(t) = y by Newton with bisection fallback.
 
         sign = -1 inverts h, sign = +1 inverts k.  Monotone because
-        |a'| < 1, so the bracket [y - s*a_max, y - s*a_min] (s = sign)
-        always contains the root.  A 0-d y takes :meth:`_invert_scalar`.
+        |a'| < 1, so the bracket [y - a_max, y - a_min] (k) or
+        [y + a_min, y + a_max] (h), widened by 1e-9, always contains the
+        root.  A 0-d y takes :meth:`_invert_scalar`.
         """
         if np.ndim(y) == 0:
             return self._invert_scalar(float(y), sign)[0]
@@ -349,8 +341,9 @@ class CharacteristicMaps:
         shift = np.floor((y - tab[0]) / self.T) * self.T
         t = np.interp(y - shift, tab, self._tab_t) + shift
 
-        lo = y - (sign * mot.a_max if sign > 0 else sign * mot.a_min) - 1e-9
-        hi = y - (sign * mot.a_min if sign > 0 else sign * mot.a_max) + 1e-9
+        lo_off, hi_off = self._offsets[sign > 0]
+        lo = y - lo_off - 1e-9
+        hi = y - hi_off + 1e-9
         tol = self.inv_tol * (1.0 + np.abs(y))
 
         f = t + sign * np.asarray(mot.a(t)) - y
@@ -384,11 +377,9 @@ class CharacteristicMaps:
         for the node, the same slope and clamping), and the bracket, the
         tolerance, the 60-step cap and the bisection fallback are the same.
         """
-        mot = self.motion
-        a_s, da_s = mot.profile.a_scalar, mot.profile.da_scalar
+        a_s, da_s = self._a_scalar, self._da_scalar
         tab = self._seed_h if sign < 0 else self._seed_k
-        last, T = len(tab) - 1, self.T
-        dt = T / last
+        last, T, dt = self._last, self.T, self._dt
         shift = math.floor((y - tab[0]) / T) * T
         u = y - shift
         # the table's t nodes are uniform, t_j = j dt as np.linspace makes
@@ -402,8 +393,9 @@ class CharacteristicMaps:
             t = ((j + 1) * dt - j * dt) / (tab[j + 1] - tab[j]) * (u - tab[j]) + j * dt
         t += shift
 
-        lo = y - (sign * mot.a_max if sign > 0 else sign * mot.a_min) - 1e-9
-        hi = y - (sign * mot.a_min if sign > 0 else sign * mot.a_max) + 1e-9
+        lo_off, hi_off = self._offsets[sign > 0]
+        lo = y - lo_off - 1e-9
+        hi = y - hi_off + 1e-9
         tol = self.inv_tol * (1.0 + abs(y))
 
         a = a_s(t)
@@ -471,42 +463,20 @@ class CharacteristicMaps:
         da = np.asarray(self.motion.da(t))
         return x - 2.0 * a, (1.0 + da) / (1.0 - da)
 
-    # -- scalar orbit fast path ---------------------------------------------
+    # -- scalar orbit ------------------------------------------------------
     def orbit_translation(self, x0, n):
         """(F^n(x0) - x0) via n scalar lift steps; used by rotation numbers.
 
-        Each step solves h(t) = x for the reflection time t by scalar Newton
-        to 1e-13 (1 + |x|), seeded like :meth:`_invert` from the one-period
-        table of h: the periodic shift plus a linear interpolation between
-        the two bracketing nodes, found by ``bisect`` on a list copy.  The
-        seed is within about 1e-7 of the root, so one Newton update usually
-        reaches the tolerance, and the step 2 a(t) reuses the residual's a(t).
+        Each step is the scalar :meth:`F`: the reflection time t = h^{-1}(x)
+        from :meth:`_invert_scalar` (residual <= inv_tol (1 + |x|)) and the
+        step 2 a(t) from the a(t) of its last residual, so from x0 = 0 the
+        result is F^n(0) bit for bit.
         """
-        a_s = self.motion.profile.a_scalar
-        da_s = self.motion.profile.da_scalar
-        tab_h = self._seed_h
-        h0, last, T = tab_h[0], len(tab_h) - 1, self.T
-        dt = T / last
+        invert = self._invert_scalar
         x = float(x0)
         total = 0.0
         for _ in range(int(n)):
-            shift = math.floor((x - h0) / T) * T
-            u = x - shift
-            i = min(max(bisect.bisect_right(tab_h, u), 1), last)
-            # the table's t nodes are uniform: t_i = i dt
-            hl = tab_h[i - 1]
-            t = (i - 1 + (u - hl) / (tab_h[i] - hl)) * dt + shift
-            tol = 1e-13 * (1.0 + abs(x))
-            for _ in range(100):
-                a = a_s(t)
-                f = t - a - x
-                if abs(f) <= tol:
-                    break
-                t -= f / (1.0 - da_s(t))
-            else:
-                # Newton stalled; fall back to the safeguarded scalar inverse
-                a = a_s(float(self.h_inv(x)))
-            step = 2.0 * a
+            step = 2.0 * invert(x, -1.0)[1]
             total += step
             x = x + step
         return total

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from kgcavity._quadrature import simpson
+
 __all__ = [
     "AmbiguousResonance",
     "DegenerateMap",
@@ -56,6 +58,9 @@ NEUTRAL_TOL = 1e-8
 SHORT_ORBIT = 1000
 ROOT_TOL = 1e-12
 DEGENERATE_TOL = 1e-9
+#: weight_l stops once |F^q(y) - pT - y| <= WEIGHT_TOL or after WEIGHT_KMAX factors
+WEIGHT_TOL = 1e-10
+WEIGHT_KMAX = 10_000
 
 
 class AmbiguousResonance(ValueError):
@@ -400,35 +405,30 @@ def growth_exponent(maps, points, p, q):
     return gamma, i0, intervals, J, m0
 
 
-def _orbit_multiplier_product(maps, x, q):
-    """DF^q(x) for arrays x."""
-    _, mult = _g_and_multiplier(maps, x, 0, q)
-    return mult
-
-
-def weight_l(maps, x, attractor_x, p, q, tol=1e-10, kmax=10_000):
+def weight_l(maps, x, attractor_x, p, q):
     """Infinite product l(x) = prod_k DF^q(a_i) / DF^q(F^{kq}(x)), truncated.
 
     The orbit y -> F^q(y) - pT contracts geometrically onto a periodic
     point sharing the multiplier of ``attractor_x`` (possibly its F-image),
     so the factors tend to 1.  Truncation stops once the fixed-point
-    residual |F^q(y) - pT - y| drops below ``tol`` — proportional to the
+    residual |F^q(y) - pT - y| drops below WEIGHT_TOL — proportional to the
     distance from the limit point, which bounds the dropped log-tail by
-    O(tol) through the local linearization — or after ``kmax`` factors.
+    O(WEIGHT_TOL) through the local linearization — or after WEIGHT_KMAX
+    factors.
     """
-    mu_a = float(_orbit_multiplier_product(maps, np.asarray([attractor_x]), q)[0])
+    mu_a = float(_g_and_multiplier(maps, np.asarray([attractor_x]), 0, q)[1][0])
     y = np.asarray(x, dtype=float).copy()
     logl = np.zeros_like(y)
     shift = p * maps.T
     active = np.ones(y.shape, dtype=bool)
-    for _ in range(kmax):
+    for _ in range(WEIGHT_KMAX):
         if not np.any(active):
             break
         g, mult = _g_and_multiplier(maps, y[active], p, q)
         logl[active] += math.log(mu_a) - np.log(mult)
         y[np.nonzero(active)[0]] += g
         idx = np.nonzero(active)[0]
-        active[idx[np.abs(g) <= tol]] = False
+        active[idx[np.abs(g) <= WEIGHT_TOL]] = False
     return np.exp(logl)
 
 
@@ -503,11 +503,15 @@ def weighted_integral(maps, t, j, panels=1024):
 
     DF^{-j} is evaluated as 1 / DF^j at the end of the backward orbit, with
     DF^j the product of DF(F^{-1}(x)) = 1 / (F^{-1})'(x) along it: one
-    inverse solve per step.  The integral is recomputed at half the panel
-    count and the difference reported as an error estimate.
+    inverse solve per step.  ``panels`` >= 2 uniform panels go through
+    :func:`kgcavity._quadrature.simpson` (Cartwright's last-interval
+    correction when the count is odd).  The integral is recomputed on
+    ``panels // 2`` panels and the difference reported as an error estimate.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
+    if int(panels) < 2:
+        raise ValueError("panels must be >= 2")
     lo = float(maps.h(t))
     hi = float(maps.k(t))
 
@@ -519,18 +523,14 @@ def weighted_integral(maps, t, j, panels=1024):
             prod = prod * d
         return 1.0 / prod**2
 
-    def simpson(n):
-        ys = np.linspace(lo, hi, n + 1)
-        vals = integrand(ys)
-        h = (hi - lo) / n
-        return h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-1:2]))
+    def rule(n):
+        return simpson(integrand(np.linspace(lo, hi, n + 1)), (hi - lo) / n)
 
-    val = simpson(int(panels))
-    return val, abs(val - simpson(int(panels) // 2))
+    val = rule(int(panels))
+    return val, abs(val - rule(int(panels) // 2))
 
 
-def analyze_map(maps, rotation_iterations=100_000, max_q=20, x0=0.0,
-                scan_samples=10_000):
+def analyze_map(maps, rotation_iterations=100_000, max_q=20):
     """Run the full analysis pipeline on one lift and return a MapAnalysis.
 
     With n = ``rotation_iterations`` > max(SHORT_ORBIT, 2 max_q^2), a
@@ -556,7 +556,7 @@ def analyze_map(maps, rotation_iterations=100_000, max_q=20, x0=0.0,
     def scan(res):
         if res not in scans:
             try:
-                scans[res] = find_periodic_points(maps, *res, samples=scan_samples)
+                scans[res] = find_periodic_points(maps, *res)
             except (DegenerateMap, NeutralPoint) as exc:
                 scans[res] = exc
         return scans[res]
@@ -564,7 +564,7 @@ def analyze_map(maps, rotation_iterations=100_000, max_q=20, x0=0.0,
     analysis = None
     if n > max(SHORT_ORBIT, 2 * max_q ** 2):
         try:
-            res = detect_resonance(*rotation_number(maps, SHORT_ORBIT, x0), maps.T, max_q)
+            res = detect_resonance(*rotation_number(maps, SHORT_ORBIT), maps.T, max_q)
         except AmbiguousResonance:
             res = None
         # a root, or DegenerateMap / NeutralPoint, certifies rho = pT/q
@@ -574,7 +574,7 @@ def analyze_map(maps, rotation_iterations=100_000, max_q=20, x0=0.0,
                                    rotation_half_width=maps.T / n,
                                    rotation_iterations=n, rotation_certified=True)
     if analysis is None:
-        est, hw = rotation_number(maps, n, x0)
+        est, hw = rotation_number(maps, n)
         analysis = MapAnalysis(rotation_estimate=est, rotation_half_width=hw,
                                rotation_iterations=n)
         try:

@@ -247,29 +247,25 @@ class FieldGrid:
     ----------
     phi : banded array of samples, rows xi = s_i (i >= index of 0),
           columns eta = s_j for j in [j_min(i), i].
-    Gl : profile values G at every grid node (massless part + correction).
     changes : sup-norm Picard increments; changes[k] is the largest change
               of the (k+1)-th pass over any block of rows.
     block_passes : Picard passes each block of rows needed (int array);
                    iterations is its maximum, len(changes) for m > 0.
     """
 
-    def __init__(self, lattice, profile, m, phi, Gl, corr, changes, block_passes,
+    def __init__(self, lattice, profile, m, phi, changes, block_passes,
                  tol_abs, sup_phi0):
         self.lattice = lattice
         self.maps = lattice.maps
         self.profile = profile
         self.m = float(m)
         self.phi = phi
-        self.Gl = Gl
-        self.corr = corr
         self.changes = list(changes)
         self.block_passes = np.array(block_passes, dtype=int)
         self.iterations = int(self.block_passes.max(initial=0))
         self.tol_abs = float(tol_abs)
         self.sup_phi0 = float(sup_phi0)
         self.t_max = lattice.t_max
-        self.resolution = int(round(lattice.a0 / lattice.delta))
 
     # -- invariants -----------------------------------------------------------
     def _row_sup(self):
@@ -533,8 +529,7 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     tol_abs = tol * max(sup0, 1e-300)
 
     if m == 0.0:
-        return FieldGrid(lat, profile, 0.0, phi, Gl0, np.zeros_like(Gl0),
-                         [0.0], [], tol_abs, sup0)
+        return FieldGrid(lat, profile, 0.0, phi, [0.0], [], tol_abs, sup0)
 
     q4 = 0.25 * m * m
     w = q4 * h * h
@@ -618,7 +613,7 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
         if k.size:
             cumE = run[-1]
 
-    return FieldGrid(lat, profile, m, phi, Gl, corr, changes, passes, tol_abs, sup0)
+    return FieldGrid(lat, profile, m, phi, changes, passes, tol_abs, sup0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,8 @@ def test_scalar_inverse_contract(spec, monkeypatch):
     with pytest.raises(boundary.NoConvergence):
         maps.F_inv(0.3)
     with pytest.raises(boundary.NoConvergence):
+        maps.orbit_translation(0.3, 5)
+    with pytest.raises(boundary.NoConvergence):
         maps.F_inv(np.array([0.3]))
 
 
@@ -166,13 +168,17 @@ def test_random_motions_map_identities():
         assert np.max(np.abs(maps.F(x + m.period) - maps.F(x) - m.period)) <= 1e-10
 
 
-def test_orbit_translation_matches_repeated_F(strong_maps):
-    x0 = 0.123
-    n = 50
-    x = x0
+@pytest.mark.parametrize("spec", _SCALAR_PROFILES + [
+    {"profile": "sinusoidal", "alpha": 0.66, "beta": 0.14, "period": 1.0}],
+    ids=lambda s: "%s-%g" % (s["profile"], s.get("alpha", s.get("mean"))))
+def test_orbit_translation_matches_repeated_F(spec):
+    # each orbit step is the scalar F, so from 0 the two agree bit for bit
+    maps = CharacteristicMaps(make_motion(spec))
+    n = 2000
+    x = 0.0
     for _ in range(n):
-        x = strong_maps.F(x)
-    assert strong_maps.orbit_translation(x0, n) == pytest.approx(x - x0, abs=1e-9)
+        x = maps.F(x)
+    assert maps.orbit_translation(0.0, n) == x
 
 
 class _CountingSinusoid(sinusoidal_profile):
@@ -192,8 +198,8 @@ class _CountingSinusoid(sinusoidal_profile):
 @pytest.mark.parametrize("alpha", [0.35, 0.5, 0.66, 0.8])
 def test_orbit_translation_table_seed_evaluations(alpha):
     # beta = 0.14 walls of the benchmark scan (sup|a'| = 0.88): the table seed
-    # leaves one Newton update per step; the old guess t + 2a/(1 - a') cost
-    # 13-33 evaluations per step on these motions
+    # of the scalar inverse leaves about one Newton update per orbit step; the
+    # old guess t + 2a/(1 - a') cost 13-33 evaluations per step on these motions
     prof = _CountingSinusoid(alpha, 0.14, 1.0)
     maps = CharacteristicMaps(validate_motion(prof, 1.0))
     prof.evals = 0

@@ -211,10 +211,16 @@ def test_Sj_static_wall(static_maps):
         assert val == pytest.approx(2.0, abs=1e-10)
 
 
-def test_S0_is_interval_length(strong_maps):
+@pytest.mark.parametrize("panels", [2, 3, 6, 7, 512])
+def test_S0_is_interval_length(strong_maps, panels):
+    # S_0 integrates 1, which Simpson's rule (with Cartwright's last interval
+    # for an odd panel count) and the trapezoid of panels // 2 = 1 get exactly
     t = 0.3
-    val, _ = cd.weighted_integral(strong_maps, t, 0, panels=512)
+    val, err = cd.weighted_integral(strong_maps, t, 0, panels=panels)
     assert val == pytest.approx(2.0 * float(strong_maps.motion.a(t)), rel=1e-8)
+    assert err <= 1e-12
+    with pytest.raises(ValueError):
+        cd.weighted_integral(strong_maps, t, 0, panels=1)
 
 
 def test_Sj_two_time_sandwich(strong_maps):
