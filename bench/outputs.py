@@ -17,10 +17,10 @@ against the working tree:
     python bench/outputs.py --src /path/to/parent/src --src src
 
 Trees are labelled A, B, ... in ``--src`` order; each entry carries the
-sha256 of its ``kgcavity/*.py`` sources.  Results go to ``BENCH_8.json``.
-The exit code is 1 when ``-w 1`` and ``-w 2`` disagree within a tree or a
-command exits nonzero; differences between trees are printed and recorded,
-not enforced.
+sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``
+(default ``BENCH_8.json``).  The exit code is 1 when ``-w 1`` and ``-w 2``
+disagree within a tree or a command exits nonzero; differences between
+trees are printed and recorded, not enforced.
 """
 
 import argparse
@@ -38,7 +38,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "demos", "example.cfg")
-OUT = os.path.join(ROOT, "BENCH_8.json")
+OUT = "BENCH_8.json"
 COMMANDS = (
     ("simulate", ["simulate"], ("energy_m0.0.csv", "energy_m0.27.csv", "report.json")),
     ("scan -w 1", ["scan", "-w", "1"], ("scan.csv",)),
@@ -94,6 +94,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True,
                     help="directory holding the kgcavity package (repeatable)")
+    ap.add_argument("--out", default=OUT,
+                    help="result file, relative to the repository root (default %s)" % OUT)
     args = ap.parse_args(argv)
 
     trees, failed = [], False
@@ -137,7 +139,7 @@ def main(argv=None):
         "trees": trees,
         "tree_differences": differences,
     }
-    with open(OUT, "w") as fh:
+    with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 1 if failed else 0

@@ -1,15 +1,18 @@
-"""Composite Simpson rule on uniformly spaced samples.
+"""Composite Simpson rule on uniformly spaced samples, and Gauss panels.
 
 ``simpson(y, dx)`` performs the operations of ``scipy.integrate.simpson(y,
 dx=dx)`` (scipy >= 1.11) in the same order, so the two agree bit for bit,
 without importing scipy.  Odd N uses the composite rule over all points;
 N == 2 uses the trapezoid; even N > 2 uses the composite rule over the first
 N - 1 points plus Cartwright's correction for the last interval.
+
+``gauss_panels(lo, hi, nodes, weights)`` maps one Gauss-Legendre rule onto
+each panel [lo[i], hi[i]].
 """
 
 import numpy as np
 
-__all__ = ["simpson"]
+__all__ = ["gauss_panels", "simpson"]
 
 
 def simpson(y, dx):
@@ -31,3 +34,12 @@ def simpson(y, dx):
     result = result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
     # scipy adds its (zero) two-point term last, which turns -0.0 into 0.0
     return result + 0.0
+
+
+def gauss_panels(lo, hi, nodes, weights):
+    """Nodes and weights of the rule (``nodes``, ``weights`` on [-1, 1]) on
+    the panels [lo[i], hi[i]]: arrays of shape (panels, len(nodes)), one row
+    per panel."""
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, 0.5 * (hi - lo) * weights

@@ -14,6 +14,8 @@ two derivatives vanish near both endpoints.
 
 import numpy as np
 
+from kgcavity._quadrature import gauss_panels
+
 __all__ = [
     "BumpOutOfRange",
     "MissingAnalysis",
@@ -197,17 +199,15 @@ def check_hypothesis_J(data, analysis):
     J = getattr(analysis, "J", None)
     if not J:
         raise MissingAnalysis("analysis carries no interval union J")
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    nsub = 8
+    edges = [np.linspace(lo, hi, 9) for lo, hi in J]    # 8 panels per interval
+    x, w = gauss_panels(np.concatenate([e[:-1] for e in edges]),
+                        np.concatenate([e[1:] for e in edges]),
+                        *np.polynomial.legendre.leggauss(64))
+    g = np.asarray(data.dphi0(np.abs(x)), dtype=float) \
+        + np.asarray(data.phi1(np.abs(x)), dtype=float) * np.sign(x)
     total = 0.0
-    for lo, hi in J:
-        edges = np.linspace(lo, hi, nsub + 1)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * nodes
-            w = 0.5 * (e1 - e0) * weights
-            g = np.asarray(data.dphi0(np.abs(x)), dtype=float) \
-                + np.asarray(data.phi1(np.abs(x)), dtype=float) * np.sign(x)
-            total += float(np.sum(w * g**2))
+    for panel in np.sum(w * g**2, axis=1).tolist():
+        total += panel
     return np.sqrt(max(total, 0.0))
 
 

@@ -29,6 +29,8 @@ This module evaluates that exact massless profile; the massive solver in
 
 import numpy as np
 
+from kgcavity._quadrature import gauss_panels
+
 __all__ = [
     "OutsideDomain",
     "IncompatibleData",
@@ -170,9 +172,9 @@ class MasslessProfile:
         """
         ys, ns, _ = self.pullback(self.maps.h(ts))
         cuts = np.unique(np.concatenate([self._initial_kinks, ys]))
-        e0, e1 = cuts[:-1, None], cuts[1:, None]
-        x = (0.5 * (e0 + e1) + 0.5 * (e1 - e0) * _GAUSS_NODES).ravel()
-        wg = (0.5 * (e1 - e0) * _GAUSS_WEIGHTS).ravel() * self._G0_prime(x) ** 2
+        x, wg = gauss_panels(cuts[:-1], cuts[1:], _GAUSS_NODES, _GAUSS_WEIGHTS)
+        x = x.ravel()
+        wg = wg.ravel() * self._G0_prime(x) ** 2
         P = np.empty((int(ns.max()) + 2, cuts.size - 1))
         P[0] = wg.reshape(P.shape[1], -1).sum(axis=1)
         dfk = np.ones_like(x)

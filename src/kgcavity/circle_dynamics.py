@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgcavity._quadrature import simpson
+from kgcavity._quadrature import gauss_panels, simpson
 
 __all__ = [
     "AmbiguousResonance",
@@ -194,6 +194,14 @@ def _g_and_multiplier(maps, x, p, q):
     return y - np.asarray(x, dtype=float) - p * maps.T, mult
 
 
+def _orbit_images(maps, xs, q):
+    """x, F(x), ..., F^{q-1}(x) for every x in ``xs``, as one array."""
+    orbit = [np.asarray(xs, dtype=float)]
+    for _ in range(q - 1):
+        orbit.append(maps.F(orbit[-1]))
+    return np.concatenate(orbit)
+
+
 def _grid_roots(maps, lo, dx, idx, p, q):
     """g on the grid nodes lo + i dx (i in the sorted array ``idx``), and its
     roots there: exact node hits, then every sign change between adjacent
@@ -278,10 +286,7 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
 
     if nodes <= n and roots.size:
         # every orbit image in [lo, hi), then the four nodes around each
-        orbit = [roots]
-        for _ in range(q - 1):
-            orbit.append(maps.F(orbit[-1]))
-        v = np.concatenate(orbit)
+        v = _orbit_images(maps, roots, q)
         shifts = T * np.arange(math.floor((lo - v.max()) / T), math.ceil((hi - v.min()) / T) + 1)
         cells = np.floor((np.add.outer(v, shifts) - lo) / dx).astype(int)
         idx = np.unique(np.add.outer(cells.ravel(), np.arange(-1, 3)))
@@ -308,49 +313,46 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     return points
 
 
-def basin_intervals(maps, points, p, q):
-    """Basin intervals J_i of each attractor, clipped into I0 = [-a(0), a(0)).
+def _basin_pieces(maps, points, lo, hi):
+    """Basin pieces of each attractor of ``points``, the periodic points of
+    the fundamental domain D = [lo, hi) = [lo, F(lo)).
 
-    J_i is the open interval between the repellers neighboring attractor
-    a_i, mapped into I0 by F^j for j in {-1, 0, 1} where it reaches outside
-    (outlying parts of the basin re-enter I0 under one application of F or
-    its inverse).
+    The basin of an attractor a is the open interval between its neighbour
+    repellers.  They lie in (F^{-1}(a), F(a)), inside F^{-1}(D), D and F(D),
+    so they are among the F^{-1}(r), r and F(r) over the repellers r of
+    ``points``.  The basin and its F^{-1} and F images are clipped into D
+    (every orbit meets D once); pieces no longer than 1e-12 are dropped.
+    Returns one sorted list of (lo, hi) pieces per attractor.
     """
-    a0 = maps.a0
     attract = [pt for pt in points if pt.kind == "attracting"]
-    repel = [pt for pt in points if pt.kind == "repelling"]
+    repel = [pt.x for pt in points if pt.kind == "repelling"]
     if not attract or not repel:
-        raise NotHyperbolic("need at least one attractor and one repeller in I0")
-
-    # periodic points translate by T and map by F; build repellers on a
-    # window wide enough to bracket every attractor in I0
-    reps = set()
-    for pt in repel:
-        for base in (pt.x, float(maps.F(pt.x)), float(maps.F_inv(pt.x))):
-            kmin = int(math.floor((-a0 - 3.0 * maps.T - base) / maps.T))
-            kmax = int(math.ceil((a0 + 3.0 * maps.T - base) / maps.T))
-            for k in range(kmin, kmax + 1):
-                reps.add(round(base + k * maps.T, 12))
-    reps = sorted(reps)
-
-    intervals = []
+        raise NotHyperbolic("need at least one attractor and one repeller in [%g, %g)"
+                            % (lo, hi))
+    reps = [y for r in repel for y in (maps.F_inv(r), r, maps.F(r))]
+    pieces = []
     for pt in attract:
         left = max((r for r in reps if r < pt.x - 1e-10), default=None)
         right = min((r for r in reps if r > pt.x + 1e-10), default=None)
         if left is None or right is None:
             raise NotHyperbolic("attractor %g lacks neighboring repellers" % pt.x)
-        pieces = []
-        for j in (-1, 0, 1):
-            if j == 0:
-                seg = (left, right)
-            elif j == 1:
-                seg = (float(maps.F(left)), float(maps.F(right)))
-            else:
-                seg = (float(maps.F_inv(left)), float(maps.F_inv(right)))
-            lo_c, hi_c = max(seg[0], -a0), min(seg[1], a0)
-            if hi_c - lo_c > 1e-12:
-                pieces.append((lo_c, hi_c))
-        pieces.sort()
+        segs = ((maps.F_inv(left), maps.F_inv(right)), (left, right),
+                (maps.F(left), maps.F(right)))
+        pieces.append(sorted((max(u, lo), min(v, hi)) for u, v in segs
+                             if min(v, hi) - max(u, lo) > 1e-12))
+    return pieces
+
+
+def basin_intervals(maps, points):
+    """Basin intervals J_i of each attractor, inside I0 = [-a(0), a(0)).
+
+    ``points`` are the periodic points of I0, the fundamental domain
+    [-a(0), F(-a(0))).  J_i is the basin of a_i (the open interval between
+    its neighbour repellers) with its F^{-1} and F images, clipped into I0 by
+    :func:`_basin_pieces`; pieces that touch are merged.
+    """
+    intervals = []
+    for pieces in _basin_pieces(maps, points, -maps.a0, maps.a0):
         merged = []
         for lo_c, hi_c in pieces:
             if merged and lo_c <= merged[-1][1] + 1e-12:
@@ -381,21 +383,15 @@ def growth_exponent(maps, points, p, q):
     i0 = int(np.argmin(mults))
     mu = mults[i0]
     gamma = -math.log(mu) / (p * maps.T)
-    intervals = basin_intervals(maps, points, p, q)
+    intervals = basin_intervals(maps, points)
     T = maps.T
-
-    def images(xs):
-        orbit = [np.asarray(xs, dtype=float)]
-        for _ in range(q - 1):
-            orbit.append(maps.F(orbit[-1]))
-        return np.concatenate(orbit)
 
     def distance(x, ys):
         # distance on the circle R / TZ
         return float(np.min(np.abs(np.mod(x - ys + 0.5 * T, T) - 0.5 * T)))
 
-    orbit = images([pt.x for pt in attract if pt.multiplier <= mu * (1.0 + 1e-12)])
-    repellers = images([pt.x for pt in points if pt.kind == "repelling"])
+    orbit = _orbit_images(maps, [pt.x for pt in attract if pt.multiplier <= mu * (1.0 + 1e-12)], q)
+    repellers = _orbit_images(maps, [pt.x for pt in points if pt.kind == "repelling"], q)
     J = []
     for i, pt in enumerate(attract):
         if distance(pt.x, orbit) < distance(pt.x, repellers):
@@ -405,21 +401,20 @@ def growth_exponent(maps, points, p, q):
     return gamma, i0, intervals, J, m0
 
 
-def weight_l(maps, x, attractor_x, p, q):
-    """Infinite product l(x) = prod_k DF^q(a_i) / DF^q(F^{kq}(x)), truncated.
+def weight_l(maps, x, mu_a, p, q):
+    """Infinite product l(x) = prod_k mu_a / DF^q(F^{kq}(x)), truncated.
 
-    The orbit y -> F^q(y) - pT contracts geometrically onto a periodic
-    point sharing the multiplier of ``attractor_x`` (possibly its F-image),
-    so the factors tend to 1.  Truncation stops once the fixed-point
-    residual |F^q(y) - pT - y| drops below WEIGHT_TOL — proportional to the
-    distance from the limit point, which bounds the dropped log-tail by
+    ``mu_a`` is the multiplier DF^q(a_i) of the attractor whose basin holds
+    x.  The orbit y -> F^q(y) - pT contracts geometrically onto a periodic
+    point of the orbit of a_i, whose multiplier is mu_a up to rounding, so
+    the factors tend to 1.  Truncation stops once the fixed-point residual
+    |F^q(y) - pT - y| drops below WEIGHT_TOL — proportional to the distance
+    from the limit point, which bounds the dropped log-tail by
     O(WEIGHT_TOL) through the local linearization — or after WEIGHT_KMAX
     factors.
     """
-    mu_a = float(_g_and_multiplier(maps, np.asarray([attractor_x]), 0, q)[1][0])
     y = np.asarray(x, dtype=float).copy()
     logl = np.zeros_like(y)
-    shift = p * maps.T
     active = np.ones(y.shape, dtype=bool)
     for _ in range(WEIGHT_KMAX):
         if not np.any(active):
@@ -435,64 +430,33 @@ def weight_l(maps, x, attractor_x, p, q):
 def asymptotic_coefficients(maps, f, points, p, q):
     """Coefficients A_i = || sqrt(l_i) f ||^2 over the basin pieces J_i.
 
-    Works on the fundamental interval [a_1, F(a_1)) of the first attractor,
-    the natural domain for the weighted-integral asymptotics
+    Works on the fundamental interval [a_1, F(a_1)) of the first attractor
+    a_1 of ``points`` (the periodic points of [-a(0), a(0))), the natural
+    domain for the weighted-integral asymptotics
 
         int f^2 / DF^{nq} = sum_i A_i [DF^q(a_i)]^{-n} + o(mu_i0^{-n}).
 
-    ``f`` is a vectorized callable on [a_1, F(a_1)).
+    Its periodic points are those of ``points`` at or above a_1 and the
+    F-images of the others, which keep their multipliers.  The basin pieces
+    of :func:`_basin_pieces` stay unmerged, so no Gauss panel straddles a
+    repeller.  ``f`` is a vectorized callable on [a_1, F(a_1)).  Returns
+    (attractor, A_i) pairs, attractors in increasing order on [a_1, F(a_1)).
     """
     attract = [pt for pt in points if pt.kind == "attracting"]
     if not attract:
         raise NotHyperbolic("no attracting periodic points")
     a1 = attract[0].x
-    Fa1 = float(maps.F(a1))
-
-    # periodic points inside [a_1, F(a_1)), including translated images
-    pts = find_periodic_points(maps, p, q, lo=a1, hi=Fa1)
-    # a_1 itself sits on the closed left end; re-add if the scan clipped it
-    if not any(abs(pt.x - a1) <= 1e-9 for pt in pts):
-        pts = [PeriodicPoint(a1, attract[0].multiplier, "attracting")] + pts
-    att = [pt for pt in pts if pt.kind == "attracting"]
-    rep = [pt for pt in pts if pt.kind == "repelling"]
-    if not att:
-        raise NotHyperbolic("no attractor in [a_1, F(a_1))")
-
-    # neighboring repellers, extending by the F-image of the structure
-    rep_ext = sorted({pt.x for pt in rep}
-                     | {float(maps.F(pt.x)) for pt in rep}
-                     | {float(maps.F_inv(pt.x)) for pt in rep})
-    if not rep_ext:
-        raise NotHyperbolic("no repelling periodic points bracketing the attractors")
-
+    pts = sorted((pt if pt.x >= a1 else PeriodicPoint(maps.F(pt.x), pt.multiplier, pt.kind)
+                  for pt in points), key=lambda pt: pt.x)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     coeffs = []
-    for pt in att:
-        left = max((r for r in rep_ext if r < pt.x - 1e-10), default=None)
-        right = min((r for r in rep_ext if r > pt.x + 1e-10), default=None)
-        if left is None or right is None:
-            raise NotHyperbolic("attractor %g lacks neighboring repellers" % pt.x)
-        # clip the basin onto [a_1, F(a_1)); the part below a_1 re-enters
-        # above under F (wrap-around of J_1)
-        pieces = []
-        for lo_c, hi_c in ((left, right),
-                           (float(maps.F(left)), float(maps.F(right)))):
-            lo_c, hi_c = max(lo_c, a1), min(hi_c, Fa1)
-            if hi_c - lo_c > 1e-12:
-                pieces.append((lo_c, hi_c))
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        nsub = 32
-        all_x, all_w = [], []
-        for lo_c, hi_c in pieces:
-            edges = np.linspace(lo_c, hi_c, nsub + 1)
-            for e0, e1 in zip(edges[:-1], edges[1:]):
-                all_x.append(0.5 * (e0 + e1) + 0.5 * (e1 - e0) * nodes)
-                all_w.append(0.5 * (e1 - e0) * weights)
-        if not all_x:
-            coeffs.append((pt, 0.0))
-            continue
-        xm = np.concatenate(all_x)
-        wm = np.concatenate(all_w)
-        lv = weight_l(maps, xm, pt.x, p, q)
+    for pt, pieces in zip([pt for pt in pts if pt.kind == "attracting"],
+                          _basin_pieces(maps, pts, a1, maps.F(a1))):
+        edges = [np.linspace(lo, hi, 33) for lo, hi in pieces]   # 32 panels each
+        xm, wm = gauss_panels(np.concatenate([e[:-1] for e in edges]),
+                              np.concatenate([e[1:] for e in edges]), nodes, weights)
+        xm, wm = xm.ravel(), wm.ravel()
+        lv = weight_l(maps, xm, pt.multiplier, p, q)
         fv = np.asarray(f(xm), dtype=float)
         coeffs.append((pt, max(float(np.sum(wm * lv * fv**2)), 0.0)))
     return coeffs

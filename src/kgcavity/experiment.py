@@ -210,6 +210,10 @@ class ExperimentConfig:
     def validate(self, need_fit=True):
         if self.float_("picard.tol") <= 0:
             raise ConfigError("picard.tol must be positive")
+        for key in ("grid.resolution", "fit.samples_per_window", "picard.n_max",
+                    "analysis.max_q", "analysis.rotation_iterations"):
+            if self.int_(key) < 1:
+                raise ConfigError("%s must be >= 1" % key)
         if need_fit and self.float_("grid.horizon_periods") < 2:
             raise ConfigError("grid.horizon_periods must be >= 2 when fitting")
         out = self.str_("output.dir")

@@ -301,8 +301,7 @@ class FieldGrid:
     def slice_L(self, t):
         """Even anti-diagonal index L with node times closest to t."""
         lat = self.lattice
-        L = int(round((t + lat.a0) / lat.delta)) * 2
-        return L
+        return int(round((t + lat.a0) / lat.delta)) * 2
 
     def _slice_nodes(self, L):
         """(i indices, x values, phi values) on anti-diagonal i + j = L."""
@@ -351,7 +350,6 @@ class FieldGrid:
         def row_value(i_arr, etav):
             """phi(s_i, eta) per row with anchored linear interpolation."""
             i_arr = np.asarray(i_arr)
-            out = np.zeros(i_arr.shape)
             s_i = lat.s[i_arr]
             jlo = lat.jmin[i_arr]
             fj = (etav + lat.a0) / d
@@ -366,9 +364,7 @@ class FieldGrid:
                 cc = cmax - (i_arr - jj_cl)
                 valid = (jj_cl >= jlo) & (jj_cl <= i_arr) & (cc >= 0)
                 vals = np.zeros(i_arr.shape)
-                rr = np.clip(r, 0, lat.R - 1)
-                cc_cl = np.clip(cc, 0, cmax)
-                vals[valid] = self.phi[rr[valid], cc_cl[valid]]
+                vals[valid] = self.phi[r[valid], cc[valid]]
                 return vals, valid
 
             v0, ok0 = node(j0)
@@ -389,8 +385,7 @@ class FieldGrid:
             v0 = np.where(lo_anchor, v_w, v0)
             span = np.maximum(z1 - z0, 1e-300)
             w = np.clip((etav - z0) / span, 0.0, 1.0)
-            out = (1.0 - w) * v0 + w * v1
-            return out
+            return (1.0 - w) * v0 + w * v1
 
         va = row_value(i0, eta)
         vb = row_value(np.minimum(i0 + 1, lat.M), eta)

@@ -205,6 +205,74 @@ def test_asymptotic_reproduces_weighted_integral(tuned_maps):
     assert devs[2] < 0.01
 
 
+# the resonant scan motions sinusoidal(alpha, 0.14, 1), the two Fourier walls
+# of test_growth_exponent_J_follows_the_orbit and the strong / tuned fixtures
+_BASIN_CASES = [
+    pytest.param({"profile": "sinusoidal", "alpha": alpha, "beta": 0.14, "period": 1.0},
+                 p, q, id="sinusoidal-%.2f" % alpha)
+    for alpha, p, q in ((0.30, 2, 3), (0.35, 15, 17), (0.40, 1, 1), (0.50, 1, 1),
+                        (0.70, 4, 3), (0.80, 5, 3))
+] + [
+    pytest.param({"profile": "fourier", "mean": 1.0, "cos": [0.002, 0.02], "period": 1.0},
+                 2, 1, id="fourier-2:1"),
+    pytest.param({"profile": "fourier", "mean": 0.5, "cos": [0.0, 0.02], "period": 1.0},
+                 1, 1, id="fourier-half-period"),
+    pytest.param({"profile": "sinusoidal", "alpha": 1.0, "beta": 0.1, "period": 1.0},
+                 2, 1, id="strong_maps"),
+    pytest.param({"profile": "sinusoidal", "alpha": 0.5, "beta": 0.05, "period": 1.0},
+                 1, 1, id="tuned_maps"),
+]
+
+
+def _assert_tiles(pieces, lo, hi):
+    # disjoint pieces inside [lo, hi) whose lengths add up to hi - lo
+    flat = sorted(iv for ivs in pieces for iv in ivs)
+    assert flat[0][0] >= lo and flat[-1][1] <= hi
+    assert all(b[0] >= a[1] - 1e-12 for a, b in zip(flat, flat[1:]))
+    assert sum(b - a for a, b in flat) == pytest.approx(hi - lo, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec, p, q", _BASIN_CASES)
+def test_basin_pieces_tile_the_fundamental_domain(monkeypatch, spec, p, q):
+    maps = _maps(spec)
+    pts = cd.find_periodic_points(maps, p, q)
+    calls = []
+    basin_pieces = cd._basin_pieces
+
+    def recording(maps, points, lo, hi):
+        calls.append((lo, hi, basin_pieces(maps, points, lo, hi)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cd, "_basin_pieces", recording)
+    # the weight is not under test here, and l costs 5 s at 15:17
+    monkeypatch.setattr(cd, "weight_l", lambda maps, x, mu_a, p, q: np.ones_like(x))
+    _assert_tiles(cd.basin_intervals(maps, pts), -maps.a0, maps.a0)
+    cd.asymptotic_coefficients(maps, lambda x: 0.0 * x, pts, p, q)
+    # [a_1, F(a_1)) is the second domain the helper cut
+    lo, hi, pieces = calls[1]
+    a1 = [pt for pt in pts if pt.kind == "attracting"][0].x
+    assert (lo, hi) == (a1, maps.F(a1))
+    _assert_tiles(pieces, lo, hi)
+
+
+@pytest.mark.parametrize("spec, p, q", _BASIN_CASES)
+def test_asymptotic_coefficients_reuse_the_periodic_points(monkeypatch, spec, p, q):
+    # the attractors on [a_1, F(a_1)) are those of I0 at or above a_1 and
+    # the F-images of the others, with the multipliers of I0; no second scan
+    maps = _maps(spec)
+    pts = cd.find_periodic_points(maps, p, q)
+    calls = []
+    monkeypatch.setattr(cd, "find_periodic_points", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cd, "weight_l", lambda maps, x, mu_a, p, q: np.ones_like(x))
+    coeffs = cd.asymptotic_coefficients(maps, lambda x: 0.0 * x, pts, p, q)
+    assert calls == []
+    att = [pt for pt in pts if pt.kind == "attracting"]
+    a1 = att[0].x
+    expected = sorted((pt.x if pt.x >= a1 else maps.F(pt.x), pt.multiplier) for pt in att)
+    assert [(pt.x, pt.multiplier) for pt, _ in coeffs] == expected
+    assert all(pt.kind == "attracting" for pt, _ in coeffs)
+
+
 def test_Sj_static_wall(static_maps):
     for j in [0, 1, 3]:
         val, err = cd.weighted_integral(static_maps, 0.7, j, panels=256)

@@ -301,6 +301,18 @@ def test_cli_malformed_value_is_config_error(tmp_path, capsys, command, over):
     assert "config error: key " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid.resolution", "0"), ("grid.resolution", "-8"),
+    ("fit.samples_per_window", "0"), ("picard.n_max", "0"),
+    ("analysis.max_q", "0"), ("analysis.rotation_iterations", "0"),
+])
+def test_cli_count_below_one_is_config_error(tmp_path, capsys, key, value):
+    # a count below 1 is a config error (exit 1), not a numerical failure
+    path = _write_cfg(tmp_path, **{key: value})
+    assert cli.main(["simulate", path]) == 1
+    assert "config error: %s must be >= 1" % key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("param", [
     "boundary.alfa",     # misspelled: the motion would ignore it
     "mass.values",       # not a boundary key

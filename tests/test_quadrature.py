@@ -3,16 +3,17 @@ import pytest
 import scipy
 from scipy.integrate import simpson as scipy_simpson
 
-from kgcavity._quadrature import simpson
+from kgcavity._quadrature import gauss_panels, simpson
 
 # scipy 1.10's default rule for an even number of points averages the first-
 # and last-interval variants; the helper follows the Cartwright correction
 # that 1.11 made the only rule
-pytestmark = pytest.mark.skipif(
+scipy_rule = pytest.mark.skipif(
     tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 11),
     reason="scipy < 1.11 uses another even-N rule")
 
 
+@scipy_rule
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_simpson_matches_scipy_short(n):
     rng = np.random.default_rng(n)
@@ -22,6 +23,7 @@ def test_simpson_matches_scipy_short(n):
         assert simpson(y, dx).hex() == float(scipy_simpson(y, dx=dx)).hex()
 
 
+@scipy_rule
 def test_simpson_matches_scipy_random_lengths():
     rng = np.random.default_rng(2026)
     lengths = np.concatenate([rng.integers(11, 2049, 100) * 2,
@@ -30,3 +32,16 @@ def test_simpson_matches_scipy_random_lengths():
         y = rng.standard_normal(int(n)) * 10.0 ** rng.uniform(-6, 6)
         dx = float(rng.uniform(1e-4, 1.0))
         assert simpson(y, dx).hex() == float(scipy_simpson(y, dx=dx)).hex(), n
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_gauss_panels_exact_to_degree_2n_minus_1(n):
+    # an n-node rule integrates degree 2n - 1 exactly on every panel
+    rng = np.random.default_rng(n)
+    poly = np.polynomial.Polynomial(rng.standard_normal(2 * n))
+    edges = np.array([-1.3, -0.2, 0.05, 0.7, 2.4])
+    x, w = gauss_panels(edges[:-1], edges[1:], *np.polynomial.legendre.leggauss(n))
+    assert x.shape == w.shape == (4, n)
+    exact = poly.integ()(edges[1:]) - poly.integ()(edges[:-1])
+    scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(2.4) * 10
+    assert np.max(np.abs(np.sum(w * poly(x), axis=1) - exact)) <= 1e-14 * scale
