@@ -7,11 +7,16 @@ point, and records
 
 - its seconds (median of 3 runs without counters);
 - the route that produced the rotation number: ``certified`` (a short
-  orbit proposed p/q and a periodic orbit certified it) or ``full`` (the
-  1e5-step orbit; the only route of source trees without the certificate);
-- the orbit steps taken (the ``n`` of every ``orbit_translation`` call)
-  and the scalar wall evaluations (``a_scalar`` and ``da_scalar`` calls)
-  inside them, per step;
+  orbit proposed p/q and a periodic orbit certified it), ``bracket`` (the
+  1e5-step walk stopped once the orbit's Farey bracket on rho was narrower
+  than 2T/n) or ``full`` (all 1e5 steps walked; the route of every
+  uncertified point in source trees without the bracket);
+- each ``rotation_number`` call, with the steps it asked for and the steps
+  it walked;
+- the orbit steps walked (the ``n`` of every ``orbit_translation`` call,
+  which walks all of them; the walk calls it once per chunk) and the
+  scalar wall evaluations (``a_scalar`` and ``da_scalar`` calls) inside
+  them, per step;
 - each ``find_periodic_points`` call, with its ``p:q`` and the points
   passed to ``F_and_dF`` inside it;
 
@@ -26,7 +31,7 @@ to measure, so the same script measures an older checkout too:
     python bench/orbits.py --label parent --src /path/to/old/checkout/src
 
 Each run replaces its label's entry in the ``--out`` file (default
-``BENCH_9.json``) and keeps the others.  (``BENCH_5.json`` was written by an
+``BENCH_16.json``) and keeps the others.  (``BENCH_5.json`` was written by an
 earlier version of this script, which timed ``rotation_number`` and
 ``find_periodic_points`` on their own.)
 """
@@ -45,7 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITERATIONS = 100_000
 MAX_Q = 20
 REPEAT = 3
-OUT = "BENCH_9.json"
+OUT = "BENCH_16.json"
 
 
 def measure(alpha, beta):
@@ -74,9 +79,9 @@ def measure(alpha, beta):
 
     prof = CountingSinusoid(alpha, beta, 1.0)
     maps = build(prof)
-    steps, evals, points, scans = [0], [0], [0], []
+    steps, evals, points, scans, walks = [0], [0], [0], [], []
     orbit_translation, F_and_dF = maps.orbit_translation, maps.F_and_dF
-    find = cd.find_periodic_points
+    find, rotation_number = cd.find_periodic_points, cd.rotation_number
 
     def counting_orbit(x0, n):
         steps[0] += int(n)
@@ -97,16 +102,29 @@ def measure(alpha, beta):
         finally:
             scans.append({"p": p, "q": q, "F_and_dF_points": points[0] - before})
 
+    def counting_rotation(maps_, iterations, *args, **kwargs):
+        before = steps[0]
+        try:
+            return rotation_number(maps_, iterations, *args, **kwargs)
+        finally:
+            walks.append({"iterations": int(iterations), "steps": steps[0] - before})
+
     maps.orbit_translation, maps.F_and_dF = counting_orbit, counting_F
-    cd.find_periodic_points = counting_find
+    cd.find_periodic_points, cd.rotation_number = counting_find, counting_rotation
     try:
         counted = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
     finally:
-        cd.find_periodic_points = find
+        cd.find_periodic_points, cd.rotation_number = find, rotation_number
     assert counted.to_dict() == analysis.to_dict()
 
-    return {"alpha": alpha, "analyze_map_s": statistics.median(times),
-            "route": "certified" if getattr(analysis, "rotation_certified", False) else "full",
+    if getattr(analysis, "rotation_certified", False):
+        route = "certified"
+    elif any(w["iterations"] == ITERATIONS and w["steps"] < ITERATIONS for w in walks):
+        route = "bracket"
+    else:
+        route = "full"
+    return {"alpha": alpha, "analyze_map_s": statistics.median(times), "route": route,
+            "rotation_walks": walks,
             "rho": analysis.rotation_estimate, "resonance": analysis.resonance,
             "status": analysis.status, "orbit_steps": steps[0],
             "orbit_evals": evals[0],

@@ -465,21 +465,22 @@ class CharacteristicMaps:
 
     # -- scalar orbit ------------------------------------------------------
     def orbit_translation(self, x0, n):
-        """(F^n(x0) - x0) via n scalar lift steps; used by rotation numbers.
+        """[F^k(x0) - x0 for k = 1..n] via n scalar lift steps.
 
         Each step is the scalar :meth:`F`: the reflection time t = h^{-1}(x)
         from :meth:`_invert_scalar` (residual <= inv_tol (1 + |x|)) and the
-        step 2 a(t) from the a(t) of its last residual, so from x0 = 0 the
-        result is F^n(0) bit for bit.
+        step 2 a(t) from the a(t) of its last residual.  Each translation is
+        taken from the running point x_k, so from x0 = 0 they are the orbit
+        points F^k(0) bit for bit.
         """
         invert = self._invert_scalar
-        x = float(x0)
-        total = 0.0
+        x0 = x = float(x0)
+        out = []
+        append = out.append
         for _ in range(int(n)):
-            step = 2.0 * invert(x, -1.0)[1]
-            total += step
-            x = x + step
-        return total
+            x = x + 2.0 * invert(x, -1.0)[1]
+            append(x - x0)
+        return out
 
 
 def make_motion(spec_dict):

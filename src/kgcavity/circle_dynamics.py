@@ -12,10 +12,11 @@ estimate and this convention explicitly.  By Poincare's theorem rho is
 exactly (p/q) T as soon as F^q(x) = x + pT has a solution, so
 :func:`analyze_map` certifies a resonant rotation number by the periodic
 orbit it finds anyway and runs the long orbit only when none is found
-(``MapAnalysis.rotation_certified`` records the route).  The periodic
-orbits are ordered like those of the rigid rotation, so
-:func:`find_periodic_points` scans one fundamental domain of them and maps
-its roots around.
+(``MapAnalysis.rotation_certified`` records the route); that orbit stops
+as soon as the Farey bracket its steps put on rho is narrower than 2T/n
+(:func:`rotation_bracket`).  The periodic orbits are ordered like those of
+the rigid rotation, so :func:`find_periodic_points` scans one fundamental
+domain of them and maps its roots around.
 
 For a resonant map the attracting periodic points a_i (multiplier
 DF^q(a_i) < 1) drive exponential energy growth at rate
@@ -30,6 +31,7 @@ deterministic for fixed iteration and panel counts.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "NotHyperbolic",
     "PeriodicPoint",
     "MapAnalysis",
+    "rotation_bracket",
     "rotation_number",
     "detect_resonance",
     "find_periodic_points",
@@ -54,7 +57,18 @@ __all__ = [
 ]
 
 NEUTRAL_TOL = 1e-8
-#: orbit steps that propose the p/q a periodic orbit then certifies
+#: orbit steps per orbit_translation call of rotation_bracket; its numpy
+#: update of the bracket per chunk costs about 5 % of the chunk's steps
+ORBIT_CHUNK = 512
+#: per orbit step, in units of T: the rounding an orbit accumulates reached
+#: 1.05e-9 T per step (3.9e-5 T after 1e5 steps of the quasi-periodic
+#: sinusoidal(0.66, 0.14, 1), against the same orbit reduced mod T at every
+#: step), so a step within BRACKET_MARGIN * k of an integer may have its
+#: floor decided by rounding and counts for neither end of the bracket
+BRACKET_MARGIN = 1e-8
+# rotation_bracket stops once (hi - lo) n is below this
+_CLOSED = 2 * (1 - Fraction(1, 10**9))
+#: orbit steps, at most, that propose the p/q a periodic orbit then certifies
 SHORT_ORBIT = 1000
 ROOT_TOL = 1e-12
 DEGENERATE_TOL = 1e-9
@@ -142,18 +156,66 @@ class MapAnalysis:
         return d
 
 
-def rotation_number(maps, iterations, x0=0.0):
-    """Estimate rho = (F^n(x) - x)/n with the rigorous half-width T/n.
+def rotation_bracket(maps, iterations, x0=0.0):
+    """(estimate, lo, hi): rho / T lies in [lo, hi], estimate within T/n of rho.
 
-    The half-width follows from the Herman inequality
-    -T/n < (F^n(x) - x)/n - rho(F) < T/n, so the true rotation number is
-    always inside [estimate - T/n, estimate + T/n].
+    With d_k = F^k(x0) - x0 and p_k = floor(d_k / T), the lift
+    G = F^k - p_k T has G(x0) >= x0, so by monotonicity G^j(x0) >= x0 for
+    every j and rho >= p_k T / k; d_k < (p_k + 1) T gives
+    rho <= (p_k + 1) T / k in the same way (Poincare; Katok & Hasselblatt,
+    ch. 11).  The orbit is walked ORBIT_CHUNK steps per
+    :meth:`~kgcavity.boundary.CharacteristicMaps.orbit_translation` call,
+    and lo = max p_k / k and hi = min (p_k + 1) / k are kept as exact
+    fractions.  The walk stops once hi - lo < (2 / n)(1 - 1e-9), the slack
+    keeping the rounded midpoint within T/n of both ends, and the estimate
+    is that midpoint.  Otherwise all n = ``iterations`` steps are walked and
+    the estimate is d_n / n, which is within T/n of rho by Herman's
+    inequality, clamped into [lo T, hi T].
+
+    A step whose d_k / T lies within BRACKET_MARGIN * k of an integer
+    counts for neither end, since rounding may decide its floor.  When no
+    step counts, lo and hi are None: a rigid rotation, or an orbit started
+    on a fixed point, keeps the estimate d_n / n bit for bit.
     """
     n = int(iterations)
     if n < 1:
         raise ValueError("iterations must be >= 1")
-    total = maps.orbit_translation(x0, n)
-    return total / n, maps.T / n
+    T = maps.T
+    x = float(x0)
+    done, total = 0, 0.0
+    lo = hi = None
+    while done < n:
+        steps = maps.orbit_translation(x, min(ORBIT_CHUNK, n - done))
+        k = np.arange(done + 1, done + len(steps) + 1)
+        r = (total + np.asarray(steps)) / T
+        p = np.floor(r)
+        keep = np.minimum(r - p, p + 1.0 - r) > BRACKET_MARGIN * k
+        if keep.any():
+            k, p = k[keep], p[keep]
+            i, j = np.argmax(p / k), np.argmin((p + 1.0) / k)
+            below = Fraction(int(p[i]), int(k[i]))
+            above = Fraction(int(p[j]) + 1, int(k[j]))
+            lo = below if lo is None else max(lo, below)
+            hi = above if hi is None else min(hi, above)
+        done += len(steps)
+        total += steps[-1]
+        x += steps[-1]
+        if lo is not None and (hi - lo) * n < _CLOSED:
+            return float((lo + hi) / 2) * T, lo, hi
+    est = total / n
+    if lo is not None:
+        est = min(max(est, float(lo) * T), float(hi) * T)
+    return est, lo, hi
+
+
+def rotation_number(maps, iterations, x0=0.0):
+    """Estimate rho from the orbit of x0 with the rigorous half-width T/n.
+
+    The estimate is that of :func:`rotation_bracket`, whose walk stops as
+    soon as the orbit's bracket on rho is narrower than 2T/n, so the true
+    rotation number is always inside [estimate - T/n, estimate + T/n].
+    """
+    return rotation_bracket(maps, iterations, x0)[0], maps.T / int(iterations)
 
 
 def detect_resonance(estimate, half_width, T, max_q):
@@ -507,8 +569,8 @@ def analyze_map(maps, rotation_iterations=100_000, max_q=20):
     output but the estimate is what the n-step orbit gives: that orbit lies
     within T/n of pT/q, and a second fraction within 2T/n of p/q with
     q' <= max_q would contradict |p/q - p'/q'| >= 1/(q q') > 2/n.  Without a
-    certificate the n-step orbit runs as before (a scan already made for the
-    same p/q is reused).
+    certificate :func:`rotation_number` walks the orbit of at most n steps
+    (a scan already made for the same p/q is reused).
 
     Errors from the sub-steps (degenerate map, neutral point, no resonance,
     no attractor) are recorded in ``status`` instead of propagating, so

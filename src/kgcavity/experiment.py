@@ -582,9 +582,16 @@ def _chk_herman(cfg, motion, maps, rng):
     x0 = float(rng.uniform(-maps.a0, maps.a0))
     n = 500
     e1, h1 = circle_dynamics.rotation_number(maps, n, x0)
-    e2, _ = circle_dynamics.rotation_number(maps, 10 * n, x0)
-    ok = abs(e1 - e2) <= h1
-    return ok, "|rho_n - rho_10n| = %.2e <= T/n = %.2e" % (abs(e1 - e2), h1)
+    e2, lo, hi = circle_dynamics.rotation_bracket(maps, 10 * n, x0)
+    if lo is None:
+        # no orbit step counted: Herman's bar around the 10n estimate
+        lo, hi = e2 - maps.T / (10 * n), e2 + maps.T / (10 * n)
+    else:
+        lo, hi = float(lo) * maps.T, float(hi) * maps.T
+    spread = max(e1 - lo, hi - e1)
+    ok = abs(e1 - e2) <= h1 and spread <= h1
+    return ok, ("|rho_n - rho_10n| = %.2e, 10n bracket within %.2e of rho_n, <= T/n = %.2e"
+                % (abs(e1 - e2), spread, h1))
 
 
 def _chk_profile(cfg, motion, maps, rng):

@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from kgcavity import boundary
+from kgcavity.circle_dynamics import BRACKET_MARGIN
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +48,29 @@ def random_validated_motions(rng, count):
             continue
         out.append(m)
     return out
+
+
+def farey_bracket(maps, n, x0=0.0):
+    """(d_n, lo, hi) from the orbit x_k = F^k(x0), k <= n, of the scalar F.
+
+    With d_k = x_k - x0 and p_k = floor(d_k / T), rho / T lies in
+    [lo, hi] = [max p_k / k, min (p_k + 1) / k]; a step within
+    ``BRACKET_MARGIN * k`` of an integer counts for neither end, and an end
+    no step fixes is None.  Every step is walked, and the ends are compared
+    as integer cross products.
+    """
+    T = maps.T
+    x = x0 = float(x0)
+    lo = hi = None              # (numerator, k) pairs
+    for k in range(1, n + 1):
+        x = maps.F(x)
+        r = (x - x0) / T
+        p = math.floor(r)
+        if min(r - p, p + 1 - r) <= BRACKET_MARGIN * k:
+            continue
+        if lo is None or p * lo[1] > lo[0] * k:
+            lo = (p, k)
+        if hi is None or (p + 1) * hi[1] < hi[0] * k:
+            hi = (p + 1, k)
+    return (x - x0, None if lo is None else Fraction(*lo),
+            None if hi is None else Fraction(*hi))

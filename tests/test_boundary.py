@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,13 +173,13 @@ def test_random_motions_map_identities():
     {"profile": "sinusoidal", "alpha": 0.66, "beta": 0.14, "period": 1.0}],
     ids=lambda s: "%s-%g" % (s["profile"], s.get("alpha", s.get("mean"))))
 def test_orbit_translation_matches_repeated_F(spec):
-    # each orbit step is the scalar F, so from 0 the two agree bit for bit
+    # each orbit step is the scalar F, so from 0 the translations are the
+    # orbit points bit for bit
     maps = CharacteristicMaps(make_motion(spec))
-    n = 2000
-    x = 0.0
-    for _ in range(n):
-        x = maps.F(x)
-    assert maps.orbit_translation(0.0, n) == x
+    orbit = [0.0]
+    for _ in range(2000):
+        orbit.append(maps.F(orbit[-1]))
+    assert maps.orbit_translation(0.0, 2000) == orbit[1:]
 
 
 class _CountingSinusoid(sinusoidal_profile):
@@ -209,8 +210,8 @@ def test_orbit_translation_table_seed_evaluations(alpha):
 
 
 # rotation_number(maps, 1e5) and detect_resonance(max_q = 20) on the benchmark
-# scan motions sinusoidal(alpha, 0.14, 1), recorded with the Newton guess
-# t + 2a/(1 - a') that the table seed replaced
+# scan motions sinusoidal(alpha, 0.14, 1), recorded as F^n(0)/n with the
+# Newton guess t + 2a/(1 - a') that the table seed replaced
 _ROTATION_RECORD = [
     (0.30, 0.6666678295744496, (2, 3)),
     (0.35, 0.8823568807016382, (15, 17)),
@@ -221,12 +222,30 @@ _ROTATION_RECORD = [
     (0.70, 1.3333321704255567, (4, 3)),
     (0.80, 1.6666652173394958, (5, 3)),
 ]
+# the bracket [lo, hi] on rho/T where the orbit's walk stops, and the
+# estimate: its midpoint, or F^n(0)/n at 0.50, whose orbit starts on the
+# fixed point, so that no step counts for the bracket
+_ROTATION_BRACKET = {
+    0.30: (Fraction(2, 3), Fraction(11263, 16894), 0.666676532102127),
+    0.35: (Fraction(2707, 3068), Fraction(15, 17), 0.8823433545517294),
+    0.36: (Fraction(50175, 50176), Fraction(1), 0.9999900350765306),
+    0.40: (Fraction(50175, 50176), Fraction(1), 0.9999900350765306),
+    0.50: (None, None, 1.0),
+    0.66: (Fraction(224, 191), Fraction(543, 463), 1.1727805231078896),
+    0.70: (Fraction(22525, 16894), Fraction(4, 3), 1.333323467897873),
+    0.80: (Fraction(5, 3), Fraction(28157, 16894), 1.666676532102127),
+}
 
 
 @pytest.mark.parametrize("alpha, rho, res", _ROTATION_RECORD)
 def test_rotation_number_matches_record(alpha, rho, res):
     maps = CharacteristicMaps(make_motion({"profile": "sinusoidal", "alpha": alpha,
                                            "beta": 0.14, "period": 1.0}))
-    est, hw = cd.rotation_number(maps, 100_000)
-    assert abs(est - rho) <= 1e-9 * maps.T
+    n = 100_000
+    lo, hi, pinned = _ROTATION_BRACKET[alpha]
+    assert cd.rotation_bracket(maps, n) == (pinned, lo, hi)
+    est, hw = cd.rotation_number(maps, n)
+    assert est == pinned
+    # both are within T/n of rho
+    assert abs(est - rho) <= 2.0 * maps.T / n
     assert cd.detect_resonance(est, hw, maps.T, 20) == res

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kgcavity import boundary, circle_dynamics as cd
 
-from conftest import random_validated_motions
+from conftest import farey_bracket, random_validated_motions
 
 
 def _maps(spec):
@@ -35,6 +36,47 @@ def test_rotation_long_iteration_two_starts(tuned_maps):
     e2, h2 = cd.rotation_number(tuned_maps, n, x0=-0.37)
     assert h1 == pytest.approx(1e-6)
     assert abs(e1 - e2) <= h1 + h2
+
+
+# the benchmark scan motions sinusoidal(alpha, 0.14, 1)
+_SCAN_ALPHAS = (0.30, 0.35, 0.36, 0.40, 0.50, 0.66, 0.70, 0.80)
+
+
+def test_rotation_bracket_inside_the_bar():
+    # every step of the full n-step orbit bounds rho (Poincare), so that
+    # bracket lies inside [est - T/n, est + T/n] wherever the walk stopped;
+    # sinusoidal(0.5, 0.14, 1) starts on its fixed point, no step counts and
+    # the estimate is F^n(0)/n
+    rng = np.random.default_rng(16)
+    cases = [(_maps({"profile": "sinusoidal", "alpha": alpha, "beta": 0.14,
+                     "period": 1.0}), 0.0, alpha == 0.50) for alpha in _SCAN_ALPHAS]
+    cases += [(boundary.CharacteristicMaps(m), float(rng.uniform(-m.a0, m.a0)), False)
+              for m in random_validated_motions(rng, 6)]
+    n = 20_000
+    for maps, x0, fixed_start in cases:
+        est, hw = cd.rotation_number(maps, n, x0)
+        assert hw == maps.T / n
+        d, lo, hi = farey_bracket(maps, n, x0)
+        if fixed_start:
+            assert lo is None and hi is None and est == d / n
+            continue
+        bar = Fraction(maps.T) / n
+        assert Fraction(est) - bar <= lo * Fraction(maps.T)
+        assert hi * Fraction(maps.T) <= Fraction(est) + bar
+
+
+@pytest.mark.parametrize("fixture", ["static_maps", "tuned_maps"])
+def test_rotation_fallback_bit_for_bit(request, fixture):
+    # a rigid rotation by T, and an orbit from the fixed point 0, land on
+    # integers d_k / T: no step counts, and the estimate stays F^n(0)/n
+    maps = request.getfixturevalue(fixture)
+    n = 20_000
+    d, lo, hi = farey_bracket(maps, n)
+    assert lo is None and hi is None
+    est, _, _ = cd.rotation_bracket(maps, n)
+    assert cd.rotation_bracket(maps, n) == (est, None, None)
+    assert float.hex(est) == float.hex(d / n)
+    assert cd.rotation_number(maps, n) == (est, maps.T / n)
 
 
 def test_detect_resonance_integer():
@@ -114,13 +156,13 @@ def test_multiplier_constant_along_orbit(strong_maps):
         assert float(mult) == pytest.approx(pt.multiplier, abs=1e-8)
 
 
-def test_growth_exponent_arithmetic():
-    # gamma = -ln(mu)/(pT): mu = 0.5, p = 1, q = 2, T = 1 -> ln 2
-    class FakeMaps:
-        T = 1.0
-    pt = cd.PeriodicPoint(0.0, 0.5, "attracting")
-    gamma = -math.log(pt.multiplier) / (1 * FakeMaps.T)
-    assert gamma == pytest.approx(math.log(2.0))
+def test_growth_exponent_arithmetic(strong_maps):
+    # gamma = -ln(mu)/(pT) on the 2:1 wall: the divisor is pT, not qT or T
+    pts = cd.find_periodic_points(strong_maps, 2, 1)
+    gamma, _, _, _, _ = cd.growth_exponent(strong_maps, pts, 2, 1)
+    mu = min(pt.multiplier for pt in pts if pt.kind == "attracting")
+    assert mu == pytest.approx(0.2283, abs=1e-4)
+    assert gamma == -math.log(mu) / (2 * strong_maps.T)
 
 
 def test_growth_exponent_tuned(tuned_maps):
@@ -503,9 +545,9 @@ def test_periodic_points_15_17_scans_one_domain():
 # ---------------------------------------------------------------------------
 
 def _full_orbit_reference(maps, n, max_q):
-    """rotation_number(n), its resonance and the analysis built from it."""
-    est, hw = cd.rotation_number(maps, n)
-    ref = {"est": est, "resonance": cd.detect_resonance(est, hw, maps.T, max_q),
+    """F^n(0)/n, its resonance and the analysis built from it."""
+    est = maps.orbit_translation(0.0, n)[-1] / n
+    ref = {"est": est, "resonance": cd.detect_resonance(est, maps.T / n, maps.T, max_q),
            "points": [], "gamma": None, "J": []}
     if ref["resonance"] is None:
         ref["status"] = "no_resonance"
@@ -543,12 +585,15 @@ def test_analyze_map_certificate_matches_full_orbit(alpha, beta):
     assert analysis.rotation_half_width == maps.T / n
     assert analysis.rotation_iterations == n
     # alpha = 0.36 is a tongue edge without periodic points, 0.66 is
-    # quasi-periodic: both keep the n-step estimate bit for bit
+    # quasi-periodic: both take the estimate of the orbit's bracket, and the
+    # bracket of all n steps lies within T/n of it
     fallback = alpha in (0.36, 0.66)
     assert analysis.rotation_certified is not fallback
     assert analysis.to_dict()["rotation_certified"] is not fallback
     if fallback:
-        assert float.hex(analysis.rotation_estimate) == float.hex(ref["est"])
+        _, lo, hi = farey_bracket(maps, n)
+        est, bar = Fraction(analysis.rotation_estimate), Fraction(maps.T) / n
+        assert est - bar <= lo * Fraction(maps.T) and hi * Fraction(maps.T) <= est + bar
     else:
         p, q = analysis.resonance
         assert analysis.rotation_estimate == p * maps.T / q
