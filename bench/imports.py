@@ -21,12 +21,13 @@ Run from the repository root; ``--src`` names a directory holding the
 ``kgcavity`` package and may be repeated, so a parent checkout can be set
 against the working tree:
 
-    python bench/imports.py --src src
-    python bench/imports.py --src /path/to/parent/src --src src
+    python bench/imports.py --src src --out /tmp/imports.json
+    python bench/imports.py --src /path/to/parent/src --src src --out /tmp/imports.json
 
 Trees are labelled A, B, ... in ``--src`` order; each entry carries the
-sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``
-(default ``BENCH_10.json``).  The exit code is 1 when a command exits
+sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``, which
+has no default so that a comparison run never overwrites a checked-in
+record (``BENCH_10.json`` was written by this script).  The exit code is 1 when a command exits
 nonzero or the oracle's ``psi`` or ``compare`` values differ between trees.
 """
 
@@ -44,7 +45,6 @@ from outputs import _tree_sha
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "demos", "example.cfg")
-OUT = "BENCH_10.json"
 COMMANDS = (("analyze-map", ["analyze-map"]), ("simulate", ["simulate"]),
             ("scan -w 1", ["scan", "-w", "1"]), ("verify -w 1", ["verify", "-w", "1"]))
 
@@ -136,8 +136,8 @@ def main(argv=None):
                     help="directory holding the kgcavity package (repeatable)")
     ap.add_argument("--repeat", type=int, default=7,
                     help="fresh processes per timing (default 7)")
-    ap.add_argument("--out", default=OUT,
-                    help="result file, relative to the repository root (default %s)" % OUT)
+    ap.add_argument("--out", required=True,
+                    help="result file, relative to the repository root")
     args = ap.parse_args(argv)
 
     trees, failed = [], False

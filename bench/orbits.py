@@ -27,11 +27,12 @@ scalar evaluators at construction).
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
 
-    python bench/orbits.py --label change
-    python bench/orbits.py --label parent --src /path/to/old/checkout/src
+    python bench/orbits.py --label change --out /tmp/orbits.json
+    python bench/orbits.py --label parent --src /path/to/old/checkout/src --out /tmp/orbits.json
 
-Each run replaces its label's entry in the ``--out`` file (default
-``BENCH_16.json``) and keeps the others.  (``BENCH_5.json`` was written by an
+Each run replaces its label's entry in the ``--out`` file and keeps the
+others; ``--out`` has no default so that a run never overwrites a
+checked-in record (``BENCH_16.json`` was written by this script).  (``BENCH_5.json`` was written by an
 earlier version of this script, which timed ``rotation_number`` and
 ``find_periodic_points`` on their own.)
 """
@@ -50,7 +51,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITERATIONS = 100_000
 MAX_Q = 20
 REPEAT = 3
-OUT = "BENCH_16.json"
 
 
 def measure(alpha, beta):
@@ -137,8 +137,8 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the kgcavity package (default: ./src)")
-    ap.add_argument("--out", default=OUT,
-                    help="result file, relative to the repository root (default %s)" % OUT)
+    ap.add_argument("--out", required=True,
+                    help="result file, relative to the repository root")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))

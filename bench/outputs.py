@@ -13,12 +13,13 @@ Run from the repository root; ``--src`` names a directory holding the
 ``kgcavity`` package and may be repeated, so a parent checkout can be set
 against the working tree:
 
-    python bench/outputs.py --src src
-    python bench/outputs.py --src /path/to/parent/src --src src
+    python bench/outputs.py --src src --out /tmp/outputs.json
+    python bench/outputs.py --src /path/to/parent/src --src src --out /tmp/outputs.json
 
 Trees are labelled A, B, ... in ``--src`` order; each entry carries the
-sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``
-(default ``BENCH_8.json``).  The exit code is 1 when ``-w 1`` and ``-w 2``
+sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``, which
+has no default so that a comparison run never overwrites a checked-in
+record (``BENCH_8.json`` was written by this script).  The exit code is 1 when ``-w 1`` and ``-w 2``
 disagree within a tree or a command exits nonzero; differences between
 trees are printed and recorded, not enforced.
 """
@@ -38,7 +39,6 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "demos", "example.cfg")
-OUT = "BENCH_8.json"
 COMMANDS = (
     ("simulate", ["simulate"], ("energy_m0.0.csv", "energy_m0.27.csv", "report.json")),
     ("scan -w 1", ["scan", "-w", "1"], ("scan.csv",)),
@@ -94,8 +94,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True,
                     help="directory holding the kgcavity package (repeatable)")
-    ap.add_argument("--out", default=OUT,
-                    help="result file, relative to the repository root (default %s)" % OUT)
+    ap.add_argument("--out", required=True,
+                    help="result file, relative to the repository root")
     args = ap.parse_args(argv)
 
     trees, failed = [], False

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+#: slack of in_domain on both inequalities
+DOMAIN_TOL = 1e-9
 
 
 class OutsideDomain(ValueError):
@@ -49,12 +51,12 @@ class IncompatibleData(ValueError):
     """Cauchy data fails the corner compatibility conditions."""
 
 
-def in_domain(maps, xi, eta, tol=1e-9):
+def in_domain(maps, xi, eta):
     """Vectorized membership test for the transformed domain."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     lower = np.maximum(-xi, maps.F_inv(xi))
-    return (eta <= xi + tol) & (eta >= lower - tol)
+    return (eta <= xi + DOMAIN_TOL) & (eta >= lower - DOMAIN_TOL)
 
 
 class MasslessProfile:
@@ -113,15 +115,6 @@ class MasslessProfile:
             active[idx] = eta[idx] >= self.a0
         return eta, n, prod
 
-    def n_of(self, eta):
-        """Prolongation depth: eta lies in F^n([-a(0), a(0)))."""
-        _, n, _ = self.pullback(eta)
-        return n if np.ndim(eta) else int(n[0])
-
-    def K_of(self, t):
-        """K(t) = n(t + a_max)."""
-        return self.n_of(np.asarray(t, dtype=float) + self.maps.motion.a_max)
-
     # -- profile evaluation ---------------------------------------------------
     def G(self, eta):
         eta0, _, _ = self.pullback(eta)
@@ -141,15 +134,6 @@ class MasslessProfile:
             raise OutsideDomain("point outside the characteristic domain")
         out = self.G(eta_a) - self.G(xi_a)
         return out if np.ndim(xi) or np.ndim(eta) else float(out[0])
-
-    def phi_txy(self, t, x):
-        """(phi, phi_t, phi_x) at space-time points, vectorized."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        xi, eta = t + x, t - x
-        gxi, geta = self.G(xi), self.G(eta)
-        dxi, deta = self.G_prime(xi), self.G_prime(eta)
-        return geta - gxi, deta - dxi, -(deta + dxi)
 
     # -- energy ----------------------------------------------------------------
     def energy(self, t):

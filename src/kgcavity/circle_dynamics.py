@@ -70,6 +70,8 @@ BRACKET_MARGIN = 1e-8
 _CLOSED = 2 * (1 - Fraction(1, 10**9))
 #: orbit steps, at most, that propose the p/q a periodic orbit then certifies
 SHORT_ORBIT = 1000
+#: grid nodes per unit of q in the periodic-point scan of [-a(0), a(0))
+SCAN_SAMPLES = 10_000
 ROOT_TOL = 1e-12
 DEGENERATE_TOL = 1e-9
 #: weight_l stops once |F^q(y) - pT - y| <= WEIGHT_TOL or after WEIGHT_KMAX factors
@@ -295,11 +297,11 @@ def _grid_roots(maps, lo, dx, idx, p, q):
     return g, np.concatenate([xs[np.abs(g) <= 1e-13 * scale], 0.5 * (a + b)])
 
 
-def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
-    """All periodic points F^q(x) = x + pT on [lo, hi) (default [-a(0), a(0))).
+def find_periodic_points(maps, p, q):
+    """All periodic points F^q(x) = x + pT on [lo, hi) = [-a(0), a(0)).
 
     The roots of g = F^q - Id - pT are found on the grid of nodes
-    lo + i dx, 0 <= i <= n, dx = (hi - lo) / n, n = max(samples q, 1024):
+    lo + i dx, 0 <= i <= n, dx = 2 a(0) / n, n = max(SCAN_SAMPLES q, 1024):
     exact node hits, and sign changes between adjacent nodes bisected
     together to 1e-12.  Only one fundamental domain of the p:q orbits is
     scanned in full: with s p = 1 (mod q) and r = (s p - 1)/q, the lift
@@ -312,7 +314,7 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     grid is scanned again on the four nodes around every image, which
     finds the roots a scan of all n + 1 nodes would find, bracket for bracket.
     When the domain is not shorter than [lo, hi) (every q = 1 with
-    hi - lo <= T) all n + 1 nodes are scanned at once.  Roots are then
+    2 a(0) <= T) all n + 1 nodes are scanned at once.  Roots are then
     deduplicated and classified by their multipliers DF^q, all taken in
     one orbit pass.
 
@@ -327,13 +329,9 @@ def find_periodic_points(maps, p, q, samples=10_000, lo=None, hi=None):
     p, q = int(p), int(q)
     if math.gcd(p, q) != 1:
         raise ValueError("(p, q) must be coprime")
-    a0 = maps.a0
-    if lo is None:
-        lo = -a0
-    if hi is None:
-        hi = a0
+    lo, hi = -maps.a0, maps.a0
     T = maps.T
-    n = max(int(samples) * q, 1024)
+    n = max(SCAN_SAMPLES * q, 1024)
     dx = (hi - lo) / n
     # G(lo) = F^s(lo) - rT; pow(p, -1, 1) = 0 makes G = Id + T for q = 1
     s = pow(p, -1, q)

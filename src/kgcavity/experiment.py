@@ -34,7 +34,6 @@ period T.
 CSV schemas (headers mandatory, '.' decimal, no locale):
   energy series: ``t,E,E_mass_share,E_window_avg``
   scan:          ``param,rho,rho_err,p,q,gamma,gamma_fit,status``
-  field export:  ``t,x,phi`` (written by ``FieldGrid.export_table``)
 """
 
 import json
@@ -333,7 +332,7 @@ def analyze_config_map(cfg, override=None):
     return motion, maps, analysis
 
 
-def run_experiment(cfg, write_outputs=True):
+def run_experiment(cfg):
     """Full pipeline: map analysis, data checks, per-mass runs, fits, report.
 
     Per-mass errors are caught and recorded; partial results persist.
@@ -408,10 +407,9 @@ def run_experiment(cfg, write_outputs=True):
                 entry["sandwich"] = _sandwich(info["window_times"],
                                               info["window_averages"],
                                               gamma_pred, burn)
-            if write_outputs:
-                path = os.path.join(outdir, "energy_m%s.csv" % _fmt(m))
-                _energy_csv(path, times, E, share, window)
-                entry["energy_csv"] = path
+            path = os.path.join(outdir, "energy_m%s.csv" % _fmt(m))
+            _energy_csv(path, times, E, share, window)
+            entry["energy_csv"] = path
         except Exception as exc:   # record and continue with other masses
             entry["error"] = "%s: %s" % (type(exc).__name__, exc)
             report["errors"].append("mass %g: %s" % (m, entry["error"]))
@@ -433,10 +431,9 @@ def run_experiment(cfg, write_outputs=True):
             report["errors"].append("oracle: %s: %s" % (type(exc).__name__, exc))
             report["oracle"] = None
 
-    if write_outputs:
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+    with open(os.path.join(outdir, "report.json"), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
     return report
 
 
@@ -514,7 +511,7 @@ def _scan_point(args):
     return row
 
 
-def scan(cfg, workers=1, write_outputs=True):
+def scan(cfg, workers=1):
     """Sweep one boundary parameter; one CSV row per point, errors in-row.
 
     Rows are sorted by parameter value before writing, so output bytes are
@@ -531,18 +528,17 @@ def scan(cfg, workers=1, write_outputs=True):
     rows = _dispatch(_scan_point, [(cfg.values, param, v) for v in values],
                      workers)
     rows.sort(key=lambda r: r["param"])
-    if write_outputs:
-        path = os.path.join(cfg.str_("output.dir"), "scan.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("param,rho,rho_err,p,q,gamma,gamma_fit,status\n")
-            for r in rows:
-                fh.write(",".join([
-                    _fmt(r["param"]), _fmt(r["rho"]), _fmt(r["rho_err"]),
-                    "" if r["p"] is None else str(r["p"]),
-                    "" if r["q"] is None else str(r["q"]),
-                    _fmt(r["gamma"]), _fmt(r["gamma_fit"]),
-                    str(r["status"]).replace(",", ";"),
-                ]) + "\n")
+    path = os.path.join(cfg.str_("output.dir"), "scan.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("param,rho,rho_err,p,q,gamma,gamma_fit,status\n")
+        for r in rows:
+            fh.write(",".join([
+                _fmt(r["param"]), _fmt(r["rho"]), _fmt(r["rho_err"]),
+                "" if r["p"] is None else str(r["p"]),
+                "" if r["q"] is None else str(r["q"]),
+                _fmt(r["gamma"]), _fmt(r["gamma_fit"]),
+                str(r["status"]).replace(",", ";"),
+            ]) + "\n")
     return rows
 
 
@@ -680,7 +676,7 @@ def _verify_one(args):
     return name, bool(ok), detail
 
 
-def run_verify(cfg, workers=1, write_outputs=True):
+def run_verify(cfg, workers=1):
     """Run the invariant battery; returns (all_ok, lines).
 
     Lines are sorted by check name and written byte-identically regardless
@@ -693,10 +689,9 @@ def run_verify(cfg, workers=1, write_outputs=True):
     lines = ["%-4s %-24s %s" % ("PASS" if ok else "FAIL", name, detail)
              for name, ok, detail in results]
     all_ok = all(ok for _, ok, _ in results)
-    if write_outputs:
-        path = os.path.join(cfg.str_("output.dir"), "verify.txt")
-        with open(path, "w", newline="") as fh:
-            for ln in lines:
-                fh.write(ln + "\n")
-            fh.write("RESULT %s\n" % ("PASS" if all_ok else "FAIL"))
+    path = os.path.join(cfg.str_("output.dir"), "verify.txt")
+    with open(path, "w", newline="") as fh:
+        for ln in lines:
+            fh.write(ln + "\n")
+        fh.write("RESULT %s\n" % ("PASS" if all_ok else "FAIL"))
     return all_ok, lines

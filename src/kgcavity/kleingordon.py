@@ -393,7 +393,13 @@ class FieldGrid:
 
     # -- energy ----------------------------------------------------------------
     def energy_components(self, t):
-        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time."""
+        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time.
+
+        Spatial derivative: 4th-order central differences on the aligned
+        slice; time derivative: centered difference between the t +- delta
+        slices (which share x nodes by lattice alignment); composite Simpson
+        in x plus an exactly-anchored partial cell at the moving wall.
+        """
         lat = self.lattice
         d = lat.delta
         L = self.slice_L(t)
@@ -455,43 +461,18 @@ class FieldGrid:
             E_mass += 0.5 * gap * mass_dens[-1]
         return E_kin, E_grad, E_mass, t_act
 
-    def energy(self, t):
-        """E_m(t) and the mass-term share (m^2/2) int phi^2.
-
-        Spatial derivative: 4th-order central differences on the aligned
-        slice; time derivative: centered difference between the t +- delta
-        slices (which share x nodes by lattice alignment); composite Simpson
-        in x plus an exactly-anchored partial cell at the moving wall.
-        """
-        kin, grad, mass, t_act = self.energy_components(t)
-        return kin + grad + mass, mass, t_act
-
     def energy_series(self, ts):
         """(t_actual, E, mass share) arrays at the aligned times nearest ts."""
         out_t, out_E, out_M = [], [], []
         for t in np.asarray(ts, dtype=float):
             try:
-                E, Em, ta = self.energy(float(t))
+                kin, grad, mass, ta = self.energy_components(float(t))
             except SliceUnavailable:
                 continue
             out_t.append(ta)
-            out_E.append(E)
-            out_M.append(Em)
+            out_E.append(kin + grad + mass)
+            out_M.append(mass)
         return np.asarray(out_t), np.asarray(out_E), np.asarray(out_M)
-
-    def export_table(self, path, times=None):
-        """Write (t, x, phi) rows for external plotting."""
-        if times is None:
-            times = np.linspace(0.0, self.t_max, 33)
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,phi\n")
-            for t in times:
-                try:
-                    ta, xs, vals = self.phi_slice(float(t))
-                except SliceUnavailable:
-                    continue
-                for x, v in zip(xs, vals):
-                    fh.write("%.17g,%.17g,%.17g\n" % (ta, x, v))
 
 
 def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,

@@ -48,13 +48,12 @@ class OracleRun:
     boundary columns are exactly zero.
     """
 
-    def __init__(self, motion, m, ts, ys, psi, cfl):
+    def __init__(self, motion, m, ts, ys, psi):
         self.motion = motion
         self.m = float(m)
         self.ts = ts
         self.ys = ys
         self.psi = psi
-        self.cfl = float(cfl)
         self.n_y = len(ys) - 1
 
     def slice_at(self, t):
@@ -214,7 +213,7 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
                 raise Unstable("|psi| exceeded 1e+06 x initial or is not finite at t=%g"
                                % ts[n])
 
-    return OracleRun(motion, m, ts, ys, psi, cfl)
+    return OracleRun(motion, m, ts, ys, psi)
 
 
 def compare(run, field, times=None):

@@ -67,7 +67,8 @@ def discovered_motion(tmp_path_factory):
         "analysis.rotation_iterations": "100000",
         "output.dir": str(out),
     })
-    rows = experiment.scan(cfg, write_outputs=False)
+    rows = experiment.scan(cfg)
+    assert len((out / "scan.csv").read_text().splitlines()) == len(rows) + 1
     candidate = None
     for r in rows:
         if r["status"] != "ok" or r["gamma"] is None:
@@ -167,8 +168,8 @@ def test_acceptance_2_static_massive_eigenmode(eigenmode_runs):
                 vals - np.sin(np.pi * xs) * math.cos(om * ta)))))
         edev = 0.0
         for t in np.linspace(0.3, t_end - 0.1, 9):
-            E, _, _ = fg.energy(t)
-            edev = max(edev, abs(E - om * om / 4) / (om * om / 4))
+            kin, grad, mass, _ = fg.energy_components(t)
+            edev = max(edev, abs(kin + grad + mass - om * om / 4) / (om * om / 4))
         ok = ok and sup <= 1e-4 and edev <= 1e-3
         details.append("m=%g: sup err %.2e (<=1e-4), energy dev %.2e (<=1e-3)"
                        % (m, sup, edev))

@@ -452,10 +452,11 @@ def test_growth_exponent_J_follows_the_orbit(spec, p, q, members):
 # periodic points from one fundamental domain
 # ---------------------------------------------------------------------------
 
-def _dense_scan_points(maps, p, q, lo, hi, samples=10_000):
-    """Reference: sign scan of F^q - Id - pT over all of [lo, hi] at the
+def _dense_scan_points(maps, p, q):
+    """Reference: sign scan of F^q - Id - pT over all of [-a(0), a(0)] at the
     spacing find_periodic_points uses, every bracket bisected to 1e-12."""
-    n = max(samples * q, 1024)
+    lo, hi = -maps.a0, maps.a0
+    n = max(cd.SCAN_SAMPLES * q, 1024)
     xs = lo + (hi - lo) / n * np.arange(n + 1)
     g, _ = cd._g_and_multiplier(maps, xs, p, q)
     hits = xs[np.abs(g) <= 1e-13 * max(1.0, p * maps.T)]
@@ -476,9 +477,9 @@ def _dense_scan_points(maps, p, q, lo, hi, samples=10_000):
     return roots, ["attracting" if m < 1.0 else "repelling" for m in mults]
 
 
-def _assert_matches_dense_scan(maps, p, q, lo, hi):
-    pts = cd.find_periodic_points(maps, p, q, lo=lo, hi=hi)
-    roots, kinds = _dense_scan_points(maps, p, q, lo, hi)
+def _assert_matches_dense_scan(maps, p, q):
+    pts = cd.find_periodic_points(maps, p, q)
+    roots, kinds = _dense_scan_points(maps, p, q)
     assert len(pts) == len(roots) > 0
     assert [pt.kind for pt in pts] == kinds
     for pt, r in zip(pts, roots):
@@ -486,42 +487,59 @@ def _assert_matches_dense_scan(maps, p, q, lo, hi):
     return pts
 
 
+def _shifted_maps(alpha, beta, s):
+    """sinusoidal(alpha, beta, 1) started at time s, as a Fourier wall.  Its
+    lift is y -> F(y + s) - s, so its periodic points are those of F moved
+    by -s, and find_periodic_points scans [-a(s), a(s)) = [h(s) - s, k(s) - s)."""
+    w = 2 * math.pi * s
+    return _maps({"profile": "fourier", "mean": alpha, "cos": [beta * math.sin(w)],
+                  "sin": [beta * math.cos(w)], "period": 1.0})
+
+
 @pytest.mark.parametrize("alpha, p, q", [(0.35, 15, 17), (0.30, 2, 3), (0.70, 4, 3)])
 def test_periodic_points_fundamental_domain_matches_dense_scan(alpha, p, q):
     maps = _maps({"profile": "sinusoidal", "alpha": alpha, "beta": 0.14,
                   "period": 1.0})
-    pts = _assert_matches_dense_scan(maps, p, q, -maps.a0, maps.a0)
-    # the interval [a_1, F(a_1)) of asymptotic_coefficients, with a root on lo
+    pts = _assert_matches_dense_scan(maps, p, q)
+    # s = h^{-1}(a_1) puts the attractor a_1 on lo = -a(s)
     a1 = next(pt.x for pt in pts if pt.kind == "attracting")
-    _assert_matches_dense_scan(maps, p, q, a1, float(maps.F(a1)))
-    # an interval of the default length whose domain [lo, G(lo)) ends 1e-3
-    # grid spacings above a root, inside the domain's last partial grid cell:
-    # lo = G^{-1}(x + 1e-3 dx) with G^{-1} = F^{-s} + rT
-    s = pow(p, -1, q)
-    lo = pts[0].x + 1e-3 * 2 * maps.a0 / (10_000 * q) + (s * p - 1) // q * maps.T
-    for _ in range(s):
+    shifted = _shifted_maps(alpha, 0.14, float(maps.h_inv(a1)))
+    on_lo = _assert_matches_dense_scan(shifted, p, q)[0].x
+    assert abs(on_lo + shifted.a0) <= 1e-12
+    # a wall whose domain [lo, G(lo)) ends 1e-3 old grid spacings above a
+    # root, inside the domain's last partial grid cell: h(s) = G^{-1}(x + 1e-3 dx)
+    # with G^{-1} = F^{-r} + kT, r p = 1 (mod q), k = (r p - 1)/q
+    r = pow(p, -1, q)
+    k = (r * p - 1) // q
+    lo = pts[0].x + 1e-3 * 2 * maps.a0 / (cd.SCAN_SAMPLES * q) + k * maps.T
+    for _ in range(r):
         lo = maps.F_inv(lo)
-    _assert_matches_dense_scan(maps, p, q, lo, lo + 2 * maps.a0)
+    shifted = _shifted_maps(alpha, 0.14, float(maps.h_inv(lo)))
+    top = -shifted.a0
+    for _ in range(r):
+        top = shifted.F(top)
+    top -= k * shifted.T
+    dx = 2 * shifted.a0 / (cd.SCAN_SAMPLES * q)
+    gaps = [top - pt.x for pt in _assert_matches_dense_scan(shifted, p, q)]
+    assert min(g for g in gaps if g > 0) < 0.01 * dx
 
 
 def test_periodic_points_last_cell_scanned():
-    # sinusoidal(0.5, 0.05, 1): repeller at -1/2, attractor at 0; the
-    # attractor lies 0.3 grid spacings below hi, in the last cell [hi - dx, hi)
-    maps = _maps({"profile": "sinusoidal", "alpha": 0.5, "beta": 0.05, "period": 1.0})
-    dx = 2 * maps.a0 / 10_000
-    pts = cd.find_periodic_points(maps, 1, 1, lo=0.3 * dx - 2 * maps.a0, hi=0.3 * dx)
-    assert [pt.kind for pt in pts] == ["repelling", "attracting"]
-    assert abs(pts[0].x + 0.5) <= 1e-12 and abs(pts[1].x) <= 1e-12
-    # the one-domain pass (q = 3, so the domain is shorter than [lo, hi))
-    # scans the last cell too: a 2:3 root 0.3 dx below hi comes back
-    maps = _maps({"profile": "sinusoidal", "alpha": 0.30, "beta": 0.14, "period": 1.0})
-    r = cd.find_periodic_points(maps, 2, 3)[-1].x
-    hi = r + 0.3 * 2 * maps.a0 / 30_000
-    pts = cd.find_periodic_points(maps, 2, 3, lo=hi - 2 * maps.a0, hi=hi)
-    wide = cd.find_periodic_points(maps, 2, 3, lo=hi - 2 * maps.a0, hi=hi + 0.01)
-    wide = [pt.x for pt in wide if pt.x < hi]
-    assert len(pts) == len(wide) and abs(pts[-1].x - r) <= 1e-12
-    assert np.max(np.abs(np.subtract([pt.x for pt in pts], wide))) <= 1e-12
+    # k(s) = x + 0.3 dx puts the last root x of the unshifted wall in the
+    # last cell [hi - dx, hi) of the shifted one.  sinusoidal(0.5, 0.05, 1)
+    # (repeller at -1/2, attractor at 0) scans all nodes at once; the 2:3
+    # wall's domain is shorter than [lo, hi), so the one-domain pass has to
+    # reach the last cell through the orbit images
+    for alpha, beta, p, q in [(0.5, 0.05, 1, 1), (0.30, 0.14, 2, 3)]:
+        maps = _maps({"profile": "sinusoidal", "alpha": alpha, "beta": beta,
+                      "period": 1.0})
+        x = cd.find_periodic_points(maps, p, q)[-1].x
+        s = float(maps.k_inv(x + 0.3 * 2 * maps.a0 / (cd.SCAN_SAMPLES * q)))
+        shifted = _shifted_maps(alpha, beta, s)
+        last = _assert_matches_dense_scan(shifted, p, q)[-1].x
+        dx = 2 * shifted.a0 / (cd.SCAN_SAMPLES * q)
+        assert shifted.a0 - dx < last < shifted.a0
+        assert last == pytest.approx(x - s, abs=1e-12)
 
 
 def test_periodic_points_15_17_scans_one_domain():

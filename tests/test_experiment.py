@@ -348,8 +348,10 @@ def test_run_experiment_oracle_discrepancy_falls(tmp_path):
     sup = {}
     for n_y in (256, 512):
         cfg = _cfg(tmp_path, **{"oracle.enabled": "true", "oracle.n_y": n_y})
-        report = experiment.run_experiment(cfg, write_outputs=False)
+        report = experiment.run_experiment(cfg)
         assert not report["errors"]
+        with open(tmp_path / "out" / "report.json") as fh:
+            assert json.load(fh)["oracle"] == report["oracle"]
         oracle = report["oracle"]
         assert oracle["n_y"] == n_y and oracle["horizon"] == 3.0
         sup[n_y] = oracle["sup_discrepancy"]
@@ -359,6 +361,8 @@ def test_run_experiment_oracle_discrepancy_falls(tmp_path):
 def test_verify_random_streams_pinned(tmp_path):
     # profile_traces and energy_sandwich_steps each draw from a fresh
     # generator of stream 2; sharing one would move t1 and t2
-    ok, lines = experiment.run_verify(_cfg(tmp_path), write_outputs=False)
+    ok, lines = experiment.run_verify(_cfg(tmp_path))
+    with open(tmp_path / "out" / "verify.txt") as fh:
+        assert fh.read().splitlines()[:-1] == lines
     line = next(ln for ln in lines if "energy_sandwich_steps" in ln)
     assert line.endswith("(t1=1.195, t2=1.596)")

@@ -190,7 +190,7 @@ def test_compare_batched_matches_per_slice(strong_maps):
     assert len(ts) == 40
     for t, sup in zip(ts, sups):
         t_act, xs, vals = run.slice_at(t)
-        ref = prof.phi_txy(np.full(len(xs) - 2, t_act), xs[1:-1])[0]
+        ref = prof.eval_phi(t_act + xs[1:-1], t_act - xs[1:-1])
         assert sup == float(np.max(np.abs(vals[1:-1] - ref)))
     assert overall == max(sups.tolist())
 
