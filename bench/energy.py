@@ -21,9 +21,12 @@ largest relative difference between the first tree and each other.
 
 Run from the repository root:
 
-    python bench/energy.py --src parent=/path/to/old/checkout/src --src change=src
+    python bench/energy.py --src parent=/path/to/old/checkout/src --src change=src \\
+        --out /tmp/energy.json
 
-Writes ``BENCH_11.json``.
+Results go to ``--out`` (relative to the repository root), which has no
+default so that a run never overwrites a checked-in record
+(``BENCH_11.json`` was written by this script).
 """
 
 import argparse
@@ -38,7 +41,6 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUT = os.path.join(ROOT, "BENCH_11.json")
 REPEAT = 3
 SPW = 32
 CUT = 512
@@ -129,6 +131,8 @@ def main(argv=None):
                     help="a named kgcavity source tree to time (repeatable)")
     ap.add_argument("--ref-stride", type=int, default=1,
                     help="compare every n-th sample with the reference (default 1)")
+    ap.add_argument("--out", required=True,
+                    help="result file, relative to the repository root")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -142,7 +146,7 @@ def main(argv=None):
         name, path = spec.split("=", 1)
         env = dict(os.environ, PYTHONPATH=os.path.abspath(path))
         out = subprocess.run([sys.executable, os.path.abspath(__file__),
-                              "--child", json.dumps(todo)],
+                              "--out", args.out, "--child", json.dumps(todo)],
                              env=env, check=True, capture_output=True, text=True).stdout
         trees[name] = json.loads(out)
         print(name, [round(r["energy_series_s"], 4) for r in trees[name]], flush=True)
@@ -181,7 +185,7 @@ def main(argv=None):
                                                        for r in scan_rows)}
                    for name in trees},
     }
-    with open(OUT, "w") as fh:
+    with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -22,10 +22,14 @@ and the largest relative move of a per-point value.
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
 
-    python bench/geometry.py --label change
-    python bench/geometry.py --label parent --src /path/to/old/checkout/src
+    python bench/geometry.py --label change --out /tmp/geometry.json
+    python bench/geometry.py --label parent --src /path/to/old/checkout/src \\
+        --out /tmp/geometry.json
 
-Each run replaces its label's entry in ``BENCH_12.json`` and keeps the others.
+Each run replaces its label's entry in the ``--out`` file (relative to the
+repository root) and keeps the others; ``--out`` has no default so that a
+run never overwrites a checked-in record (``BENCH_12.json`` was written by
+this script).
 """
 
 import argparse
@@ -46,7 +50,6 @@ T_MAX = 5.0
 SAMPLES = 100
 REPEAT = 3
 SCALAR_CALLS = 10_000
-OUT = os.path.join(ROOT, "BENCH_12.json")
 
 
 def _median_seconds(fn):
@@ -116,7 +119,10 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the kgcavity package (default: ./src)")
+    ap.add_argument("--out", required=True,
+                    help="result file, relative to the repository root")
     args = ap.parse_args(argv)
+    out = os.path.join(ROOT, args.out)
 
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, ROOT)
@@ -133,14 +139,14 @@ def main(argv=None):
         **row,
     }
     bench = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
+    if os.path.exists(out):
+        with open(out) as fh:
             bench = json.load(fh)
     bench.pop(args.label, None)
     entry["per_point_vs"] = {label: _compare(row, other) for label, other in bench.items()}
     print(json.dumps(entry["per_point_vs"]), flush=True)
     bench[args.label] = entry
-    with open(OUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

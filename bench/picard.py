@@ -17,17 +17,29 @@ Every size runs in its own process, which records
   ``max|phi - phi_parent| / sup|phi0|`` against the ``tol = 1e-14`` field
   that the ``parent`` label saved in ``--phi-dir``.
 
+One more process per run records the massive energies of ``simulate`` on
+the same wall and bump: ``m = 0.27``, res 512, ``t_max = 12 + 1/16`` and
+the 384 sample times ``(k + 1/2)/32``.  Source trees with
+``picard_energy_series`` take that streamed route; older ones take
+``picard_solve`` plus ``FieldGrid.energy_series``.  It records the seconds
+(median of 3), ``ru_maxrss`` after them, the ``tracemalloc`` peak of one
+further call, and the sha256 of the returned ``(t, E, share)`` bytes.
+
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too.  Measure the
 parent first, since other labels compare against its fields:
 
     python bench/picard.py --label parent --src /path/to/old/checkout/src \\
-        --phi-dir /path/to/scratch
-    python bench/picard.py --label change --phi-dir /path/to/scratch
+        --phi-dir /path/to/scratch --out /tmp/picard.json
+    python bench/picard.py --label change --phi-dir /path/to/scratch \\
+        --out /tmp/picard.json
 
 The fields are band-sized (about 430 MB at res 1024), so ``--phi-dir``
 should point to a scratch directory.  Each run replaces its label's entry
-in ``BENCH_6.json`` and keeps the others.
+in the ``--out`` file (relative to the repository root) and keeps the
+others; ``--out`` has no default so that a run never overwrites a
+checked-in record (``BENCH_6.json`` and ``BENCH_18.json`` were written by
+this script).
 """
 
 import argparse
@@ -44,23 +56,31 @@ SIZES = ((256, 12), (512, 12), (1024, 12), (256, 40))
 MASS = 0.27
 REPEAT = 3
 REFERENCE = "parent"
-OUT = os.path.join(ROOT, "BENCH_6.json")
+ENERGY_RES = 512
+ENERGY_T_MAX = 12.0 + 1.0 / 16.0
+ENERGY_TIMES = 384                  # 32 per period, as simulate samples
 
 
 def _phi_path(phi_dir, label, res, periods):
     return os.path.join(phi_dir, "%s-res%d-t%d.npy" % (label, res, periods))
 
 
-def measure(res, periods, label, phi_dir):
-    """One size, in this process: the row of BENCH_6.json."""
-    import resource
-
-    import numpy as np
-    from kgcavity import boundary, cauchy, kleingordon as kg
+def _inputs():
+    from kgcavity import boundary, cauchy
 
     maps = boundary.CharacteristicMaps(boundary.make_motion(
         {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0}))
-    data = cauchy.make_bump(0.5, 0.15, 0.1, 1.0, "right")
+    return cauchy.make_bump(0.5, 0.15, 0.1, 1.0, "right"), maps
+
+
+def measure(res, periods, label, phi_dir):
+    """One size, in this process: a row of ``sizes``."""
+    import resource
+
+    import numpy as np
+    from kgcavity import kleingordon as kg
+
+    data, maps = _inputs()
     times = []
     for _ in range(REPEAT):
         fg = None              # one field alive at a time, as in a single solve
@@ -91,6 +111,51 @@ def measure(res, periods, label, phi_dir):
     return row
 
 
+def measure_energies():
+    """The massive energies of simulate, in this process: the ``energies`` row."""
+    import hashlib
+    import resource
+    import tracemalloc
+
+    import numpy as np
+    from kgcavity import kleingordon as kg
+
+    data, maps = _inputs()
+    want = (np.arange(ENERGY_TIMES) + 0.5) / 32.0
+    streamed = hasattr(kg, "picard_energy_series")
+
+    def energies():
+        if streamed:
+            return kg.picard_energy_series(data, maps, MASS, want,
+                                           resolution=ENERGY_RES, t_max=ENERGY_T_MAX)
+        fg = kg.picard_solve(data, maps, MASS, resolution=ENERGY_RES,
+                             t_max=ENERGY_T_MAX)
+        return fg, fg.energy_series(want)
+
+    times = []
+    for _ in range(REPEAT):
+        result = None          # one field alive at a time, as in simulate
+        t0 = time.perf_counter()
+        result = energies()
+        times.append(time.perf_counter() - t0)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    result = None
+    tracemalloc.start()
+    run, series = energies()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"route": "picard_energy_series" if streamed
+            else "picard_solve + FieldGrid.energy_series",
+            "resolution": ENERGY_RES, "t_max": ENERGY_T_MAX, "samples": ENERGY_TIMES,
+            "seconds": statistics.median(times), "seconds_all": times,
+            "ru_maxrss_mb": rss, "tracemalloc_peak_mb": peak / 2**20,
+            "band": [run.lattice.R, run.lattice.Wmax],
+            "band_mb": 8 * run.lattice.R * run.lattice.Wmax / 2**20,
+            "energies_returned": len(series[0]), "changes": run.changes,
+            "series_sha256": hashlib.sha256(
+                b"".join(a.tobytes() for a in series)).hexdigest()}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="entry name, e.g. parent or change")
@@ -98,28 +163,34 @@ def main(argv=None):
                     help="directory holding the kgcavity package (default: ./src)")
     ap.add_argument("--phi-dir", default=os.path.join(ROOT, ".bench_picard"),
                     help="directory for the tol-1e-14 fields (default: ./.bench_picard)")
+    ap.add_argument("--out", required=True,
+                    help="result file, relative to the repository root")
     ap.add_argument("--size", nargs=2, type=int, metavar=("RES", "PERIODS"),
                     help=argparse.SUPPRESS)      # one size, in this process
+    ap.add_argument("--energies", action="store_true",
+                    help=argparse.SUPPRESS)      # the energies row, in this process
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
 
-    if args.size:
+    if args.size or args.energies:
         sys.path.insert(0, src)
-        row = measure(args.size[0], args.size[1], args.label, args.phi_dir)
+        row = (measure_energies() if args.energies else
+               measure(args.size[0], args.size[1], args.label, args.phi_dir))
         print(json.dumps(row), flush=True)
         return
 
-    os.makedirs(args.phi_dir, exist_ok=True)
-    rows = []
-    for res, periods in SIZES:
+    def child(*flags):
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--label", args.label,
-             "--src", src, "--phi-dir", args.phi_dir,
-             "--size", str(res), str(periods)],
+             "--src", src, "--phi-dir", args.phi_dir, "--out", args.out, *flags],
             check=True, stdout=subprocess.PIPE, text=True).stdout
         row = json.loads(out.strip().splitlines()[-1])
         print(json.dumps({k: v for k, v in row.items() if k != "changes"}), flush=True)
-        rows.append(row)
+        return row
+
+    os.makedirs(args.phi_dir, exist_ok=True)
+    rows = [child("--size", str(res), str(periods)) for res, periods in SIZES]
+    energies = child("--energies")
 
     import numpy
     entry = {
@@ -128,13 +199,15 @@ def main(argv=None):
         "mass": MASS,
         "repeat": REPEAT,
         "sizes": rows,
+        "energies": energies,
     }
+    out = os.path.join(ROOT, args.out)
     bench = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
+    if os.path.exists(out):
+        with open(out) as fh:
             bench = json.load(fh)
     bench[args.label] = entry
-    with open(OUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

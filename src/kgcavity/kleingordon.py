@@ -18,8 +18,13 @@ jstar(j) <= j - 2 a_min/delta + 1, which lies in an earlier block of rows.  So
 the solver marches through the band in blocks of rows and iterates each block,
 starting from its phi^(0) rows, until its own change is within tolerance; the
 rows below are final by then.  Each pass builds the block's tables in small
-reused buffers from the carried boundary rows of the block below, and phi is
-the only band-sized array.
+reused buffers from the carried boundary rows of the block below.  One march
+serves two routes: ``picard_solve`` iterates each block inside the band phi,
+its only band-sized array, which ``interp_phi`` and the identity checks read;
+``picard_energy_series`` (the route of ``simulate``) keeps no band: it
+iterates every block in one block buffer and copies out only the slice nodes
+its energies read.  Both record each row's max|phi| as its block converges,
+and the invariants are read from that record.
 
 G is stored as (exact massless part) + (mass correction): the massless part
 is evaluated by exact F-pullback, so interpolation error enters only
@@ -48,8 +53,10 @@ from .characteristics_solver import OutsideDomain, build_initial_profile
 __all__ = [
     "NotConverged",
     "SliceUnavailable",
+    "PicardRun",
     "FieldGrid",
     "picard_solve",
+    "picard_energy_series",
     "verify_integral_identity",
     "time_of",
     "depth",
@@ -232,6 +239,49 @@ class _Lattice:
             out += add
         _clear_left(out, self.cmin[r0:r0 + len(out)])
 
+    # -- time slices: anti-diagonals i + j = L, nodes at rows i = L/2, L/2 + 1, ...
+    def slice_L(self, t):
+        """Even anti-diagonal index L with node times closest to t."""
+        return int(round((t + self.a0) / self.delta)) * 2
+
+    def slice_len(self, L):
+        """Node count of anti-diagonal L, from x = 0 up to the last band node
+        before the wall; SliceUnavailable where it leaves the stored lattice."""
+        i_lo = L // 2                       # x = 0 sits on the diagonal
+        if i_lo < self.n0 or i_lo > self.M:
+            raise SliceUnavailable("slice time outside the stored lattice")
+        i_cap = min(self.M, L)              # j = L - i must stay >= 0
+        # rows are Wmax wide, so the band holds no node of L past row
+        # i_lo + Wmax // 2: testing up to one row beyond finds the same first gap
+        iis = np.arange(i_lo, min(i_cap, i_lo + self.Wmax // 2 + 1) + 1)
+        ok = L - iis >= self.jmin[iis]
+        if bool(ok.all()):
+            if i_cap == self.M and i_cap < L:
+                raise SliceUnavailable("slice extends beyond the stored lattice")
+            return len(iis)
+        return int(np.argmin(ok))           # band columns form a contiguous prefix
+
+    def slice_lengths(self, L):
+        """(n, n+, n-): node counts of the slices L, L + 2, L - 2 that the
+        energy at L reads."""
+        n = (self.slice_len(L), self.slice_len(L + 2), self.slice_len(L - 2))
+        if n[0] < 7:
+            raise SliceUnavailable("slice too short for the stencils")
+        return n
+
+    def slice_plan(self, ts):
+        """(L, n) of the times ts whose energy slices exist: L the nearest
+        anti-diagonal of each, n its (n, n+, n-) rows; the others are dropped."""
+        plan = []
+        for t in np.asarray(ts, dtype=float).tolist():
+            L = self.slice_L(t)
+            try:
+                plan.append((L,) + self.slice_lengths(L))
+            except SliceUnavailable:
+                continue
+        plan = np.array(plan, dtype=int).reshape(-1, 4)
+        return plan[:, 0], plan[:, 1:]
+
 
 def _clear_left(a, first):
     """a[k, :first[k]] = 0 for every row k, touching only columns < max(first)."""
@@ -240,47 +290,41 @@ def _clear_left(a, first):
         a[:, :n][np.arange(n) < first[:, None]] = 0.0
 
 
-class FieldGrid:
-    """Converged field over the characteristic lattice up to a time horizon.
+class PicardRun:
+    """What a Picard march records besides the field: its pass counts and the
+    per-row maxima of the converged field, from which the invariants are read.
 
     Attributes
     ----------
-    phi : banded array of samples, rows xi = s_i (i >= index of 0),
-          columns eta = s_j for j in [j_min(i), i].
     changes : sup-norm Picard increments; changes[k] is the largest change
               of the (k+1)-th pass over any block of rows.
     block_passes : Picard passes each block of rows needed (int array);
                    iterations is its maximum, len(changes) for m > 0.
+    row_sup : max |phi| of each band row, recorded as its block converged.
     """
 
-    def __init__(self, lattice, profile, m, phi, changes, block_passes,
-                 tol_abs, sup_phi0):
+    def __init__(self, lattice, m, changes, block_passes, tol_abs, sup_phi0,
+                 row_sup):
         self.lattice = lattice
         self.maps = lattice.maps
-        self.profile = profile
         self.m = float(m)
-        self.phi = phi
         self.changes = list(changes)
         self.block_passes = np.array(block_passes, dtype=int)
         self.iterations = int(self.block_passes.max(initial=0))
         self.tol_abs = float(tol_abs)
         self.sup_phi0 = float(sup_phi0)
+        self.row_sup = row_sup
         self.t_max = lattice.t_max
 
-    # -- invariants -----------------------------------------------------------
-    def _row_sup(self):
-        """max |phi| per row; cells outside the band are exact zeros."""
-        return np.maximum(self.phi.max(axis=1), -self.phi.min(axis=1))
-
     def sup_phi(self):
-        return float(self._row_sup().max())
+        return float(self.row_sup.max())
 
     def field_bound_ratio(self):
         """sup over the grid of |phi| e^{-a_max m^2 xi / 2} / sup|phi^(0)|."""
         lat = self.lattice
         k = -0.5 * self.maps.motion.a_max * self.m**2
         w = [math.exp(k * x) for x in lat.s[lat.n0:].tolist()]
-        worst = float(np.max(self._row_sup() * w))
+        worst = float(np.max(self.row_sup * w))
         return worst / max(self.sup_phi0, 1e-300)
 
     def picard_bound(self):
@@ -297,39 +341,43 @@ class FieldGrid:
         bound = np.array([c0 * base**n / math.factorial(n) for n in ns])
         return np.asarray(self.changes), bound
 
-    # -- slice extraction ------------------------------------------------------
-    def slice_L(self, t):
-        """Even anti-diagonal index L with node times closest to t."""
-        lat = self.lattice
-        return int(round((t + lat.a0) / lat.delta)) * 2
+    def picard_bound_ok(self):
+        """Every pass after the first within picard_bound(), up to rounding."""
+        ch, bd = self.picard_bound()
+        return bool(np.all(ch[1:] <= bd[1:] + 1e-13 * self.sup_phi0))
 
-    def _slice_nodes(self, L):
-        """(i indices, x values, phi values) on anti-diagonal i + j = L."""
+
+class FieldGrid(PicardRun):
+    """Converged field over the characteristic lattice up to a time horizon.
+
+    Attributes
+    ----------
+    phi : banded array of samples, rows xi = s_i (i >= index of 0),
+          columns eta = s_j for j in [j_min(i), i].
+
+    and those of the PicardRun that produced it.
+    """
+
+    def __init__(self, run, profile, phi):
+        vars(self).update(vars(run))
+        self.profile = profile
+        self.phi = phi
+
+    # -- slice extraction ------------------------------------------------------
+    def _gather(self, L, n):
+        """phi on the first n nodes of each anti-diagonal in L, one per row."""
         lat = self.lattice
-        i_lo = L // 2                       # x = 0 sits on the diagonal
-        if i_lo < lat.n0 or i_lo > lat.M:
-            raise SliceUnavailable("slice time outside the stored lattice")
-        i_cap = min(lat.M, L)               # j = L - i must stay >= 0
-        iis = np.arange(i_lo, i_cap + 1)
-        jjs = L - iis
-        ok = jjs >= lat.jmin[iis]
-        if bool(ok.all()):
-            if i_cap == lat.M and i_cap < L:
-                raise SliceUnavailable("slice extends beyond the stored lattice")
-            cut = len(iis)
-        else:
-            cut = int(np.argmin(ok))        # band columns form a contiguous prefix
-        iis, jjs = iis[:cut], jjs[:cut]
-        rr = iis - lat.n0
-        cc = lat.Wmax - 1 - (iis - jjs)
-        t = 0.5 * lat.delta * L - lat.a0
-        xs = lat.s[iis] - t
-        return iis, xs, self.phi[rr, cc], t
+        i = (L // 2)[:, None] + np.arange(n)
+        return self.phi[i - lat.n0, lat.Wmax - 1 - 2 * i + L[:, None]]
 
     def phi_slice(self, t):
         """(t_actual, x nodes, phi values) on the nearest aligned slice."""
-        _, xs, vals, t_act = self._slice_nodes(self.slice_L(t))
-        return t_act, xs, vals
+        lat = self.lattice
+        L = lat.slice_L(t)
+        n = lat.slice_len(L)
+        t_act = 0.5 * lat.delta * L - lat.a0
+        xs = lat.s[L // 2 + np.arange(n)] - t_act
+        return t_act, xs, self._gather(np.array([L]), n)[0]
 
     def interp_phi(self, xi, eta):
         """Bilinear interpolation on the band with boundary-anchored cells.
@@ -393,119 +441,137 @@ class FieldGrid:
 
     # -- energy ----------------------------------------------------------------
     def energy_components(self, t):
-        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time.
-
-        Spatial derivative: 4th-order central differences on the aligned
-        slice; time derivative: centered difference between the t +- delta
-        slices (which share x nodes by lattice alignment); composite Simpson
-        in x plus an exactly-anchored partial cell at the moving wall.
-        """
+        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time."""
         lat = self.lattice
-        d = lat.delta
-        L = self.slice_L(t)
-        _, xs, phi_c, t_act = self._slice_nodes(L)
-        _, _, phi_p, _ = self._slice_nodes(L + 2)
-        _, _, phi_m, _ = self._slice_nodes(L - 2)
-        n = len(xs)
-        if n < 7:
-            raise SliceUnavailable("slice too short for the stencils")
-
-        phi_x = np.zeros(n)
-        k = np.arange(2, n - 2)
-        phi_x[k] = (-phi_c[k + 2] + 8.0 * phi_c[k + 1]
-                    - 8.0 * phi_c[k - 1] + phi_c[k - 2]) / (12.0 * d)
-        # one-sided 4th order at the ends
-        c_edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-        phi_x[0] = np.dot(c_edge, phi_c[0:5]) / d
-        phi_x[1] = (-3.0 * phi_c[0] - 10.0 * phi_c[1] + 18.0 * phi_c[2]
-                    - 6.0 * phi_c[3] + phi_c[4]) / (12.0 * d)
-        phi_x[n - 2] = (3.0 * phi_c[n - 1] + 10.0 * phi_c[n - 2] - 18.0 * phi_c[n - 3]
-                        + 6.0 * phi_c[n - 4] - phi_c[n - 5]) / (12.0 * d)
-        phi_x[n - 1] = -np.dot(c_edge, phi_c[n - 1:n - 6:-1]) / d
-
-        # slices share x-positions at equal array index (all start at x = 0)
-        phi_t = np.zeros(n)
-        n_ct = min(n, len(phi_p), len(phi_m))
-        k = np.arange(1, n_ct)
-        phi_t[k] = (phi_p[k] - phi_m[k]) / (2.0 * d)
-        phi_t[0] = 0.0                     # Dirichlet at x = 0
-        da_t = float(self.maps.motion.da(t_act))
-        for kk in range(n_ct, n):
-            if kk < len(phi_m):
-                # first-order backward in t; O(1) cells next to the wall
-                phi_t[kk] = (phi_c[kk] - phi_m[kk]) / d
-            else:
-                # wall relation phi_t = -a'(t) phi_x holds on x = a(t)
-                phi_t[kk] = -da_t * phi_x[kk]
-
-        kin_dens = 0.5 * phi_t**2
-        grad_dens = 0.5 * phi_x**2
-        mass_dens = 0.5 * self.m**2 * phi_c**2
-
-        E_kin = float(simpson(kin_dens, dx=d))
-        E_grad = float(simpson(grad_dens, dx=d))
-        E_mass = float(simpson(mass_dens, dx=d))
-
-        # partial cell [x_last, a(t)] with the exact Dirichlet zero at the wall
-        a_t = float(self.maps.motion.a(t_act))
-        gap = a_t - xs[-1]
-        if gap > 1e-12:
-            if gap > 0.1 * d:
-                px_w = (0.0 - phi_c[n - 1]) / gap
-            else:
-                px_w = phi_x[n - 1]
-            # on the wall phi_t = -a' phi_x, so the endpoint densities are
-            # determined by the slope alone
-            E_kin += 0.5 * gap * (kin_dens[-1] + 0.5 * (da_t * px_w) ** 2)
-            E_grad += 0.5 * gap * (grad_dens[-1] + 0.5 * px_w**2)
-            E_mass += 0.5 * gap * mass_dens[-1]
-        return E_kin, E_grad, E_mass, t_act
+        L = lat.slice_L(t)
+        t_act, kin, grad, mass = _slice_energies(
+            lat, self.m, np.array([L]), lat.slice_lengths(L), self._gather)
+        return float(kin[0]), float(grad[0]), float(mass[0]), float(t_act[0])
 
     def energy_series(self, ts):
         """(t_actual, E, mass share) arrays at the aligned times nearest ts."""
-        out_t, out_E, out_M = [], [], []
-        for t in np.asarray(ts, dtype=float):
-            try:
-                kin, grad, mass, ta = self.energy_components(float(t))
-            except SliceUnavailable:
-                continue
-            out_t.append(ta)
-            out_E.append(kin + grad + mass)
-            out_M.append(mass)
-        return np.asarray(out_t), np.asarray(out_E), np.asarray(out_M)
+        return _energy_series(self.lattice, self.m, *self.lattice.slice_plan(ts),
+                              self._gather)
 
 
-def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
-                 n_max=40):
-    """Solve the massive problem up to t_max on an a(0)/resolution lattice.
+_C_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
-    ``tol`` is relative to sup|phi^(0)|.  m = 0 short-circuits to the exact
-    massless solution sampled on the lattice.
 
-    Raises
-    ------
-    IncompatibleData
-        Corner compatibility conditions fail (propagated from the profile).
-    NotConverged
-        n_max passes did not bring the sup change of some block of rows below
-        tolerance; ``n_max`` caps the passes of each block.
+def _slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
+    """(kinetic, gradient, mass) parts of E_m on S slices of one length triple.
+
+    phi_c, phi_p and phi_m are (S, n), (S, n+) and (S, n-) arrays: the nodes
+    of the slices at t, t + d and t - d, which share x = k d at index k (all
+    start at x = 0); x_end is the x of each slice's last node.  Spatial
+    derivative: 4th-order central differences along the slice; time
+    derivative: centered difference between the t +- d slices; composite
+    Simpson in x plus an exactly-anchored partial cell at the moving wall.
     """
-    profile = build_initial_profile(data, maps)
-    lat = _Lattice(maps, resolution, t_max)
+    S, n = phi_c.shape
+    n_m = min(n, phi_m.shape[1])
+    n_ct = min(n_m, phi_p.shape[1])
+    phi_x = np.zeros((S, n))
+    phi_x[:, 2:n - 2] = (-phi_c[:, 4:] + 8.0 * phi_c[:, 3:n - 1]
+                         - 8.0 * phi_c[:, 1:n - 3] + phi_c[:, :n - 4]) / (12.0 * d)
+    # one-sided 4th order at the ends
+    phi_x[:, 1] = (-3.0 * phi_c[:, 0] - 10.0 * phi_c[:, 1] + 18.0 * phi_c[:, 2]
+                   - 6.0 * phi_c[:, 3] + phi_c[:, 4]) / (12.0 * d)
+    phi_x[:, n - 2] = (3.0 * phi_c[:, n - 1] + 10.0 * phi_c[:, n - 2]
+                       - 18.0 * phi_c[:, n - 3] + 6.0 * phi_c[:, n - 4]
+                       - phi_c[:, n - 5]) / (12.0 * d)
+    for s in range(S):
+        phi_x[s, 0] = np.dot(_C_EDGE, phi_c[s, 0:5]) / d
+        phi_x[s, n - 1] = -np.dot(_C_EDGE, phi_c[s, n - 1:n - 6:-1]) / d
+
+    da = np.array([float(motion.da(ts)) for ts in t.tolist()])
+    phi_t = np.zeros((S, n))                       # 0 on x = 0 (Dirichlet)
+    phi_t[:, 1:n_ct] = (phi_p[:, 1:n_ct] - phi_m[:, 1:n_ct]) / (2.0 * d)
+    # first-order backward in t; O(1) cells next to the wall
+    phi_t[:, n_ct:n_m] = (phi_c[:, n_ct:n_m] - phi_m[:, n_ct:n_m]) / d
+    # wall relation phi_t = -a'(t) phi_x holds on x = a(t)
+    phi_t[:, n_m:] = -da[:, None] * phi_x[:, n_m:]
+
+    kin_dens = 0.5 * phi_t**2
+    grad_dens = 0.5 * phi_x**2
+    mass_dens = 0.5 * m**2 * phi_c**2
+    E_kin = simpson(kin_dens, dx=d)
+    E_grad = simpson(grad_dens, dx=d)
+    E_mass = simpson(mass_dens, dx=d)
+
+    # partial cell [x_end, a(t)] with the exact Dirichlet zero at the wall
+    for s, ts in enumerate(t.tolist()):
+        gap = float(motion.a(ts)) - x_end[s]
+        if gap > 1e-12:
+            if gap > 0.1 * d:
+                px_w = (0.0 - phi_c[s, n - 1]) / gap
+            else:
+                px_w = phi_x[s, n - 1]
+            # on the wall phi_t = -a' phi_x, so the endpoint densities are
+            # determined by the slope alone
+            E_kin[s] += 0.5 * gap * (kin_dens[s, -1] + 0.5 * (da[s] * px_w) ** 2)
+            E_grad[s] += 0.5 * gap * (grad_dens[s, -1] + 0.5 * px_w**2)
+            E_mass[s] += 0.5 * gap * mass_dens[s, -1]
+    return E_kin, E_grad, E_mass
+
+
+def _slice_energies(lat, m, L, n, gather):
+    """(t, kinetic, gradient, mass) at the anti-diagonals L (an int array)
+    whose slices L, L + 2, L - 2 have the node counts n = (n, n+, n-);
+    gather(L, k) returns the first k nodes of each anti-diagonal of L as rows."""
+    t = 0.5 * lat.delta * L - lat.a0
+    x_end = lat.s[L // 2 + n[0] - 1] - t
+    return (t,) + _slice_energy(gather(L, n[0]), gather(L + 2, n[1]),
+                                gather(L - 2, n[2]), t, x_end, lat.delta, m,
+                                lat.maps.motion)
+
+
+def _energy_series(lat, m, L, n, gather):
+    """(t, E, mass share) at the anti-diagonals L of a slice plan (L, n),
+    evaluated together for all slices of one length triple."""
+    t, E, share = np.empty(len(L)), np.empty(len(L)), np.empty(len(L))
+    triples, group = np.unique(n, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for g, triple in enumerate(triples.tolist()):
+        sel = np.flatnonzero(group == g)
+        t[sel], kin, grad, mass = _slice_energies(lat, m, L[sel], triple, gather)
+        E[sel] = kin + grad + mass
+        share[sel] = mass
+    return t, E, share
+
+
+def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
+    """The block-marched Picard iteration on the lattice; returns its PicardRun.
+
+    The blocks are iterated in ``phi`` when it is given (the band, R x Wmax
+    rows), which then holds the converged field; otherwise in one block buffer
+    that every block reuses.  ``on_block(r0, r1, rows)`` sees the converged
+    rows r0 .. r1 - 1 of each block before the next block starts.
+    """
     n0, W, B, h = lat.n0, lat.Wmax, lat.block, 0.5 * lat.delta
+    keep = phi is not None
+    if not keep:
+        phi = np.empty((B, W))
+
+    def rows(r0, r1):
+        return phi[r0:r1] if keep else phi[:r1 - r0]
 
     Gl0, G0rows = lat.g_table()
     Gl0[:] = profile.G(lat.s)
-    # phi starts as phi^(0); each block is iterated in place from there
-    phi = np.empty((lat.R, W))
-    sup0 = 0.0
+    # sup0 and tol_abs need every phi^(0) row before the first block iterates;
+    # the band keeps those rows to start each block from
+    sup0, row_sup = 0.0, np.empty(lat.R)
     for r0, r1 in lat.blocks():
-        lat.fill_rows(G0rows, r0, phi[r0:r1])
-        sup0 = max(sup0, float(np.max(np.abs(phi[r0:r1]))))
+        block = rows(r0, r1)
+        lat.fill_rows(G0rows, r0, block)
+        top, bottom = block.max(axis=1), block.min(axis=1)
+        sup0 = max(sup0, float(top.max()), -float(bottom.min()))
+        np.maximum(top, -bottom, out=row_sup[r0:r1])
+        if m == 0.0 and on_block is not None:
+            on_block(r0, r1, block)
     tol_abs = tol * max(sup0, 1e-300)
 
     if m == 0.0:
-        return FieldGrid(lat, profile, 0.0, phi, [0.0], [], tol_abs, sup0)
+        return PicardRun(lat, 0.0, [0.0], [], tol_abs, sup0, row_sup)
 
     q4 = 0.25 * m * m
     w = q4 * h * h
@@ -526,7 +592,9 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     # block restarts from them
     for r0, r1 in lat.blocks():
         b = r1 - r0
-        old, out = phi[r0:r1], new[:b]
+        old, out = rows(r0, r1), new[:b]
+        if not keep:
+            lat.fill_rows(G0rows, r0, old)
         k = np.arange(max(r0, 1), min(r1, n0 + 1))
         for n in range(n_max):
             # h C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the diagonal
@@ -584,12 +652,74 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
                 "picard iteration: change %.3e > tol %.3e after %d passes on "
                 "band rows %d-%d" % (change, tol_abs, n_max, r0, r1 - 1), changes)
         passes.append(n + 1)
+        np.maximum(old.max(axis=1), -old.min(axis=1), out=row_sup[r0:r1])
+        if on_block is not None:
+            on_block(r0, r1, old)
         Cb[0] = Cb[b]
         Dv[0] = Dv[b]
         if k.size:
             cumE = run[-1]
 
-    return FieldGrid(lat, profile, m, phi, changes, passes, tol_abs, sup0)
+    return PicardRun(lat, m, changes, passes, tol_abs, sup0, row_sup)
+
+
+def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
+                 n_max=40):
+    """Solve the massive problem up to t_max on an a(0)/resolution lattice.
+
+    ``tol`` is relative to sup|phi^(0)|.  m = 0 short-circuits to the exact
+    massless solution sampled on the lattice.
+
+    Raises
+    ------
+    IncompatibleData
+        Corner compatibility conditions fail (propagated from the profile).
+    NotConverged
+        n_max passes did not bring the sup change of some block of rows below
+        tolerance; ``n_max`` caps the passes of each block.
+    """
+    profile = build_initial_profile(data, maps)
+    lat = _Lattice(maps, resolution, t_max)
+    phi = np.empty((lat.R, lat.Wmax))
+    return FieldGrid(_march(lat, profile, m, tol, n_max, phi=phi), profile, phi)
+
+
+def picard_energy_series(data, maps, m, times, resolution=256, t_max=5.0,
+                         tol=1e-9, n_max=40):
+    """``picard_solve(...).energy_series(times)`` without keeping the band.
+
+    Runs the march of ``picard_solve`` in one reused block buffer.  As each
+    block converges, its nodes on the anti-diagonals L - 2, L, L + 2 that the
+    energies read go into one flat slice buffer; node (i, L - i) sits at
+    column Wmax - 1 - (2i - L) of row i - n0.  Returns (run, (t, E, share)):
+    the PicardRun of the march and the arrays of ``energy_series``, bit for
+    bit those of ``picard_solve`` and ``FieldGrid.energy_series``.
+    Raises as ``picard_solve`` does.
+    """
+    profile = build_initial_profile(data, maps)
+    lat = _Lattice(maps, resolution, t_max)
+    L, n = lat.slice_plan(times)
+    # every anti-diagonal read, once: its first row, node count and offset
+    keys, first = np.unique(np.concatenate([L, L + 2, L - 2]), return_index=True)
+    lens = n.T.ravel()[first]
+    off = np.cumsum(lens) - lens
+    i_lo = keys // 2
+    buf = np.empty(int(lens.sum()))
+
+    def take(r0, r1, rows):
+        ia, ib = lat.n0 + r0, lat.n0 + r1
+        lo, hi = np.maximum(i_lo, ia), np.minimum(i_lo + lens, ib)
+        k = np.flatnonzero(hi > lo)
+        cnt = hi[k] - lo[k]
+        i = np.arange(int(cnt.sum())) + np.repeat(lo[k] - (np.cumsum(cnt) - cnt), cnt)
+        buf[np.repeat(off[k] - i_lo[k], cnt) + i] = rows[
+            i - ia, lat.Wmax - 1 - 2 * i + np.repeat(keys[k], cnt)]
+
+    def gather(Ls, k):
+        return buf[off[np.searchsorted(keys, Ls)][:, None] + np.arange(k)]
+
+    run = _march(lat, profile, m, tol, n_max, on_block=take)
+    return run, _energy_series(lat, m, L, n, gather)
 
 
 # ---------------------------------------------------------------------------

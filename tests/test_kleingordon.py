@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kgcavity import boundary, cauchy, kleingordon as kg
+from kgcavity._quadrature import simpson
 from kgcavity.characteristics_solver import OutsideDomain, build_initial_profile
 
 
@@ -454,6 +455,112 @@ def test_energy_components_additive_nonnegative(tuned_maps):
         assert ts.tolist() == [ta]
         assert E.tolist() == [kin + grad + mass]
         assert share.tolist() == [mass]
+
+
+def _slice_energy_reference(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
+    """One slice at a time, node by node, as energy_components computed it."""
+    n = len(phi_c)
+    phi_x = np.zeros(n)
+    k = np.arange(2, n - 2)
+    phi_x[k] = (-phi_c[k + 2] + 8.0 * phi_c[k + 1]
+                - 8.0 * phi_c[k - 1] + phi_c[k - 2]) / (12.0 * d)
+    c_edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    phi_x[0] = np.dot(c_edge, phi_c[0:5]) / d
+    phi_x[1] = (-3.0 * phi_c[0] - 10.0 * phi_c[1] + 18.0 * phi_c[2]
+                - 6.0 * phi_c[3] + phi_c[4]) / (12.0 * d)
+    phi_x[n - 2] = (3.0 * phi_c[n - 1] + 10.0 * phi_c[n - 2] - 18.0 * phi_c[n - 3]
+                    + 6.0 * phi_c[n - 4] - phi_c[n - 5]) / (12.0 * d)
+    phi_x[n - 1] = -np.dot(c_edge, phi_c[n - 1:n - 6:-1]) / d
+    phi_t = np.zeros(n)
+    n_ct = min(n, len(phi_p), len(phi_m))
+    k = np.arange(1, n_ct)
+    phi_t[k] = (phi_p[k] - phi_m[k]) / (2.0 * d)
+    da_t = float(motion.da(t))
+    for kk in range(n_ct, n):
+        if kk < len(phi_m):
+            phi_t[kk] = (phi_c[kk] - phi_m[kk]) / d
+        else:
+            phi_t[kk] = -da_t * phi_x[kk]
+    kin_dens, grad_dens = 0.5 * phi_t**2, 0.5 * phi_x**2
+    mass_dens = 0.5 * m**2 * phi_c**2
+    E = [float(simpson(dens, dx=d)) for dens in (kin_dens, grad_dens, mass_dens)]
+    gap = float(motion.a(t)) - x_end
+    if gap > 1e-12:
+        px_w = (0.0 - phi_c[n - 1]) / gap if gap > 0.1 * d else phi_x[n - 1]
+        E[0] += 0.5 * gap * (kin_dens[-1] + 0.5 * (da_t * px_w) ** 2)
+        E[1] += 0.5 * gap * (grad_dens[-1] + 0.5 * px_w**2)
+        E[2] += 0.5 * gap * mass_dens[-1]
+    return E
+
+
+@pytest.mark.parametrize("n_p, n_m", [(p, q) for p in (11, 12, 13) for q in (11, 12, 13)])
+def test_slice_energy_batch_matches_one_slice(tuned_maps, n_p, n_m):
+    # every length triple around n = 12, wall cells wide, narrow and absent
+    rng = np.random.default_rng(100 * n_p + n_m)
+    d, m, n = 0.01, 0.4, 12
+    t = np.array([1.0, 1.3, 2.2])
+    x_end = np.asarray(tuned_maps.motion.a(t)) - np.array([0.5, 0.05, 0.0]) * d
+    phi_c, phi_p, phi_m = (rng.standard_normal((3, k)) for k in (n, n_p, n_m))
+    got = kg._slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, tuned_maps.motion)
+    for s in range(3):
+        want = _slice_energy_reference(phi_c[s], phi_p[s], phi_m[s], float(t[s]),
+                                       x_end[s], d, m, tuned_maps.motion)
+        assert [float(g[s]).hex() for g in got] == [w.hex() for w in want]
+
+
+def _example_wall():
+    return boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0}))
+
+
+@pytest.mark.parametrize("m", [0.0, 0.4])
+def test_streamed_energies_match_band(tuned_maps, m):
+    # the streamed route keeps no band and returns what the band gives, bit for
+    # bit; t = 0.001 has no slice t - delta, t = 9 lies past the horizon
+    data = cauchy.make_bump(0.5, 0.25, 0.1, 1.0, "right")
+    want = np.concatenate([[0.001], (np.arange(64) + 0.5) / 16.0, [9.0]])
+    kw = dict(resolution=96, t_max=4.0 + 1.0 / 8.0)
+    fg = kg.picard_solve(data, tuned_maps, m, **kw)
+    band = fg.energy_series(want)
+    run, streamed = kg.picard_energy_series(data, tuned_maps, m, want, **kw)
+    assert len(band[0]) == len(want) - 2
+    assert [a.tobytes() for a in streamed] == [a.tobytes() for a in band]
+    assert run.changes == fg.changes
+    assert run.block_passes.tolist() == fg.block_passes.tolist()
+    assert run.iterations == fg.iterations
+    assert run.sup_phi().hex() == fg.sup_phi().hex()
+    assert run.field_bound_ratio().hex() == fg.field_bound_ratio().hex()
+    assert run.picard_bound_ok() is fg.picard_bound_ok() is True
+
+
+def test_streamed_energies_peak_memory():
+    # the example wall at res 256 over 12 periods: the band is 27 MB, the
+    # streamed route holds one block and the slices read (measured 4.5 MB)
+    data = cauchy.make_bump(0.5, 0.15, 0.1, 1.0, "right")
+    want = (np.arange(384) + 0.5) / 32.0
+    tracemalloc.start()
+    try:
+        run, (ts, E, share) = kg.picard_energy_series(
+            data, _example_wall(), 0.27, want, resolution=256, t_max=12.0 + 1.0 / 16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 384
+    assert peak < 8 * run.lattice.R * run.lattice.Wmax / 4
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5])
+def test_invariants_match_full_band(tuned_maps, m):
+    # sup_phi and field_bound_ratio read the row maxima the march recorded;
+    # they equal a sweep over the whole band
+    data = cauchy.make_bump(0.5, 0.25, 0.1, 1.0, "right")
+    fg = kg.picard_solve(data, tuned_maps, m, resolution=96, t_max=3.0)
+    rows = np.max(np.abs(fg.phi), axis=1)
+    assert fg.sup_phi().hex() == float(np.max(np.abs(fg.phi))).hex()
+    lat = fg.lattice
+    k = -0.5 * tuned_maps.motion.a_max * m**2
+    w = [math.exp(k * x) for x in lat.s[lat.n0:].tolist()]
+    assert fg.field_bound_ratio().hex() == (float(np.max(rows * w)) / fg.sup_phi0).hex()
 
 
 def test_band_nodes_satisfy_domain_inequalities(tuned_maps):

@@ -34,6 +34,16 @@ def test_simpson_matches_scipy_random_lengths():
         assert simpson(y, dx).hex() == float(scipy_simpson(y, dx=dx)).hex(), n
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 513, 1024])
+def test_simpson_rows_match_one_dimensional(n):
+    # a 2-D y integrates each row as that row alone, bit for bit
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-6, 6, (5, 1))
+    dx = float(rng.uniform(1e-4, 1.0))
+    assert [float(v).hex() for v in simpson(y, dx)] == \
+        [float(simpson(row, dx)).hex() for row in y]
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_gauss_panels_exact_to_degree_2n_minus_1(n):
     # an n-node rule integrates degree 2n - 1 exactly on every panel
