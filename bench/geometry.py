@@ -8,6 +8,9 @@ this records
   seconds (median of 3 runs);
 - ``measure_M`` called once per probe: seconds (median of 3 runs) and the
   sha256 of the values' ``float.hex`` strings;
+- ``depth`` and ``union_M`` called once per probe: seconds (median of 3
+  runs) and the sha256 of the depths, and of every rectangle's sign,
+  ``float.hex`` corners and clipped flag;
 - ``measure_M`` called once on the arrays of all probes: seconds (median of
   3) and its largest relative distance to the per-point values, or null
   where the source tree has no array form;
@@ -16,8 +19,8 @@ this records
   ``tracemalloc`` peak of one further call and the residual.
 
 Each entry also stores the per-point values (``float.hex``) and, against
-every other entry already in the file, whether the per-point sha256 matches
-and the largest relative move of a per-point value.
+every other entry already in the file, whether the three per-point sha256
+sums match and the largest relative move of a per-point ``measure_M``.
 
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
@@ -28,8 +31,8 @@ to measure, so the same script measures an older checkout too:
 
 Each run replaces its label's entry in the ``--out`` file (relative to the
 repository root) and keeps the others; ``--out`` has no default so that a
-run never overwrites a checked-in record (``BENCH_12.json`` was written by
-this script).
+run never overwrites a checked-in record (``BENCH_12.json`` and
+``BENCH_19.json`` were written by this script).
 """
 
 import argparse
@@ -61,6 +64,10 @@ def _median_seconds(fn):
     return statistics.median(times), result
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def measure():
     import numpy as np
     from kgcavity import boundary, experiment, kleingordon as kg
@@ -82,8 +89,19 @@ def measure():
     hexes = " ".join(float(v).hex() for v in single)
     row = {"scalar_F_inv_calls": SCALAR_CALLS, "scalar_F_inv_s": scalar_s,
            "probes": len(single), "per_point_s": point_s,
-           "per_point_sha256": hashlib.sha256(hexes.encode()).hexdigest(),
+           "per_point_sha256": _sha256(hexes),
            "per_point_hex": hexes, "array_s": None, "array_rel_dev": None}
+    depth_s, depths = _median_seconds(lambda: [
+        kg.depth(maps, a + b, a - b) for a, b in spec["points"]])
+    union_s, unions = _median_seconds(lambda: [
+        kg.union_M(maps, a + b, a - b) for a, b in spec["points"]])
+    rects = ";".join(" ".join("%r %s %s %s %s %r" % (
+        sign, y0.hex(), y1.hex(), z0.hex(), z1.hex(), clipped)
+        for sign, (y0, y1), (z0, z1), clipped in u) for u in unions)
+    row.update({"depth_per_point_s": depth_s,
+                "depth_sha256": _sha256(" ".join(map(str, depths))),
+                "union_M_per_point_s": union_s,
+                "union_M_sha256": _sha256(rects)})
     try:
         array_s, whole = _median_seconds(lambda: kg.measure_M(maps, t + x, t - x))
         single = np.array(single)
@@ -106,10 +124,13 @@ def measure():
 
 
 def _compare(row, other):
-    """sha256 match and largest relative move of the per-point values."""
+    """sha256 matches of the per-point outputs and largest relative move of
+    the per-point measures."""
     mine = [float.fromhex(v) for v in row["per_point_hex"].split()]
     theirs = [float.fromhex(v) for v in other["per_point_hex"].split()]
     return {"sha256_match": row["per_point_sha256"] == other["per_point_sha256"],
+            "depth_sha256_match": row["depth_sha256"] == other.get("depth_sha256"),
+            "union_M_sha256_match": row["union_M_sha256"] == other.get("union_M_sha256"),
             "max_rel_move": max(abs(a - b) / abs(b) if b else abs(a)
                                 for a, b in zip(mine, theirs))}
 

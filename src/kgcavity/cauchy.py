@@ -14,7 +14,7 @@ two derivatives vanish near both endpoints.
 
 import numpy as np
 
-from kgcavity._quadrature import gauss_panels
+from kgcavity._quadrature import gauss_panels, leggauss
 
 __all__ = [
     "BumpOutOfRange",
@@ -202,7 +202,7 @@ def check_hypothesis_J(data, analysis):
     edges = [np.linspace(lo, hi, 9) for lo, hi in J]    # 8 panels per interval
     x, w = gauss_panels(np.concatenate([e[:-1] for e in edges]),
                         np.concatenate([e[1:] for e in edges]),
-                        *np.polynomial.legendre.leggauss(64))
+                        *leggauss(64))
     g = np.asarray(data.dphi0(np.abs(x)), dtype=float) \
         + np.asarray(data.phi1(np.abs(x)), dtype=float) * np.sign(x)
     total = 0.0

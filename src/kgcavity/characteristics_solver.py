@@ -29,7 +29,7 @@ This module evaluates that exact massless profile; the massive solver in
 
 import numpy as np
 
-from kgcavity._quadrature import gauss_panels
+from kgcavity._quadrature import gauss_panels, leggauss
 
 __all__ = [
     "OutsideDomain",
@@ -38,7 +38,7 @@ __all__ = [
     "build_initial_profile",
 ]
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(24)
 #: slack of in_domain on both inequalities
 DOMAIN_TOL = 1e-9
 
@@ -155,7 +155,9 @@ class MasslessProfile:
         cumulative sums of P.  1/DF^k overflows only past gamma t ~ 700.
         """
         ys, ns, _ = self.pullback(self.maps.h(ts))
-        cuts = np.unique(np.concatenate([self._initial_kinks, ys]))
+        # np.unique without its numpy.ma import: sort, drop adjacent repeats
+        cuts = np.sort(np.concatenate([self._initial_kinks, ys]))
+        cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
         x, wg = gauss_panels(cuts[:-1], cuts[1:], _GAUSS_NODES, _GAUSS_WEIGHTS)
         x = x.ravel()
         wg = wg.ravel() * self._G0_prime(x) ** 2

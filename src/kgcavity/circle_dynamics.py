@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kgcavity._quadrature import gauss_panels, simpson
+from kgcavity._quadrature import gauss_panels, leggauss, simpson
 
 __all__ = [
     "AmbiguousResonance",
@@ -349,7 +349,9 @@ def find_periodic_points(maps, p, q):
         v = _orbit_images(maps, roots, q)
         shifts = T * np.arange(math.floor((lo - v.max()) / T), math.ceil((hi - v.min()) / T) + 1)
         cells = np.floor((np.add.outer(v, shifts) - lo) / dx).astype(int)
-        idx = np.unique(np.add.outer(cells.ravel(), np.arange(-1, 3)))
+        # np.unique without its numpy.ma import: sort, drop adjacent repeats
+        idx = np.sort(np.add.outer(cells.ravel(), np.arange(-1, 3)), axis=None)
+        idx = idx[np.concatenate([[True], idx[1:] != idx[:-1]])]
         _, roots = _grid_roots(maps, lo, dx, idx[(idx >= 0) & (idx <= n)], p, q)
 
     # dedupe and keep the half-open interval convention: a root closer to hi
@@ -508,7 +510,7 @@ def asymptotic_coefficients(maps, f, points, p, q):
     a1 = attract[0].x
     pts = sorted((pt if pt.x >= a1 else PeriodicPoint(maps.F(pt.x), pt.multiplier, pt.kind)
                   for pt in points), key=lambda pt: pt.x)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = leggauss(64)
     coeffs = []
     for pt, pieces in zip([pt for pt in pts if pt.kind == "attracting"],
                           _basin_pieces(maps, pts, a1, maps.F(a1))):

@@ -36,6 +36,9 @@ converged field.  One walk builds it for arrays of points together: a table
 of backward coordinates, one F^{-1} step per row for all points, from which
 depth, measure(M) and the identity's rectangles are read; the identity
 integrates all rectangles of all samples in batched interpolation calls.
+The same walk at one point stays on Python floats: its F^{-1} steps, its
+stop and depth tests and the rectangle sum of measure(M), which repeats a
+column of the array sum operation for operation.
 
 Concurrency: passes are inherently sequential; within a pass every array
 operation is single-threaded numpy with a fixed summation order, so results
@@ -47,7 +50,7 @@ import math
 
 import numpy as np
 
-from ._quadrature import simpson
+from ._quadrature import leggauss, simpson
 from .characteristics_solver import OutsideDomain, build_initial_profile
 
 __all__ = [
@@ -65,7 +68,7 @@ __all__ = [
     "measure_M",
 ]
 
-_G16, _W16 = np.polynomial.legendre.leggauss(16)
+_G16, _W16 = leggauss(16)
 _BLOCK_ROWS = 64        # band rows per block of the marched Picard iteration
 _QUAD_NODES = 4096      # Gauss nodes per interp_phi call of the identity checks
 
@@ -103,13 +106,24 @@ def _backward_walk(maps, xi, eta):
     walk stops once every point's last vertex has 2t < -1e-8, where the test
     must fail; points past their depth are walked along unmasked.
     Terminates because each B step lowers the time by a(k^{-1}(xi)) >= inf a.
-    One point walks on Python floats, where F^{-1} takes the scalar inverse.
+    One point (0-d xi and eta) walks on Python floats, where F^{-1} takes the
+    scalar inverse, and keeps its stop and inside tests on floats too: c is
+    then a list of N + 3 floats and N an int.
     """
     if np.ndim(xi) == np.ndim(eta) == 0:
-        xi, eta = float(xi), float(eta)
-    else:
-        xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
-                                      np.asarray(eta, dtype=float))
+        c = [float(xi), float(eta)]
+        c.append(maps.F_inv(c[0]))
+        while c[-3] + c[-2] >= -1e-8:
+            c.append(maps.F_inv(c[-2]))
+        n = 0                           # the first vertex outside the domain
+        while (n < len(c) - 2 and c[n + 1] <= c[n] + 1e-9
+               and c[n + 1] >= max(-c[n], c[n + 2]) - 1e-9):
+            n += 1
+        if n == 0:
+            raise OutsideDomain("(%g, %g) outside the domain" % (c[0], c[1]))
+        return c[:n + 2], n - 1
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(eta, dtype=float))
     c = [xi, eta, maps.F_inv(xi)]
     while np.max(c[-3] + c[-2], initial=-1.0) >= -1e-8:
         c.append(maps.F_inv(c[-2]))
@@ -125,8 +139,7 @@ def _backward_walk(maps, xi, eta):
 
 def depth(maps, xi, eta):
     """N(xi, eta): largest n with B^n still inside the domain."""
-    N = _backward_walk(maps, xi, eta)[1]
-    return N if np.ndim(xi) or np.ndim(eta) else int(N[0])
+    return _backward_walk(maps, xi, eta)[1]
 
 
 def theta_sign(n):
@@ -141,7 +154,6 @@ def union_M(maps, xi, eta):
     Q(B^N) intersected with the domain, i.e. additionally z >= -y.
     """
     c, N = _backward_walk(maps, xi, eta)
-    c, N = c[:, 0].tolist(), int(N[0])
     return [(theta_sign(n), (c[n + 1], c[n]), (c[n + 2], c[n + 1]), n == N)
             for n in range(N + 1)]
 
@@ -162,15 +174,20 @@ def measure_M(maps, xi, eta):
     """Lebesgue measure of M(xi, eta); bounded by 2 a_max T(xi, eta).
 
     Sums the rectangle areas w[n] w[n+1] (w = c[:-1] - c[1:], clamped at 0)
-    for n < N in order of n, then the clipped Q(B^N).
+    for n < N in order of n, then the clipped Q(B^N); one point sums on
+    Python floats, with the same operations as a column of the array sum.
     """
     c, N = _backward_walk(maps, xi, eta)
+    if isinstance(N, int):
+        total = 0.0
+        for n in range(N):
+            total += max(c[n] - c[n + 1], 0.0) * max(c[n + 1] - c[n + 2], 0.0)
+        return total + float(_clipped_area(c[N + 1], c[N], c[N + 2], c[N + 1]))
     w = np.maximum(c[:-1] - c[1:], 0.0)
     n = np.arange(len(c) - 2)[:, None]
     total = np.cumsum(np.where(n < N, w[:-1] * w[1:], 0.0), axis=0)[-1]
     y1, z1, z0 = c[N + np.arange(3)[:, None], np.arange(len(N))]  # c[N .. N+2]
-    total = total + _clipped_area(z1, y1, z0, z1)
-    return total if np.ndim(xi) or np.ndim(eta) else float(total[0])
+    return total + _clipped_area(z1, y1, z0, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +246,26 @@ class _Lattice:
         buf = np.zeros(self.Wmax + self.M)
         rows = np.lib.stride_tricks.sliding_window_view(buf, self.Wmax)
         return buf[self.Wmax - 1:], rows[self.n0:]
+
+    def row_extrema(self, g):
+        """(max, min) of the node values g over the columns jmin(i) .. i of
+        each band row i, from a doubling table of which at most two levels
+        (maxima and minima of g over runs of 2^k nodes) are alive at once."""
+        lo = self.jmin[self.n0:]
+        hi = np.arange(self.n0, self.M + 1)
+        level = np.frexp(hi - lo + 1)[1] - 1        # floor(log2(row width))
+        top, bottom = np.empty(self.R), np.empty(self.R)
+        mx = mn = g
+        for k in range(int(level.max()) + 1):
+            if k:                                   # runs of 2^k from 2^(k-1)
+                half = 1 << (k - 1)
+                mx = np.maximum(mx[:-half], mx[half:])
+                mn = np.minimum(mn[:-half], mn[half:])
+            r = np.flatnonzero(level == k)
+            a, b = lo[r], hi[r] + 1 - (1 << k)      # two runs covering the row
+            top[r] = np.maximum(mx[a], mx[b])
+            bottom[r] = np.minimum(mn[a], mn[b])
+        return top, bottom
 
     def fill_rows(self, Grows, r0, out, add=None):
         """out = G(s_j) - G(s_i) (+ add) on the band rows r0 .. r0 + len(out) - 1,
@@ -557,21 +594,27 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
 
     Gl0, G0rows = lat.g_table()
     Gl0[:] = profile.G(lat.s)
-    # sup0 and tol_abs need every phi^(0) row before the first block iterates;
-    # the band keeps those rows to start each block from
-    sup0, row_sup = 0.0, np.empty(lat.R)
-    for r0, r1 in lat.blocks():
-        block = rows(r0, r1)
-        lat.fill_rows(G0rows, r0, block)
-        top, bottom = block.max(axis=1), block.min(axis=1)
-        sup0 = max(sup0, float(top.max()), -float(bottom.min()))
-        np.maximum(top, -bottom, out=row_sup[r0:r1])
-        if m == 0.0 and on_block is not None:
-            on_block(r0, r1, block)
-    tol_abs = tol * max(sup0, 1e-300)
-
+    row_sup = np.empty(lat.R)
     if m == 0.0:
-        return PicardRun(lat, 0.0, [0.0], [], tol_abs, sup0, row_sup)
+        sup0 = 0.0
+        for r0, r1 in lat.blocks():
+            block = rows(r0, r1)
+            lat.fill_rows(G0rows, r0, block)
+            top, bottom = block.max(axis=1), block.min(axis=1)
+            sup0 = max(sup0, float(top.max()), -float(bottom.min()))
+            np.maximum(top, -bottom, out=row_sup[r0:r1])
+            if on_block is not None:
+                on_block(r0, r1, block)
+        return PicardRun(lat, 0.0, [0.0], [], tol * max(sup0, 1e-300), sup0,
+                         row_sup)
+
+    # sup0 and tol_abs are needed before the first block iterates: row i of
+    # phi^(0) is G(s_j) - G(s_i) over its band columns, and x -> fl(x - G_i)
+    # is monotone, so its extrema are those of G minus G_i, bit for bit
+    top, bottom = lat.row_extrema(Gl0)
+    Gi = Gl0[n0:]
+    sup0 = max(0.0, float(np.max(top - Gi)), float(np.max(Gi - bottom)))
+    tol_abs = tol * max(sup0, 1e-300)
 
     q4 = 0.25 * m * m
     w = q4 * h * h
@@ -593,8 +636,7 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     for r0, r1 in lat.blocks():
         b = r1 - r0
         old, out = rows(r0, r1), new[:b]
-        if not keep:
-            lat.fill_rows(G0rows, r0, old)
+        lat.fill_rows(G0rows, r0, old)
         k = np.arange(max(r0, 1), min(r1, n0 + 1))
         for n in range(n_max):
             # h C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the diagonal

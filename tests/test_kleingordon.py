@@ -39,6 +39,12 @@ def test_geometry_one_point_types(strong_maps):
         xi, eta = cast(2.9), cast(1.3)
         assert type(kg.depth(strong_maps, xi, eta)) is int
         assert type(kg.measure_M(strong_maps, xi, eta)) is float
+        rects = kg.union_M(strong_maps, xi, eta)
+        assert len(rects) == kg.depth(strong_maps, xi, eta) + 1
+        for sign, ys, zs, clipped in rects:
+            assert type(sign) is float and type(clipped) is bool
+            assert type(ys) is type(zs) is tuple
+            assert [type(v) for v in ys + zs] == [float] * 4
     d, m = kg.depth(strong_maps, 2.9, 1.3), kg.measure_M(strong_maps, 2.9, 1.3)
     one = np.array([2.9]), np.array([1.3])
     assert kg.depth(strong_maps, *one).shape == kg.measure_M(strong_maps, *one).shape == (1,)
@@ -69,6 +75,48 @@ def test_geometry_array_matches_per_point(name, request):
     assert depths.tolist() == [kg.depth(maps, a, b) for a, b in zip(xi, eta)]
     single = np.array([kg.measure_M(maps, a, b) for a, b in zip(xi, eta)])
     assert np.all(np.abs(measures - single) <= 1e-10 * single)
+
+
+def _one_point_reference(maps, xi, eta):
+    """(N, c, measure) of one point: the vertex list walked by scalar F^{-1}
+    steps, then the array formulas on its one-column table."""
+    c = [xi, eta, maps.F_inv(xi)]
+    while c[-3] + c[-2] >= -1e-8:
+        c.append(maps.F_inv(c[-2]))
+    c = np.array(c)[:, None]
+    x, e = c[:-2], c[1:-1]
+    inside = (e <= x + 1e-9) & (e >= np.maximum(-x, c[2:]) - 1e-9)
+    N = int(np.argmin(inside[:, 0])) - 1
+    c = c[:N + 3]
+    w = np.maximum(c[:-1] - c[1:], 0.0)
+    n = np.arange(len(c) - 2)[:, None]
+    total = np.cumsum(np.where(n < N, w[:-1] * w[1:], 0.0), axis=0)[-1]
+    total = total + kg._clipped_area(c[N + 1], c[N], c[N + 2], c[N + 1])
+    return N, c[:, 0].tolist(), float(total[0])
+
+
+@pytest.mark.parametrize("name", ["static_maps", "tuned_maps", "strong_maps"])
+def test_geometry_one_point_bit_for_bit(name, request):
+    # the float walk of one point against the array formulas on its column:
+    # same depth, same vertices and the same measure, to the last bit
+    maps = request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    t = rng.uniform(0.0, 6.0, 340)
+    t[40:80] = 0.0                                 # on t = 0
+    x = rng.uniform(0.0, 1.0, 340) * maps.motion.a(t)
+    x[:40] = 0.0                                   # on x = 0
+    clipped = 0
+    for xi, eta in zip((t + x).tolist(), (t - x).tolist()):
+        N, c, total = _one_point_reference(maps, xi, eta)
+        assert kg.depth(maps, xi, eta) == N
+        assert kg.measure_M(maps, xi, eta).hex() == total.hex()
+        rects = kg.union_M(maps, xi, eta)
+        assert [(s, y0.hex(), y1.hex(), z0.hex(), z1.hex(), cl)
+                for s, (y0, y1), (z0, z1), cl in rects] == [
+            (kg.theta_sign(n), c[n + 1].hex(), c[n].hex(), c[n + 2].hex(),
+             c[n + 1].hex(), n == N) for n in range(N + 1)]
+        clipped += c[N + 2] < -c[N + 1]
+    assert clipped >= 20                           # the clipped-area branch
 
 
 def test_boundary_point_measure_zero(strong_maps):

@@ -3,7 +3,7 @@ import pytest
 import scipy
 from scipy.integrate import simpson as scipy_simpson
 
-from kgcavity._quadrature import gauss_panels, simpson
+from kgcavity._quadrature import gauss_panels, leggauss, simpson
 
 # scipy 1.10's default rule for an even number of points averages the first-
 # and last-interval variants; the helper follows the Cartwright correction
@@ -55,3 +55,12 @@ def test_gauss_panels_exact_to_degree_2n_minus_1(n):
     exact = poly.integ()(edges[1:]) - poly.integ()(edges[:-1])
     scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(2.4) * 10
     assert np.max(np.abs(np.sum(w * poly(x), axis=1) - exact)) <= 1e-14 * scale
+
+
+def test_leggauss_matches_numpy():
+    # the package's rules (16, 24, 64 nodes) and every size around them
+    for n in range(2, 80):
+        x, w = np.polynomial.legendre.leggauss(n)
+        got = leggauss(n)
+        assert [v.hex() for v in got[0].tolist()] == [v.hex() for v in x.tolist()], n
+        assert [v.hex() for v in got[1].tolist()] == [v.hex() for v in w.tolist()], n
