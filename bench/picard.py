@@ -13,6 +13,10 @@ Every size runs in its own process, which records
 - ``ru_maxrss`` after those solves (MB, interpreter included);
 - the band shape, the sweep count (``iterations``) and, when the tree
   records them, the passes per block of rows (mean and max);
+- the sha256 of the default-tol field ``phi`` and of its ``changes``
+  (float64 bytes) and, when the tree records them, of ``row_sup`` and
+  ``block_passes`` (int64 bytes), so that trees whose march should agree
+  bit for bit can be compared;
 - ``fixed_point_gap``: after one more solve at ``tol = 1e-14``,
   ``max|phi - phi_parent| / sup|phi0|`` against the ``tol = 1e-14`` field
   that the ``parent`` label saved in ``--phi-dir``.
@@ -38,8 +42,8 @@ The fields are band-sized (about 430 MB at res 1024), so ``--phi-dir``
 should point to a scratch directory.  Each run replaces its label's entry
 in the ``--out`` file (relative to the repository root) and keeps the
 others; ``--out`` has no default so that a run never overwrites a
-checked-in record (``BENCH_6.json`` and ``BENCH_18.json`` were written by
-this script).
+checked-in record (``BENCH_6.json``, ``BENCH_18.json`` and ``BENCH_20.json``
+were written by this script).
 """
 
 import argparse
@@ -75,6 +79,7 @@ def _inputs():
 
 def measure(res, periods, label, phi_dir):
     """One size, in this process: a row of ``sizes``."""
+    import hashlib
     import resource
 
     import numpy as np
@@ -97,6 +102,13 @@ def measure(res, periods, label, phi_dir):
         row["passes_per_block"] = {"mean": float(passes.mean()),
                                    "max": int(passes.max()),
                                    "blocks": int(passes.size)}
+    digests = {"phi": fg.phi, "changes": np.array(fg.changes, dtype=float),
+               "row_sup": getattr(fg, "row_sup", None),
+               "block_passes": None if passes is None else passes.astype(np.int64)}
+    for name, a in digests.items():
+        if a is not None:
+            row[name + "_sha256"] = hashlib.sha256(
+                np.ascontiguousarray(a).tobytes()).hexdigest()
     fg = None
     fg = kg.picard_solve(data, maps, MASS, resolution=res, t_max=periods, tol=1e-14)
     np.save(_phi_path(phi_dir, label, res, periods), fg.phi)

@@ -271,7 +271,11 @@ class _Lattice:
         """out = G(s_j) - G(s_i) (+ add) on the band rows r0 .. r0 + len(out) - 1,
         exact zeros outside the band."""
         win = Grows[r0:r0 + len(out)]
-        np.subtract(win, win[:, -1:], out=out)
+        # copy, then subtract in place: numpy 2.4 copies operands that it
+        # cannot walk as one flat run through a buffer, and a plain copy of
+        # the window is cheaper than buffering it inside the subtraction
+        out[...] = win
+        out -= win[:, -1:]
         if add is not None:
             out += add
         _clear_left(out, self.cmin[r0:r0 + len(out)])
@@ -583,6 +587,16 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     rows), which then holds the converged field; otherwise in one block buffer
     that every block reuses.  ``on_block(r0, r1, rows)`` sees the converged
     rows r0 .. r1 - 1 of each block before the next block starts.
+
+    A pass over a block has four parts: the C trapezoid table (one add over
+    the flattened block, cumulated from the diagonal along each row), the D
+    cumulation (one add over the flattened C rows into the block that the
+    new iterate will fill, scaled into the C rows, which D replaces, and
+    cumulated down the diagonals row by row), the prolongation of the
+    correction, and the row assembly G(s_j) - G(s_i) + D in ``fill_rows``.
+    The new iterate goes to a second block buffer, which then swaps with the
+    old one, so no pass copies a block; a block of the band whose last pass
+    ended in that buffer is copied back once.
     """
     n0, W, B, h = lat.n0, lat.Wmax, lat.block, 0.5 * lat.delta
     keep = phi is not None
@@ -620,41 +634,39 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     w = q4 * h * h
     Gl, Grows = lat.g_table()
     corr = np.zeros_like(Gl0)
-    # per block: C rows and D rows, each below a carried row from the block above;
-    # D lives sheared in Sb (D[k, c] at Sb[k, c + k]) so fixed j is a column
+    # per block: C rows below a carried row from the block above; the D rows
+    # replace the C rows once D's increments are summed, and the block's last
+    # C row and the last D row of the block above are kept aside
     Cb = np.zeros((B + 1, W))
-    Sb = np.zeros((B + 1, W + B))
-    Dv = np.lib.stride_tricks.as_strided(Sb, (B + 1, W), (Sb.strides[0] + 8, 8))
+    C_last, D_above = np.zeros(W), np.zeros(W)
     new = np.empty((B, W))
     # D restarts left of this column: the predecessor (r-1, c+1) is outside the band
     restart = np.concatenate([[W - 1], lat.cmin[:-1] - 1])
     changes, passes, cumE, change = [], [], 0.0, math.inf
 
-    # a pass over a block writes only below the carried rows Cb[0], Dv[0] (and
-    # reads cumE), which earlier, converged blocks left, so each pass of the
-    # block restarts from them
+    # a pass over a block reads only the carried rows Cb[0], D_above (and
+    # cumE), which earlier, converged blocks left, so each pass of the block
+    # restarts from them
     for r0, r1 in lat.blocks():
         b = r1 - r0
-        old, out = rows(r0, r1), new[:b]
+        home = rows(r0, r1)
+        old, out = home, new[:b]
         lat.fill_rows(G0rows, r0, old)
         k = np.arange(max(r0, 1), min(r1, n0 + 1))
+        C = D = Cb[1:b + 1]
+        # Cb[:b + 1] flat: Cf[q] = Cb[r, c] at q = r W + c, so Cf[q + 1] + Cf[q + W]
+        # is Cb[r, c + 1] + Cb[r + 1, c], the sum at D[r, c]
+        Cf, Df = Cb[:b + 1].reshape(-1), D.reshape(-1)
+        # above[r], below[r] = D[r, 1:], D[r + 1, :-1]: one step down the diagonals
+        above, below = D[:-1, 1:], D[1:, :-1]
         for n in range(n_max):
-            # h C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the diagonal
-            C = Cb[1:b + 1]
-            np.add(old[:, :-1], old[:, 1:], out=C[:, :-1])
+            # h C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the
+            # diagonal; one add over the flattened block, whose sums across a
+            # row end land on the diagonal column and are zeroed there
+            flat = old.reshape(-1)
+            np.add(flat[:-1], flat[1:], out=Cf[W:-1])
+            C[:, -1] = 0.0
             np.cumsum(C[:, -2::-1], axis=1, out=C[:, -2::-1])
-            # D[r, c] = (m^2/4) T(s_i, s_j) = D[r-1, c+1] + w (C[r-1, c+1] + C[r, c]),
-            # zero where column j enters the band and on the diagonal; D is never
-            # read outside the band
-            D = Dv[1:b + 1]
-            np.add(Cb[:b, 1:], C[:, :-1], out=D[:, :-1])
-            D[:, :-1] *= w
-            _clear_left(D, restart[r0:r1])
-            D[:, -1] = 0.0
-            # cumulate down the columns one row at a time: numpy's cumsum along
-            # axis 0 walks column by column, about twice as slow on these blocks
-            for i in range(1, b + 1):
-                np.add(Sb[i - 1], Sb[i], out=Sb[i])
 
             # initial-interval correction: int_0^{|eta|} dy int_{-y}^{y} phi dz,
             # from E_k = C at (n0 + k, n0 - k) for k = 1 .. n0
@@ -662,6 +674,22 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
                 E = Cb[k - r0 + 1, W - 1 - 2 * k] + Cb[k - r0, W + 1 - 2 * k]
                 run = np.cumsum(np.concatenate([[cumE], w * E]))[1:]
                 corr[n0 + k] = corr[n0 - k] = run
+
+            C_last[:] = C[-1]                  # D is about to replace it
+            # D[r, c] = (m^2/4) T(s_i, s_j) = D[r-1, c+1] + w (C[r-1, c+1] + C[r, c]),
+            # zero where column j enters the band and on the diagonal; D is never
+            # read outside the band.  The sums are one add over the flattened
+            # rows into the idle out block (fill_rows writes all of it below;
+            # the diagonal column takes sums across a row end and is zeroed),
+            # scaled into the C rows, then cumulated down the diagonals
+            sums = out.reshape(-1)
+            np.add(Cf[1:b * W + 1], Cf[W:], out=sums)
+            np.multiply(sums, w, out=Df)
+            _clear_left(D, restart[r0:r1])
+            D[:, -1] = 0.0
+            np.add(D_above[1:], D[0, :-1], out=D[0, :-1])
+            for up, row in zip(above, below):
+                np.add(up, row, out=row)
 
             # prolongation Corr(F(eta)) = Corr(eta) + (m^2/4) T(xi, eta) at eta*
             # for the columns j = n0 + r on this block; jstar < n0 + r0 is done
@@ -683,7 +711,7 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
             lat.fill_rows(Grows, r0, out, D)
             old -= out
             change = max(float(old.max()), -float(old.min()))
-            old[...] = out
+            old, out = out, old
             if n == len(changes):
                 changes.append(0.0)
             changes[n] = max(changes[n], change)
@@ -694,11 +722,13 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
                 "picard iteration: change %.3e > tol %.3e after %d passes on "
                 "band rows %d-%d" % (change, tol_abs, n_max, r0, r1 - 1), changes)
         passes.append(n + 1)
+        if keep and old is not home:        # the last pass ended in new
+            home[...] = old
         np.maximum(old.max(axis=1), -old.min(axis=1), out=row_sup[r0:r1])
         if on_block is not None:
             on_block(r0, r1, old)
-        Cb[0] = Cb[b]
-        Dv[0] = Dv[b]
+        Cb[0] = C_last
+        D_above[:] = D[-1]
         if k.size:
             cumE = run[-1]
 

@@ -30,7 +30,9 @@ from ._quadrature import simpson
 __all__ = ["Unstable", "NoOverlap", "OracleRun", "solve_oracle", "compare"]
 
 # time steps whose coefficients are built together (rows of one array)
-STEP_CHUNK = 64
+STEP_CHUNK = 16
+# probe slices that compare evaluates the field on together
+PROBE_SLICES = 8
 
 
 class Unstable(RuntimeError):
@@ -221,8 +223,9 @@ def compare(run, field, times=None):
 
     ``field`` may be a MasslessProfile (exact evaluator) or a FieldGrid;
     both are probed at the oracle's interior nodes on the stored slices
-    nearest to the requested times, all slices in one evaluation of the
-    field.  A slice whose stored time lies past the common range is skipped.
+    nearest to the requested times, PROBE_SLICES slices per evaluation of
+    the field.  A slice whose stored time lies past the common range is
+    skipped.
     Returns (probe times kept, per-slice sup discrepancies, their maximum).
     """
     t_lo, t_hi = run.ts[0], run.ts[-1]
@@ -241,13 +244,17 @@ def compare(run, field, times=None):
     if not slices:
         raise NoOverlap("no probe times inside the common range")
 
-    X = np.concatenate([xs[1:-1] for _, xs, _ in slices])
-    T = np.repeat([t_act for t_act, _, _ in slices], run.n_y - 1)
-    xi, eta = T + X, T - X
-    if hasattr(field, "eval_phi"):               # exact massless profile
-        ref = field.eval_phi(xi, eta, check=False)
-    else:                                         # FieldGrid
-        ref = field.interp_phi(xi, eta)
-    psi = np.concatenate([vals[1:-1] for _, _, vals in slices])
-    out = np.max(np.abs(psi - ref).reshape(len(slices), -1), axis=1)
+    out = np.empty(len(slices))
+    for k in range(0, len(slices), PROBE_SLICES):
+        part = slices[k:k + PROBE_SLICES]
+        X = np.concatenate([xs[1:-1] for _, xs, _ in part])
+        T = np.repeat([t_act for t_act, _, _ in part], run.n_y - 1)
+        xi, eta = T + X, T - X
+        if hasattr(field, "eval_phi"):           # exact massless profile
+            ref = field.eval_phi(xi, eta, check=False)
+        else:                                     # FieldGrid
+            ref = field.interp_phi(xi, eta)
+        psi = np.concatenate([vals[1:-1] for _, _, vals in part])
+        out[k:k + len(part)] = np.max(np.abs(psi - ref).reshape(len(part), -1),
+                                      axis=1)
     return times[kept], out, float(out.max())

@@ -342,6 +342,101 @@ def test_picard_block_passes_flat_in_horizon(tuned_maps):
         assert np.all(ch[1:] <= bd[1:] + 1e-13 * fg.sup_phi0)
 
 
+def _reference_march(lat, profile, m, tol=1e-9, n_max=40):
+    """The block-marched Picard iteration with one 2-D operation per step of
+    a pass, D kept sheared so that its cumulation adds whole rows, and each
+    new iterate copied over the old one: the reference the march must match
+    bit for bit.  Returns (band, changes, passes per block)."""
+    n0, W, B, h = lat.n0, lat.Wmax, lat.block, 0.5 * lat.delta
+    Gl0, G0rows = lat.g_table()
+    Gl0[:] = profile.G(lat.s)
+    Gl, Grows = lat.g_table()
+
+    def fill(G, r0, out, add=None):
+        win = G[r0:r0 + len(out)]
+        np.subtract(win, win[:, -1:], out=out)
+        if add is not None:
+            out += add
+        kg._clear_left(out, lat.cmin[r0:r0 + len(out)])
+
+    phi = np.empty((lat.R, W))
+    fill(G0rows, 0, phi)
+    tol_abs = tol * max(float(phi.max()), -float(phi.min()), 1e-300)
+    w = 0.25 * m * m * h * h
+    corr = np.zeros_like(Gl0)
+    Cb = np.zeros((B + 1, W))
+    Sb = np.zeros((B + 1, W + B))
+    Dv = np.lib.stride_tricks.as_strided(Sb, (B + 1, W), (Sb.strides[0] + 8, 8))
+    new = np.empty((B, W))
+    restart = np.concatenate([[W - 1], lat.cmin[:-1] - 1])
+    changes, passes, cumE = [], [], 0.0
+    for r0, r1 in lat.blocks():
+        b = r1 - r0
+        old, out, C, D = phi[r0:r1], new[:b], Cb[1:b + 1], Dv[1:b + 1]
+        k = np.arange(max(r0, 1), min(r1, n0 + 1))
+        p = slice(max(r0 - n0 - 1, 0), max(r1 - n0 - 1, 0))
+        jj, js = lat.j_pro[p], lat.jstar[p]
+        for n in range(n_max):
+            np.add(old[:, :-1], old[:, 1:], out=C[:, :-1])
+            np.cumsum(C[:, -2::-1], axis=1, out=C[:, -2::-1])
+            np.add(Cb[:b, 1:], C[:, :-1], out=D[:, :-1])
+            D[:, :-1] *= w
+            kg._clear_left(D, restart[r0:r1])
+            D[:, -1] = 0.0
+            for i in range(1, b + 1):
+                np.add(Sb[i - 1], Sb[i], out=Sb[i])
+            if k.size:
+                E = Cb[k - r0 + 1, W - 1 - 2 * k] + Cb[k - r0, W + 1 - 2 * k]
+                run = np.cumsum(np.concatenate([[cumE], w * E]))[1:]
+                corr[n0 + k] = corr[n0 - k] = run
+            if jj.size:
+                c1 = W - 1 - (jj - js)
+                D1 = D[jj - n0 - r0, c1]
+                D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
+                tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
+                corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
+                            + tri)
+            lo = max(n0 + r0 + 1 - W, 0)
+            np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
+            fill(Grows, r0, out, D)
+            old -= out
+            change = max(float(old.max()), -float(old.min()))
+            old[...] = out
+            if n == len(changes):
+                changes.append(0.0)
+            changes[n] = max(changes[n], change)
+            if change <= tol_abs:
+                break
+        passes.append(n + 1)
+        Cb[0] = Cb[b]
+        Dv[0] = Dv[b]
+        if k.size:
+            cumE = run[-1]
+    return phi, changes, passes
+
+
+@pytest.mark.parametrize("fixture, m, res", [("tuned_maps", 0.4, 96),
+                                             ("strong_maps", 0.6, 40)])
+def test_picard_march_matches_reference(fixture, m, res, request):
+    # both routes of the march give the reference's band, changes and passes
+    # bit for bit, over odd and even pass counts and a short last block
+    maps = request.getfixturevalue(fixture)
+    data = cauchy.make_bump(maps.a0, 0.5 * maps.a0, 0.2 * maps.a0, 1.0, "right")
+    fg = kg.picard_solve(data, maps, m, resolution=res, t_max=4.0)
+    lat = fg.lattice
+    phi, changes, passes = _reference_march(lat, fg.profile, m)
+    assert {p % 2 for p in passes} == {0, 1} and lat.R % lat.block != 0
+    assert fg.phi.tobytes() == phi.tobytes()
+    assert fg.changes == changes and fg.block_passes.tolist() == passes
+    row_sup = np.maximum(phi.max(axis=1), -phi.min(axis=1))
+    assert fg.row_sup.tobytes() == row_sup.tobytes()
+    rows = []
+    run = kg._march(lat, fg.profile, m, 1e-9, 40,
+                    on_block=lambda r0, r1, block: rows.append(block.copy()))
+    assert np.concatenate(rows).tobytes() == phi.tobytes()
+    assert run.changes == changes and run.block_passes.tolist() == passes
+
+
 def test_picard_not_converged(static_maps):
     data = cauchy.make_eigenmode(1.0, 1, 1.0)
     with pytest.raises(kg.NotConverged) as exc_info:
@@ -579,6 +674,12 @@ def test_streamed_energies_match_band(tuned_maps, m):
     assert run.sup_phi().hex() == fg.sup_phi().hex()
     assert run.field_bound_ratio().hex() == fg.field_bound_ratio().hex()
     assert run.picard_bound_ok() is fg.picard_bound_ok() is True
+    if m > 0:
+        # blocks of odd and of even pass counts end in either buffer of the
+        # march's swap, and a short last block takes its flat views over
+        # fewer rows (passes [3, 4 x 13, 3], R = 902, block 64)
+        assert {p % 2 for p in fg.block_passes.tolist()} == {0, 1}
+        assert fg.lattice.R % fg.lattice.block != 0
 
 
 def test_streamed_energies_peak_memory():

@@ -182,17 +182,19 @@ def test_compare_pairs_each_value_with_its_probe_time(static_maps):
 
 
 def test_compare_batched_matches_per_slice(strong_maps):
-    # one evaluation of the profile gives each slice's sup bit for bit
+    # evaluating the profile PROBE_SLICES slices at a time gives each slice's
+    # sup bit for bit; 11 slices end in a partial batch
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
     prof = build_initial_profile(data, strong_maps)
     run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=64, t_max=2.0)
-    ts, sups, overall = orc.compare(run, prof)
-    assert len(ts) == 40
-    for t, sup in zip(ts, sups):
-        t_act, xs, vals = run.slice_at(t)
-        ref = prof.eval_phi(t_act + xs[1:-1], t_act - xs[1:-1])
-        assert sup == float(np.max(np.abs(vals[1:-1] - ref)))
-    assert overall == max(sups.tolist())
+    for times, count in ((None, 40), (np.linspace(0.1, 1.9, 11), 11)):
+        ts, sups, overall = orc.compare(run, prof, times=times)
+        assert len(ts) == count > orc.PROBE_SLICES
+        for t, sup in zip(ts, sups):
+            t_act, xs, vals = run.slice_at(t)
+            ref = prof.eval_phi(t_act + xs[1:-1], t_act - xs[1:-1])
+            assert sup == float(np.max(np.abs(vals[1:-1] - ref)))
+        assert overall == max(sups.tolist())
 
 
 ORACLE_CHILD = textwrap.dedent("""
