@@ -12,14 +12,19 @@ Every size runs in its own process, which records
 - seconds: median of 3 solves at the default ``tol = 1e-9``;
 - ``ru_maxrss`` after those solves (MB, interpreter included);
 - the band shape, the sweep count (``iterations``) and, when the tree
-  records them, the passes per block of rows (mean and max);
+  records them, the passes per block of rows (mean, max and total) and the
+  contraction bound ``q`` of each block against its largest measured ratio
+  of successive changes;
 - the sha256 of the default-tol field ``phi`` and of its ``changes``
   (float64 bytes) and, when the tree records them, of ``row_sup`` and
   ``block_passes`` (int64 bytes), so that trees whose march should agree
   bit for bit can be compared;
-- ``fixed_point_gap``: after one more solve at ``tol = 1e-14``,
-  ``max|phi - phi_parent| / sup|phi0|`` against the ``tol = 1e-14`` field
-  that the ``parent`` label saved in ``--phi-dir``.
+- ``tol_gap``: after one more solve at ``tol = 1e-14``,
+  ``max|phi_tol - phi| / sup|phi0|`` of the default-tol field against it,
+  the distance to the fixed point that ``tol = 1e-9`` leaves;
+- ``fixed_point_gap``: ``max|phi - phi_parent| / sup|phi0|`` of that
+  ``tol = 1e-14`` field against the one that the ``parent`` label saved in
+  ``--phi-dir``.
 
 One more process per run records the massive energies of ``simulate`` on
 the same wall and bump: ``m = 0.27``, res 512, ``t_max = 12 + 1/16`` and
@@ -42,8 +47,8 @@ The fields are band-sized (about 430 MB at res 1024), so ``--phi-dir``
 should point to a scratch directory.  Each run replaces its label's entry
 in the ``--out`` file (relative to the repository root) and keeps the
 others; ``--out`` has no default so that a run never overwrites a
-checked-in record (``BENCH_6.json``, ``BENCH_18.json`` and ``BENCH_20.json``
-were written by this script).
+checked-in record (``BENCH_6.json``, ``BENCH_18.json``, ``BENCH_20.json``
+and ``BENCH_21.json`` were written by this script).
 """
 
 import argparse
@@ -77,6 +82,16 @@ def _inputs():
     return cauchy.make_bump(0.5, 0.15, 0.1, 1.0, "right"), maps
 
 
+def _gap(a, b):
+    """max|a - b| over two bands, 1024 rows at a time."""
+    import numpy as np
+
+    gap = 0.0
+    for r0 in range(0, a.shape[0], 1024):
+        gap = max(gap, float(np.max(np.abs(a[r0:r0 + 1024] - b[r0:r0 + 1024]))))
+    return gap
+
+
 def measure(res, periods, label, phi_dir):
     """One size, in this process: a row of ``sizes``."""
     import hashlib
@@ -101,7 +116,13 @@ def measure(res, periods, label, phi_dir):
     if passes is not None:
         row["passes_per_block"] = {"mean": float(passes.mean()),
                                    "max": int(passes.max()),
+                                   "total": int(passes.sum()),
                                    "blocks": int(passes.size)}
+    q = getattr(fg, "contraction", None)
+    if q is not None:
+        row["contraction"] = {"q_min": float(q.min()), "q_max": float(q.max()),
+                              "ratio_max": float(fg.ratios.max()),
+                              "ratio_over_q_max": float(np.max(fg.ratios / q))}
     digests = {"phi": fg.phi, "changes": np.array(fg.changes, dtype=float),
                "row_sup": getattr(fg, "row_sup", None),
                "block_passes": None if passes is None else passes.astype(np.int64)}
@@ -109,17 +130,16 @@ def measure(res, periods, label, phi_dir):
         if a is not None:
             row[name + "_sha256"] = hashlib.sha256(
                 np.ascontiguousarray(a).tobytes()).hexdigest()
+    tol_path = _phi_path(phi_dir, label + "-tol", res, periods)
+    np.save(tol_path, fg.phi)          # on disk: one band in memory at a time
     fg = None
     fg = kg.picard_solve(data, maps, MASS, resolution=res, t_max=periods, tol=1e-14)
     np.save(_phi_path(phi_dir, label, res, periods), fg.phi)
+    row["tol_gap"] = _gap(fg.phi, np.load(tol_path, mmap_mode="r")) / fg.sup_phi0
+    os.remove(tol_path)
     ref = _phi_path(phi_dir, REFERENCE, res, periods)
     if label != REFERENCE and os.path.exists(ref):
-        other = np.load(ref, mmap_mode="r")
-        gap = 0.0
-        for r0 in range(0, fg.phi.shape[0], 1024):
-            d = fg.phi[r0:r0 + 1024] - other[r0:r0 + 1024]
-            gap = max(gap, float(np.max(np.abs(d))))
-        row["fixed_point_gap"] = gap / fg.sup_phi0
+        row["fixed_point_gap"] = _gap(fg.phi, np.load(ref, mmap_mode="r")) / fg.sup_phi0
     return row
 
 
@@ -164,6 +184,7 @@ def measure_energies():
             "band": [run.lattice.R, run.lattice.Wmax],
             "band_mb": 8 * run.lattice.R * run.lattice.Wmax / 2**20,
             "energies_returned": len(series[0]), "changes": run.changes,
+            "block_passes": int(np.sum(getattr(run, "block_passes", 0))),
             "series_sha256": hashlib.sha256(
                 b"".join(a.tobytes() for a in series)).hexdigest()}
 

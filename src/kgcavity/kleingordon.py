@@ -15,9 +15,13 @@ every triangle integral in O(band) work per pass.
 The iteration is Volterra in xi: row i of the new field needs only rows <= i
 of the old one, and the prolongation of column j reads the correction only at
 jstar(j) <= j - 2 a_min/delta + 1, which lies in an earlier block of rows.  So
-the solver marches through the band in blocks of rows and iterates each block,
-starting from its phi^(0) rows, until its own change is within tolerance; the
-rows below are final by then.  Each pass builds the block's tables in small
+the solver marches through the band in blocks of rows and iterates each block
+until it lies within tolerance of its fixed point; the rows below are final by
+then.  A block after the first starts from the block below: its D (the mass
+term) extrapolated linearly down each diagonal (fixed eta) from the last two D
+rows there.  It stops by Banach's a-posteriori bound, once q/(1-q) times its
+last change is within tolerance, where q bounds the pass's Lipschitz constant
+and is derived from the lattice.  Each pass builds the block's tables in small
 reused buffers from the carried boundary rows of the block below.  One march
 serves two routes: ``picard_solve`` iterates each block inside the band phi,
 its only band-sized array, which ``interp_phi`` and the identity checks read;
@@ -75,7 +79,8 @@ _QUAD_NODES = 4096      # Gauss nodes per interp_phi call of the identity checks
 
 class NotConverged(RuntimeError):
     """A block of rows hit n_max Picard passes while its sup-norm change
-    exceeded tol; ``changes`` holds the per-pass maxima so far."""
+    stayed above its stop (tol_abs, or more by its contraction bound);
+    ``changes`` holds the per-pass maxima so far."""
 
     def __init__(self, msg, changes):
         super().__init__(msg)
@@ -338,14 +343,21 @@ class PicardRun:
     Attributes
     ----------
     changes : sup-norm Picard increments; changes[k] is the largest change
-              of the (k+1)-th pass over any block of rows.
+              of the (k+1)-th pass over any block of rows.  Only the first
+              block starts from phi^(0); the others start from the block
+              below, so their changes[0] is what that seed missed, not the
+              whole O(m^2) correction.
     block_passes : Picard passes each block of rows needed (int array);
                    iterations is its maximum, len(changes) for m > 0.
     row_sup : max |phi| of each band row, recorded as its block converged.
+    ratios : largest measured change ratio of successive passes of each
+             block (0.0 for a block of one pass).
+    contraction : the bound q on the Lipschitz constant of each block's pass
+                  that its stop used; it bounds that block's ratios.
     """
 
     def __init__(self, lattice, m, changes, block_passes, tol_abs, sup_phi0,
-                 row_sup):
+                 row_sup, ratios=(), contraction=()):
         self.lattice = lattice
         self.maps = lattice.maps
         self.m = float(m)
@@ -355,6 +367,8 @@ class PicardRun:
         self.tol_abs = float(tol_abs)
         self.sup_phi0 = float(sup_phi0)
         self.row_sup = row_sup
+        self.ratios = np.array(ratios, dtype=float)
+        self.contraction = np.array(contraction, dtype=float)
         self.t_max = lattice.t_max
 
     def sup_phi(self):
@@ -597,7 +611,31 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     The new iterate goes to a second block buffer, which then swaps with the
     old one, so no pass copies a block; a block of the band whose last pass
     ended in that buffer is copied back once.
+
+    The first block starts from its phi^(0) rows.  Every later block starts
+    from a seeded D: D[r, c] = D_above[c+r+1] + (r+1) (D_above[c+r+1] -
+    D_above2[c+r+2]), linear along each diagonal from the last two D rows of
+    the block below (two sliding windows over two carried rows padded with
+    the zeros beyond the diagonal), with the initial-interval corrections
+    corr[n0 +- k] extrapolated linearly from the last ones below.  The
+    prolongation and row assembly then give the first iterate.  A pass is
+    affine in the block's rows, and q (computed per block from w, the block
+    height b, the width Wmax and its prolongation and initial-interval
+    columns) bounds its Lipschitz constant in the sup norm.  A block stops
+    once change * q / (1 - q) <= tol_abs, so its distance to its fixed point
+    is within tol_abs; for q >= 1/2 it stops on change <= tol_abs.  The
+    PicardRun records q and the largest measured change ratio of each block.
     """
+    # numpy buffers every operand of a pass that is not one flat run (row
+    # slices, sliding windows); a 1024-element buffer suits the block's rows.
+    # np.errstate scopes the buffer size to this call and thread
+    with np.errstate():
+        np.setbufsize(1024)
+        return _march_blocks(lat, profile, m, tol, n_max, phi, on_block)
+
+
+def _march_blocks(lat, profile, m, tol, n_max, phi, on_block):
+    """The body of ``_march``."""
     n0, W, B, h = lat.n0, lat.Wmax, lat.block, 0.5 * lat.delta
     keep = phi is not None
     if not keep:
@@ -630,19 +668,47 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     sup0 = max(0.0, float(np.max(top - Gi)), float(np.max(Gi - bottom)))
     tol_abs = tol * max(sup0, 1e-300)
 
-    q4 = 0.25 * m * m
-    w = q4 * h * h
+    w = 0.25 * m * m * h * h
     Gl, Grows = lat.g_table()
     corr = np.zeros_like(Gl0)
-    # per block: C rows below a carried row from the block above; the D rows
+    # per block: C rows below a carried row from the block below; the D rows
     # replace the C rows once D's increments are summed, and the block's last
-    # C row and the last D row of the block above are kept aside
+    # C row is kept aside.  The last two D rows of the block below are carried
+    # in two rows padded with the zeros of D beyond the diagonal: pad[0] holds
+    # D_above, pad[1] the step of D down each diagonal (fixed eta) into it
     Cb = np.zeros((B + 1, W))
-    C_last, D_above = np.zeros(W), np.zeros(W)
+    C_last = np.zeros(W)
+    pad = np.zeros((2, W + B + 1))
+    D_above = pad[0, :W]
+    # ahead[:, r] = pad[:, r + 1 : r + 1 + W], read at the block's row r
+    ahead = np.lib.stride_tricks.sliding_window_view(pad, W, axis=1)[:, 1:]
+    steps = np.arange(1.0, B + 1)[:, None]
     new = np.empty((B, W))
     # D restarts left of this column: the predecessor (r-1, c+1) is outside the band
     restart = np.concatenate([[W - 1], lat.cmin[:-1] - 1])
-    changes, passes, cumE, change = [], [], 0.0, math.inf
+    changes, passes, ratios, contraction = [], [], [], []
+    cumE, stepE, change = 0.0, 0.0, math.inf
+
+    def assemble(r0, r1, D, out):
+        """out = G(s_j) - G(s_i) + D on the rows r0 .. r1 - 1, with G's
+        correction on the block's own columns prolonged from D."""
+        # prolongation Corr(F(eta)) = Corr(eta) + (m^2/4) T(xi, eta) at eta*
+        # for the columns j = n0 + r on this block; jstar < n0 + r0 is done
+        p = slice(max(r0 - n0 - 1, 0), max(r1 - n0 - 1, 0))
+        jj, js = lat.j_pro[p], lat.jstar[p]
+        if jj.size:
+            c1 = W - 1 - (jj - js)
+            D1 = D[jj - n0 - r0, c1]
+            D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
+            # one-sided linear extrapolation of (m^2/4) T(s_j, .) down to eta*
+            tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
+            corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
+                        + tri)
+        # only the O(m^2) correction is ever interpolated; the massless part
+        # of G is exact at every node via F-pullback
+        lo = max(n0 + r0 + 1 - W, 0)
+        np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
+        lat.fill_rows(Grows, r0, out, D)
 
     # a pass over a block reads only the carried rows Cb[0], D_above (and
     # cumE), which earlier, converged blocks left, so each pass of the block
@@ -651,7 +717,6 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
         b = r1 - r0
         home = rows(r0, r1)
         old, out = home, new[:b]
-        lat.fill_rows(G0rows, r0, old)
         k = np.arange(max(r0, 1), min(r1, n0 + 1))
         C = D = Cb[1:b + 1]
         # Cb[:b + 1] flat: Cf[q] = Cb[r, c] at q = r W + c, so Cf[q + 1] + Cf[q + W]
@@ -659,6 +724,33 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
         Cf, Df = Cb[:b + 1].reshape(-1), D.reshape(-1)
         # above[r], below[r] = D[r, 1:], D[r + 1, :-1]: one step down the diagonals
         above, below = D[:-1, 1:], D[1:, :-1]
+
+        # q bounds the Lipschitz constant of a pass on this block in the sup
+        # norm of the difference dphi of two iterates.  A C entry moves by at
+        # most 2 (W - 1) sup|dphi|, and a D entry sums w times at most 2b - 1
+        # of them.  A prolonged correction adds u/delta < 1 times D1 - D2,
+        # whose C entries pair up into differences of at most 2 sup|dphi|,
+        # but for one sum where the chain of D2 starts a row earlier.  An
+        # initial-interval correction sums w E_k, each at most w (8k - 4)
+        # sup|dphi|.  A new node reads one D entry and two corrections
+        spread = 2.0 * w * (2 * b - 1)
+        corr_q = ((spread * W + 4.0 * w * (W - 1) if r1 > n0 + 1 else 0.0)
+                  + w * float(8 * k.sum() - 4 * k.size))
+        q = spread * (W - 1) + 2.0 * corr_q
+        # Banach: |phi* - phi_n| <= q / (1 - q) |phi_n - phi_(n-1)|
+        stop = tol_abs * (1.0 - q) / q if q < 0.5 else tol_abs
+
+        if r0:
+            # first iterate from D extrapolated down each diagonal from the
+            # two rows below: D[r, c] = D_above[c + r + 1] + (r + 1) step
+            np.multiply(ahead[1, :b], steps[:b], out=D)
+            D += ahead[0, :b]
+            if k.size:
+                corr[n0 + k] = corr[n0 - k] = cumE + (k - (r0 - 1)) * stepE
+            assemble(r0, r1, D, old)
+        else:
+            lat.fill_rows(G0rows, r0, old)
+        ratio = 0.0
         for n in range(n_max):
             # h C[k, c] = int_{s_j}^{s_i} phi dz: trapezoid, cumulated from the
             # diagonal; one add over the flattened block, whose sums across a
@@ -691,56 +783,51 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
             for up, row in zip(above, below):
                 np.add(up, row, out=row)
 
-            # prolongation Corr(F(eta)) = Corr(eta) + (m^2/4) T(xi, eta) at eta*
-            # for the columns j = n0 + r on this block; jstar < n0 + r0 is done
-            p = slice(max(r0 - n0 - 1, 0), max(r1 - n0 - 1, 0))
-            jj, js = lat.j_pro[p], lat.jstar[p]
-            if jj.size:
-                c1 = W - 1 - (jj - js)
-                D1 = D[jj - n0 - r0, c1]
-                D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
-                # one-sided linear extrapolation of (m^2/4) T(s_j, .) down to eta*
-                tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
-                corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
-                            + tri)
-
-            # only the O(m^2) correction is ever interpolated; the massless part
-            # of G is exact at every node via F-pullback
-            lo = max(n0 + r0 + 1 - W, 0)
-            np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
-            lat.fill_rows(Grows, r0, out, D)
+            assemble(r0, r1, D, out)
             old -= out
-            change = max(float(old.max()), -float(old.min()))
+            last, change = change, max(float(old.max()), -float(old.min()))
+            if n:
+                ratio = max(ratio, change / last)
             old, out = out, old
             if n == len(changes):
                 changes.append(0.0)
             changes[n] = max(changes[n], change)
-            if change <= tol_abs:
+            if change <= stop:
                 break
         else:
             raise NotConverged(
-                "picard iteration: change %.3e > tol %.3e after %d passes on "
-                "band rows %d-%d" % (change, tol_abs, n_max, r0, r1 - 1), changes)
+                "picard iteration: change %.3e > %.3e (tol %.3e) after %d passes "
+                "on band rows %d-%d" % (change, stop, tol_abs, n_max, r0, r1 - 1),
+                changes)
         passes.append(n + 1)
+        ratios.append(ratio)
+        contraction.append(q)
         if keep and old is not home:        # the last pass ended in new
             home[...] = old
         np.maximum(old.max(axis=1), -old.min(axis=1), out=row_sup[r0:r1])
         if on_block is not None:
             on_block(r0, r1, old)
         Cb[0] = C_last
+        pad[1, :W - 1] = D[-2, 1:] if b > 1 else pad[0, 1:W]
         D_above[:] = D[-1]
+        np.subtract(pad[0], pad[1], out=pad[1])
         if k.size:
-            cumE = run[-1]
+            cumE, stepE = run[-1], w * E[-1]
 
-    return PicardRun(lat, m, changes, passes, tol_abs, sup0, row_sup)
+    return PicardRun(lat, m, changes, passes, tol_abs, sup0, row_sup,
+                     ratios, contraction)
 
 
 def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
                  n_max=40):
     """Solve the massive problem up to t_max on an a(0)/resolution lattice.
 
-    ``tol`` is relative to sup|phi^(0)|.  m = 0 short-circuits to the exact
-    massless solution sampled on the lattice.
+    ``tol`` is relative to sup|phi^(0)|.  Each block of rows stops once its
+    distance to the fixed point of its pass (given the converged rows below)
+    is provably within tol_abs = tol sup|phi^(0)| by the contraction bound
+    of ``_march``; where that bound is no contraction (q >= 1/2) it stops on
+    a change within tol_abs.  m = 0 short-circuits to the exact massless
+    solution sampled on the lattice.
 
     Raises
     ------

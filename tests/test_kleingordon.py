@@ -252,15 +252,16 @@ def test_picard_change_sequence_dominated(tuned_maps):
 # phi nodes recorded at tol 1e-14 with the global sweep that preceded the
 # block-marched one (each sweep ran over the whole band until its slowest
 # rows converged); both reach the same discrete fixed point to about tol.
-# Passes and changes are those of the block-marched solve at tol 1e-14:
+# Passes and changes are those of the block-marched solve at tol 1e-14, with
+# each block after the first seeded from the block below and stopped on its
+# contraction bound:
 # (maps fixture, bump, resolution, passes, changes, (r, c, phi[r, c]) nodes).
 # Resolutions 3 and 4 reach back only 5 and 7 prolongation columns, fewer
 # than one block of rows, so they run with clamped blocks.
 _PICARD_PINS = [
-    ("tuned_maps", (0.5, 0.2, 0.1), 4, 7,
-     [0.00967146063880441, 7.150085689920215e-05, 3.711196330078055e-07,
-      8.084291829718593e-10, 4.532066562312753e-12, 1.6678498859779012e-14,
-      4.0766001685454967e-17],
+    ("tuned_maps", (0.5, 0.2, 0.1), 4, 6,
+     [0.005703440286156758, 1.959098283277295e-05, 9.80798844623515e-08,
+      5.209719825677306e-10, 1.7999790026534956e-12, 4.2782617726278005e-15],
      [(8, 0, 0.0), (8, 2, 0.0013167021465250585),
       (8, 5, 0.004163829452629424), (8, 7, 0.9576053904948713),
       (14, 0, -0.0010111389483413676), (14, 2, -0.00966696739949576),
@@ -271,9 +272,9 @@ _PICARD_PINS = [
       (27, 5, -0.005271454127754856), (27, 7, -0.00045598473360350194),
       (34, 1, 0.00010714962160691694), (34, 3, 0.0007667627909626642),
       (34, 5, 0.0027306244331747895), (34, 7, -0.0006612179988364499)]),
-    ("tuned_maps", (0.5, 0.2, 0.1), 96, 6,
-     [0.010875366137026408, 3.433614319092726e-05, 1.0623481732675855e-07,
-      1.7575571553685165e-10, 1.524474990688418e-13, 2.220446049250313e-16],
+    ("tuned_maps", (0.5, 0.2, 0.1), 96, 5,
+     [0.0024417745031516946, 5.420629402674848e-06, 5.040426298563716e-09,
+      2.531308496145357e-12, 1.4903985164071987e-15],
      [(170, 4, -0.014394926913854847), (170, 73, -0.9990803730025712),
       (170, 141, -0.9973907584357814), (170, 210, -0.005560481557887644),
       (297, 15, 8.92241481174102e-06), (297, 80, 0.8095577786063638),
@@ -284,10 +285,10 @@ _PICARD_PINS = [
       (551, 141, -0.0027706760030747784), (551, 210, -7.312502504996818e-05),
       (679, 16, 1.0729276212927407e-05), (679, 81, 0.002814527411052038),
       (679, 145, -0.001814793849889893), (679, 210, -2.1177469808246936e-05)]),
-    ("strong_maps", (1.0, 0.5, 0.25), 3, 8,
-     [0.004717243202275581, 9.196559637877607e-05, 2.201995225716794e-06,
-      3.2838928923362154e-08, 3.171359884771019e-10, 3.90964561072793e-12,
-      3.2964082852249277e-14, 2.3288662664988635e-16],
+    ("strong_maps", (1.0, 0.5, 0.25), 3, 7,
+     [0.004717243202275581, 8.243615141964112e-05, 8.000834670882952e-07,
+      5.468116741087076e-09, 2.8284474155176875e-11, 1.2327205228812588e-13,
+      4.79217360238593e-16],
      [(4, 0, 0.17000436073008426), (4, 2, -0.004672334670243396),
       (4, 3, -0.004458200603081569), (4, 5, -0.0023602626259162963),
       (7, 0, 0.00012599529478633564), (7, 2, 0.0022153598976226087),
@@ -342,11 +343,14 @@ def test_picard_block_passes_flat_in_horizon(tuned_maps):
         assert np.all(ch[1:] <= bd[1:] + 1e-13 * fg.sup_phi0)
 
 
-def _reference_march(lat, profile, m, tol=1e-9, n_max=40):
+def _reference_march(lat, profile, m, tol=1e-9, n_max=40, probe=None):
     """The block-marched Picard iteration with one 2-D operation per step of
-    a pass, D kept sheared so that its cumulation adds whole rows, and each
-    new iterate copied over the old one: the reference the march must match
-    bit for bit.  Returns (band, changes, passes per block)."""
+    a pass, D kept sheared so that its cumulation adds whole rows (and its
+    seed from the block below is one broadcast over them), and each new
+    iterate copied over the old one: the reference the march must match bit
+    for bit.  Returns (band, changes, passes per block, largest change ratio
+    per block).  With a list ``probe``, each block first appends (the sup-norm
+    Lipschitz constant of its pass, measured column by column, and q)."""
     n0, W, B, h = lat.n0, lat.Wmax, lat.block, 0.5 * lat.delta
     Gl0, G0rows = lat.g_table()
     Gl0[:] = profile.G(lat.s)
@@ -365,18 +369,47 @@ def _reference_march(lat, profile, m, tol=1e-9, n_max=40):
     w = 0.25 * m * m * h * h
     corr = np.zeros_like(Gl0)
     Cb = np.zeros((B + 1, W))
+    # Sb[r, c + r] = D[r, c]: a diagonal (fixed eta) of D is a column of Sb
     Sb = np.zeros((B + 1, W + B))
     Dv = np.lib.stride_tricks.as_strided(Sb, (B + 1, W), (Sb.strides[0] + 8, 8))
+    step = np.zeros(W + B)          # last step of D down each diagonal of Sb
     new = np.empty((B, W))
     restart = np.concatenate([[W - 1], lat.cmin[:-1] - 1])
-    changes, passes, cumE = [], [], 0.0
+    changes, passes, ratios, cumE, stepE, change = [], [], [], 0.0, 0.0, 0.0
+
+    def assemble(r0, r1, D, out):
+        p = slice(max(r0 - n0 - 1, 0), max(r1 - n0 - 1, 0))
+        jj, js = lat.j_pro[p], lat.jstar[p]
+        if jj.size:
+            c1 = W - 1 - (jj - js)
+            D1 = D[jj - n0 - r0, c1]
+            D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
+            tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
+            corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
+                        + tri)
+        lo = max(n0 + r0 + 1 - W, 0)
+        np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
+        fill(Grows, r0, out, D)
+
     for r0, r1 in lat.blocks():
         b = r1 - r0
         old, out, C, D = phi[r0:r1], new[:b], Cb[1:b + 1], Dv[1:b + 1]
         k = np.arange(max(r0, 1), min(r1, n0 + 1))
-        p = slice(max(r0 - n0 - 1, 0), max(r1 - n0 - 1, 0))
-        jj, js = lat.j_pro[p], lat.jstar[p]
-        for n in range(n_max):
+        spread = 2.0 * w * (2 * b - 1)
+        corr_q = ((spread * W + 4.0 * w * (W - 1) if r1 > n0 + 1 else 0.0)
+                  + w * float(8 * k.sum() - 4 * k.size))
+        q = spread * (W - 1) + 2.0 * corr_q
+        stop = tol_abs * (1.0 - q) / q if q < 0.5 else tol_abs
+        if r0:
+            np.multiply(np.arange(1.0, b + 1)[:, None], step, out=Sb[1:b + 1])
+            Sb[1:b + 1] += Sb[0]
+            if k.size:
+                corr[n0 + k] = corr[n0 - k] = cumE + (k - (r0 - 1)) * stepE
+            assemble(r0, r1, D, old)
+
+        def one_pass():
+            """out = the pass over the rows old; returns the block's
+            initial-interval (run, E), or None when it has none."""
             np.add(old[:, :-1], old[:, 1:], out=C[:, :-1])
             np.cumsum(C[:, -2::-1], axis=1, out=C[:, -2::-1])
             np.add(Cb[:b, 1:], C[:, :-1], out=D[:, :-1])
@@ -385,34 +418,51 @@ def _reference_march(lat, profile, m, tol=1e-9, n_max=40):
             D[:, -1] = 0.0
             for i in range(1, b + 1):
                 np.add(Sb[i - 1], Sb[i], out=Sb[i])
+            sums = None
             if k.size:
                 E = Cb[k - r0 + 1, W - 1 - 2 * k] + Cb[k - r0, W + 1 - 2 * k]
                 run = np.cumsum(np.concatenate([[cumE], w * E]))[1:]
                 corr[n0 + k] = corr[n0 - k] = run
-            if jj.size:
-                c1 = W - 1 - (jj - js)
-                D1 = D[jj - n0 - r0, c1]
-                D2 = D[jj - n0 - r0, np.minimum(c1 + 1, W - 1)]
-                tri = D1 - lat.u[p] * (D2 - D1) / lat.delta
-                corr[jj] = (corr[js - 1] + lat.lam[p] * (corr[js] - corr[js - 1])
-                            + tri)
-            lo = max(n0 + r0 + 1 - W, 0)
-            np.add(Gl0[lo:n0 + r1], corr[lo:n0 + r1], out=Gl[lo:n0 + r1])
-            fill(Grows, r0, out, D)
+                sums = run, E
+            assemble(r0, r1, D, out)
+            return sums
+
+        if probe is not None:
+            # the pass is affine in the block's band nodes: the sup-norm
+            # Lipschitz constant is the largest row sum of |A|, whose columns
+            # are the responses to a unit step of one node
+            x0 = old.copy()
+            one_pass()
+            y0, norm = out.copy(), np.zeros(out.shape)
+            for j in np.flatnonzero(np.arange(W) >= lat.cmin[r0:r1, None]):
+                old[...] = x0
+                old.flat[j] += 1.0
+                one_pass()
+                norm += np.abs(out - y0)
+            old[...] = x0
+            probe.append((float(norm.max()), q))
+        ratio = 0.0
+        for n in range(n_max):
+            sums = one_pass()
             old -= out
-            change = max(float(old.max()), -float(old.min()))
+            last, change = change, max(float(old.max()), -float(old.min()))
+            if n:
+                ratio = max(ratio, change / last)
             old[...] = out
             if n == len(changes):
                 changes.append(0.0)
             changes[n] = max(changes[n], change)
-            if change <= tol_abs:
+            if change <= stop:
                 break
         passes.append(n + 1)
+        ratios.append(ratio)
         Cb[0] = Cb[b]
+        np.subtract(Sb[b, b:b + W], Sb[b - 1, b:b + W], out=step[:W])
         Dv[0] = Dv[b]
         if k.size:
-            cumE = run[-1]
-    return phi, changes, passes
+            run, E = sums
+            cumE, stepE = run[-1], w * E[-1]
+    return phi, changes, passes, ratios
 
 
 @pytest.mark.parametrize("fixture, m, res", [("tuned_maps", 0.4, 96),
@@ -424,10 +474,11 @@ def test_picard_march_matches_reference(fixture, m, res, request):
     data = cauchy.make_bump(maps.a0, 0.5 * maps.a0, 0.2 * maps.a0, 1.0, "right")
     fg = kg.picard_solve(data, maps, m, resolution=res, t_max=4.0)
     lat = fg.lattice
-    phi, changes, passes = _reference_march(lat, fg.profile, m)
+    phi, changes, passes, ratios = _reference_march(lat, fg.profile, m)
     assert {p % 2 for p in passes} == {0, 1} and lat.R % lat.block != 0
     assert fg.phi.tobytes() == phi.tobytes()
     assert fg.changes == changes and fg.block_passes.tolist() == passes
+    assert fg.ratios.tolist() == ratios
     row_sup = np.maximum(phi.max(axis=1), -phi.min(axis=1))
     assert fg.row_sup.tobytes() == row_sup.tobytes()
     rows = []
@@ -443,6 +494,100 @@ def test_picard_not_converged(static_maps):
         kg.picard_solve(data, static_maps, m=1.0, resolution=64, t_max=2.0,
                         n_max=2)
     assert len(exc_info.value.changes) == 2
+
+
+def _march_case(fixture, res, t_max, bump, request):
+    """(lattice, profile) on an a(0)/res lattice up to t_max of the bump
+    (a0, center, width), or of the one scaled to the wall when it is None;
+    the fixture "example" is the wall of demos/example.cfg."""
+    maps = _example_wall() if fixture == "example" else request.getfixturevalue(fixture)
+    a0, center, width = bump or (maps.a0, 0.5 * maps.a0, 0.2 * maps.a0)
+    data = cauchy.make_bump(a0, center, width, 1.0, "right")
+    return kg._Lattice(maps, res, t_max), build_initial_profile(data, maps)
+
+
+# (maps fixture, m, resolution, t_max, bump); the last is simulate's lattice
+# on demos/example.cfg
+_EXAMPLE_BUMP = (0.5, 0.15, 0.1)
+_SIMULATE_CASE = ("example", 0.27, 512, 12.0 + 1.0 / 16.0, _EXAMPLE_BUMP)
+
+
+@pytest.mark.parametrize("case", [
+    ("tuned_maps", 0.4, 96, 4.0, None),
+    ("strong_maps", 0.6, 40, 4.0, None),
+    ("example", 0.6, 256, 12.0, _EXAMPLE_BUMP),
+    _SIMULATE_CASE,
+], ids=["tuned-96", "strong-40", "example-256", "simulate-512"])
+def test_picard_contraction_bounds_ratios(case, request):
+    # q, derived from the lattice, bounds the pass map of each block, so it
+    # bounds every measured change[n + 1] / change[n] of that block
+    fixture, m, res, t_max, bump = case
+    lat, profile = _march_case(fixture, res, t_max, bump, request)
+    run = kg._march(lat, profile, m, 1e-9, 40)
+    assert len(run.ratios) == len(run.contraction) == len(run.block_passes)
+    measured = run.block_passes > 1
+    assert measured.any() and np.all(run.ratios[measured] > 0.0)
+    assert np.all(run.ratios <= run.contraction)
+
+
+@pytest.mark.parametrize("case", [("tuned_maps", 0.4, 16, 3.0, None),
+                                  ("strong_maps", 0.6, 12, 3.0, None),
+                                  ("tuned_maps", 0.4, 4, 3.0, None)],
+                         ids=["tuned-16", "strong-12", "tuned-4-clamped"])
+def test_picard_contraction_bounds_pass_norm(case, request):
+    # q bounds the Lipschitz constant of every block's pass in every
+    # direction, not only along the iterates: the reference measures it node
+    # by node on small lattices (initial-interval, spanning, prolongation and
+    # clamped blocks); it read at most 0.25 q
+    fixture, m, res, t_max, bump = case
+    lat, profile = _march_case(fixture, res, t_max, bump, request)
+    probe = []
+    _reference_march(lat, profile, m, probe=probe)
+    norm, q = (np.array(v) for v in zip(*probe))
+    assert q.tolist() == kg._march(lat, profile, m, 1e-9, 40).contraction.tolist()
+    assert np.all(norm > 0.0) and np.all(norm <= q)
+
+
+@pytest.mark.parametrize("case", [("tuned_maps", 0.4, 96, 4.0, None), _SIMULATE_CASE],
+                         ids=["tuned-96", "simulate-512"])
+def test_picard_tol_bounds_distance_to_fixed_point(case, request):
+    # stopped on the contraction bound, a tol = 1e-9 march lies within tol_abs
+    # of the tol = 1e-14 one everywhere on the lattice
+    fixture, m, res, t_max, bump = case
+    lat, profile = _march_case(fixture, res, t_max, bump, request)
+    phi = np.empty((lat.R, lat.Wmax))
+    run = kg._march(lat, profile, m, 1e-9, 40, phi=phi)
+    gap = []
+    kg._march(lat, profile, m, 1e-14, 40, on_block=lambda r0, r1, rows:
+              gap.append(float(np.max(np.abs(rows - phi[r0:r1])))))
+    assert 0.0 < max(gap) <= run.tol_abs
+    assert run.picard_bound_ok()
+    if case is _SIMULATE_CASE:
+        # 660 passes when every block started from phi^(0) and stopped on
+        # change <= tol_abs, 435 with seeds alone, 356 with the bound
+        assert run.block_passes.sum() <= 400
+
+
+def test_picard_bufsize_restored(static_maps, request):
+    # the march runs with a 1024-element ufunc buffer, scoped to the call: the
+    # caller's buffer size (here 4096) is back after a return and a raise
+    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
+    lat, profile = _march_case("static_maps", 32, 1.0, None, request)
+    seen = []
+    with np.errstate():
+        np.setbufsize(4096)
+        kg._march(lat, profile, 0.5, 1e-9, 40,
+                  on_block=lambda r0, r1, rows: seen.append(np.getbufsize()))
+        assert set(seen) == {1024} and np.getbufsize() == 4096
+        kg.picard_solve(data, static_maps, m=0.5, resolution=32, t_max=1.0)
+        assert np.getbufsize() == 4096
+        kg.picard_energy_series(data, static_maps, 0.5, [0.5], resolution=32,
+                                t_max=1.0)
+        assert np.getbufsize() == 4096
+        with pytest.raises(kg.NotConverged):
+            kg.picard_solve(data, static_maps, m=1.0, resolution=32, t_max=1.0,
+                            n_max=1)
+        assert np.getbufsize() == 4096
 
 
 def test_picard_incompatible_data(strong_maps):
@@ -677,7 +822,7 @@ def test_streamed_energies_match_band(tuned_maps, m):
     if m > 0:
         # blocks of odd and of even pass counts end in either buffer of the
         # march's swap, and a short last block takes its flat views over
-        # fewer rows (passes [3, 4 x 13, 3], R = 902, block 64)
+        # fewer rows (passes 1 to 3, R = 902, block 64)
         assert {p % 2 for p in fg.block_passes.tolist()} == {0, 1}
         assert fg.lattice.R % fg.lattice.block != 0
 
