@@ -15,7 +15,10 @@ For each tree, every measurement runs in a fresh interpreter:
   ``oracle_fdm.compare`` of that run against the exact massless field of the
   same data on the default probe times, each the minimum over ``--repeat``
   processes; the sha256 of ``psi`` and of the per-slice discrepancies, the
-  process's peak RSS (maximum over the processes) and its ``scipy`` record.
+  process's peak RSS (maximum over the processes) and its ``scipy`` record;
+- in the same processes, after the ``m = 0.27`` run is released, one
+  ``m = 0`` solve (the mass ``perfbench``'s ``crosscheck`` runs) and its
+  ``compare``, timed (the minimum) and digested the same way.
 
 Run from the repository root; ``--src`` names a directory holding the
 ``kgcavity`` package and may be repeated, so a parent checkout can be set
@@ -28,7 +31,8 @@ Trees are labelled A, B, ... in ``--src`` order; each entry carries the
 sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``, which
 has no default so that a comparison run never overwrites a checked-in
 record (``BENCH_10.json`` was written by this script).  The exit code is 1 when a command exits
-nonzero or the oracle's ``psi`` or ``compare`` values differ between trees.
+nonzero or the oracle's ``psi`` or ``compare`` values differ between trees, at
+either mass.
 """
 
 import argparse
@@ -86,11 +90,20 @@ profile = build_initial_profile(data, boundary.CharacteristicMaps(motion))
 t0 = time.perf_counter()
 _, sups, _ = oracle_fdm.compare(run, profile)
 compare_s = time.perf_counter() - t0
+psi_shape, psi_sha256 = list(run.psi.shape), hashlib.sha256(run.psi.tobytes()).hexdigest()
+del run
+t0 = time.perf_counter()
+run0 = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0)
+m0_s = time.perf_counter() - t0
+_, sups0, _ = oracle_fdm.compare(run0, profile)
 print(json.dumps({"first_s": times[0], "second_s": times[1], "compare_s": compare_s,
+                  "m0_s": m0_s,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "psi_shape": list(run.psi.shape),
-                  "psi_sha256": hashlib.sha256(run.psi.tobytes()).hexdigest(),
+                  "psi_shape": psi_shape,
+                  "psi_sha256": psi_sha256,
                   "compare_sha256": hashlib.sha256(sups.tobytes()).hexdigest(),
+                  "m0_psi_sha256": hashlib.sha256(run0.psi.tobytes()).hexdigest(),
+                  "m0_compare_sha256": hashlib.sha256(sups0.tobytes()).hexdigest(),
                   "scipy": %s}))
 """ % _SCIPY
 
@@ -122,11 +135,14 @@ def measure(src, repeat):
         "oracle": {"first_s_min": min(r["first_s"] for r in oracle),
                    "second_s_min": min(r["second_s"] for r in oracle),
                    "compare_s_min": min(r["compare_s"] for r in oracle),
+                   "m0_s_min": min(r["m0_s"] for r in oracle),
                    "peak_rss_mb_max": max(r["peak_rss_mb"] for r in oracle),
                    "scipy_after": oracle[0]["scipy"],
                    "psi_shape": oracle[0]["psi_shape"],
                    "psi_sha256": sorted({r["psi_sha256"] for r in oracle}),
-                   "compare_sha256": sorted({r["compare_sha256"] for r in oracle})},
+                   "compare_sha256": sorted({r["compare_sha256"] for r in oracle}),
+                   "m0_psi_sha256": sorted({r["m0_psi_sha256"] for r in oracle}),
+                   "m0_compare_sha256": sorted({r["m0_compare_sha256"] for r in oracle})},
     }
 
 
@@ -153,19 +169,20 @@ def main(argv=None):
             failed |= cmd["exit"] != 0
         o = res["oracle"]
         print("    oracle 512/4: first %.3f s, second %.3f s, compare %.3f s, "
-              "peak %.1f MB, %d scipy modules, psi %s"
-              % (o["first_s_min"], o["second_s_min"], o["compare_s_min"],
+              "m = 0 %.3f s, peak %.1f MB, %d scipy modules, psi %s"
+              % (o["first_s_min"], o["second_s_min"], o["compare_s_min"], o["m0_s_min"],
                  o["peak_rss_mb_max"], o["scipy_after"]["count"], o["psi_sha256"][0][:16]))
 
     identical = {}
-    for what in ("psi", "compare"):
+    for what in ("psi", "compare", "m0_psi", "m0_compare"):
         identical[what] = len({sha for tree in trees
                                for sha in tree["oracle"][what + "_sha256"]}) == 1
+        name = what.replace("m0_", "") + (" at m = 0" if what.startswith("m0_") else "")
         if not identical[what]:
-            print("oracle %s differs across trees or runs" % what)
+            print("oracle %s differs across trees or runs" % name)
             failed = True
         elif len(trees) > 1:
-            print("oracle %s bit-identical across trees" % what)
+            print("oracle %s bit-identical across trees" % name)
 
     import numpy
     import scipy
@@ -178,6 +195,8 @@ def main(argv=None):
         "trees": trees,
         "oracle_psi_identical": identical["psi"],
         "oracle_compare_identical": identical["compare"],
+        "oracle_m0_psi_identical": identical["m0_psi"],
+        "oracle_m0_compare_identical": identical["m0_compare"],
     }
     with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -107,22 +107,25 @@ def _flapack():
 
 
 def _tridiagonal_solve(sub, diag, sup, rhs):
-    """x with A x = rhs, A tridiagonal with the given sub-, main and
-    superdiagonal.
+    """Solve A x = rhs in place, A tridiagonal with the given sub-, main and
+    superdiagonal: ``rhs`` is overwritten with x and returned.
 
     Calls LAPACK's dgtsv, the routine ``scipy.linalg.solve_banded((1, 1),
     ...)`` dispatches to, from scipy's ``_flapack`` extension (see
     :func:`_flapack`) and without ``solve_banded``'s per-call validation,
     which costs more than the solve at the oracle's sizes; ``scipy.linalg``
-    itself is never imported.  ``sub``, ``sup`` and ``rhs`` are overwritten;
-    ``diag`` is not.  Values are not checked for finiteness: NaN and inf pass
-    through to the result.
+    itself is never imported.  ``rhs`` may be a row view of a larger array
+    (a contiguous float64 one is solved where it lies; should the wrapper
+    have to copy, the solution is copied back).  ``sub`` and ``sup`` are
+    overwritten too; ``diag`` is not.  Values are not checked for
+    finiteness: NaN and inf pass through to the result.
     """
-    _, _, _, x, info = _flapack().dgtsv(sub, diag, sup, rhs, overwrite_dl=1,
-                                        overwrite_du=1, overwrite_b=1)
+    _, _, _, x, info = _flapack().dgtsv(sub, diag, sup, rhs, 1, 0, 1, 1)
     if info != 0:
         raise Unstable("singular tridiagonal system (dgtsv info %d)" % info)
-    return x
+    if x is not rhs:
+        rhs[...] = x
+    return rhs
 
 
 def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
@@ -133,8 +136,9 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
     step is seeded to second order with phi1 and the PDE itself.
 
     Raises :class:`Unstable` when sup|psi| exceeds 10^6 times its initial
-    value or when any value is not finite (NaN or inf in the data included),
-    checked after every step.
+    value or when any value is not finite (NaN or inf in the data included).
+    The check runs once per chunk of STEP_CHUNK steps, over the chunk's new
+    rows, and names the first failing step of the chunk.
     """
     if n_y < 64:
         raise ValueError("n_y >= 64 required")
@@ -169,6 +173,7 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
     psi = np.empty((n_t + 1, n_y + 1))
     psi[0] = psi0
     psi[1] = psi1
+    psi[2:, 0] = psi[2:, -1] = 0.0
     sup0 = max(float(np.max(np.abs(psi0))), 1e-30)
 
     yint = ys[1:-1]
@@ -177,18 +182,22 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
     dy2 = dy**2
     two_dy = 2.0 * dy
     diag = np.full(n_y - 1, idt2)
+    # work rows: 2 cur (then each product the right-hand side adds), D_yy,
+    # and the centred D_y of the old row, which trades places with dyc
+    two_c, dyy, dyo = np.empty((3, n_y - 1))
     dyc = (psi0[2:] - psi0[:-2]) / two_dy
     for n0 in range(1, n_t, STEP_CHUNK):
-        steps = range(n0, min(n0 + STEP_CHUNK, n_t))
-        # per-step scalars in Python floats, as a step-by-step build takes
-        # them (psi stays bit-identical), then the chunk's coefficient rows
-        scalars = []
-        for n in steps:
-            a_t = float(motion.a(ts[n]))
-            da_t = float(motion.da(ts[n]))
-            dda_t = float(motion.dda(ts[n]))
-            scalars.append((da_t / a_t, da_t, a_t**2,
-                            dda_t / a_t - 2.0 * (da_t / a_t) ** 2))
+        n1 = min(n0 + STEP_CHUNK, n_t)
+        steps = range(n0, n1)
+        # the wall at the chunk's times in Python floats, as a step-by-step
+        # build takes them (psi stays bit-identical): a column holds each
+        # time in a row of its own, so a Fourier wall sums its terms for it
+        # exactly as for that time alone; then the chunk's coefficient rows
+        t_col = ts[n0:n1, None]
+        scalars = [(da_t / a_t, da_t, a_t**2, dda_t / a_t - 2.0 * (da_t / a_t) ** 2)
+                   for a_t, da_t, dda_t in zip(motion.a(t_col).ravel().tolist(),
+                                               motion.da(t_col).ravel().tolist(),
+                                               motion.dda(t_col).ravel().tolist())]
         g_s, da_s, a2_s, c1_s = np.array(scalars).T[:, :, None]
         g = g_s * yint
         g_dt = g / dt
@@ -201,17 +210,33 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
 
         for k, n in enumerate(steps):
             cur = psi[n]
-            old = psi[n - 1]
-            dyy = (cur[2:] - 2.0 * cur[1:-1] + cur[:-2]) / dy2
-            dyo = dyc                             # old's centred D_y
-            dyc = (cur[2:] - cur[:-2]) / two_dy
-            rhs = (2.0 * cur[1:-1] - old[1:-1]) * idt2 \
-                - g_dt[k] * dyo + c2[k] * dyy + c1[k] * dyc - m2 * cur[1:-1]
-            new = _tridiagonal_solve(coef[k, 1:], diag, sup[k], rhs)
-            psi[n + 1, 1:-1] = new
-            psi[n + 1, 0] = psi[n + 1, -1] = 0.0
+            c = cur[1:-1]
+            new = psi[n + 1, 1:-1]
+            np.multiply(2.0, c, out=two_c)
+            np.subtract(cur[2:], two_c, out=dyy)
+            dyy += cur[:-2]
+            dyy /= dy2
+            dyo, dyc = dyc, dyo                   # old's centred D_y
+            np.subtract(cur[2:], cur[:-2], out=dyc)
+            dyc /= two_dy
+            # ((((2c - old) idt2 - g_dt dyo) + c2 dyy) + c1 dyc) - m2 c, built
+            # in psi's new row in that order, then solved there
+            np.subtract(two_c, psi[n - 1, 1:-1], out=new)
+            new *= idt2
+            dyo *= g_dt[k]
+            new -= dyo
+            dyy *= c2[k]
+            new += dyy
+            np.multiply(c1[k], dyc, out=two_c)
+            new += two_c
+            np.multiply(m2, c, out=two_c)
+            new -= two_c
+            _tridiagonal_solve(coef[k, 1:], diag, sup[k], new)
+
+        rows = psi[n0 + 1:n1 + 1, 1:-1]
+        for n, top in zip(steps, np.maximum(rows.max(axis=1), -rows.min(axis=1)).tolist()):
             # 'not <=' also catches NaN and inf
-            if not float(np.abs(new).max()) <= 1e6 * sup0:
+            if not top <= 1e6 * sup0:
                 raise Unstable("|psi| exceeded 1e+06 x initial or is not finite at t=%g"
                                % ts[n])
 

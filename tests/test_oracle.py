@@ -65,8 +65,11 @@ def test_nonfinite_data_raises_unstable():
 
     data = cauchy.CauchyData(nan_phi0, bump.phi1, bump.dphi0, bump.ddphi0,
                              bump.dphi1, bump.a0)
-    with pytest.raises(orc.Unstable):
+    with pytest.raises(orc.Unstable) as got:
         orc.solve_oracle(data, m, m=0.0, n_y=64, t_max=0.1)
+    want, step = _reference_unstable(data, m, 0.0, 64, 0.1, 0.9)
+    assert str(got.value) == want
+    assert step == 1                      # NaN reaches the first new row
 
 
 @pytest.mark.parametrize("n", [3, 64, 511, 1000])
@@ -86,6 +89,23 @@ def test_tridiagonal_step_matches_solve_banded(n):
         assert x.shape == (n,)
         assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref.tolist()]
         assert np.array_equal(diag, diag_in)     # reused every oracle step
+        # solved where it lies in a row of a 2-D array, as the oracle's
+        # right-hand side is built in a row of psi
+        grid = np.zeros((3, n + 2))
+        row = grid[1, 1:-1]
+        row[:] = rhs
+        x = orc._tridiagonal_solve(sub.copy(), diag, sup.copy(), row)
+        assert np.shares_memory(x, row)
+        assert [v.hex() for v in row.tolist()] == [v.hex() for v in ref.tolist()]
+        assert not grid[[0, 2]].any() and grid[1, 0] == grid[1, -1] == 0.0
+        assert np.array_equal(diag, diag_in)
+        # a strided row, which LAPACK cannot take as it lies, gets the
+        # solution copied back
+        strided = np.zeros(2 * n)[::2]
+        strided[:] = rhs
+        x = orc._tridiagonal_solve(sub.copy(), diag, sup.copy(), strided)
+        assert x is strided
+        assert [v.hex() for v in strided.tolist()] == [v.hex() for v in ref.tolist()]
 
 
 def _reference_march(motion, m, ts, ys, psi):
@@ -123,33 +143,51 @@ def _reference_march(motion, m, ts, ys, psi):
     return psi
 
 
-def test_chunked_steps_match_reference_loop(strong_maps):
+# a wall with three Fourier terms: its sum over terms rounds differently for
+# a flat vector of times than for one time alone
+FOURIER_WALL = {"profile": "fourier", "mean": 1.0, "cos": [0.05, 0.01],
+                "sin": [0.02, 0.003, 0.001], "period": 1.0}
+
+
+@pytest.mark.parametrize("wall, m", [("strong", 0.0), ("strong", 0.5), ("fourier", 0.5)])
+def test_chunked_steps_match_reference_loop(strong_maps, wall, m):
+    # m = 0 is the mass crosscheck runs the oracle at
+    motion = strong_maps.motion if wall == "strong" else boundary.make_motion(FOURIER_WALL)
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
-    run = orc.solve_oracle(data, strong_maps.motion, m=0.5, n_y=64, t_max=3.0)
+    run = orc.solve_oracle(data, motion, m=m, n_y=64, t_max=3.0)
     steps = len(run.ts) - 2
     assert steps > 3 * orc.STEP_CHUNK and steps % orc.STEP_CHUNK != 0
     ref = np.empty_like(run.psi)
     ref[:2] = run.psi[:2]
-    _reference_march(strong_maps.motion, 0.5, run.ts, run.ys, ref)
+    _reference_march(motion, m, run.ts, run.ys, ref)
     assert ref.tobytes() == run.psi.tobytes()
+
+
+def _reference_unstable(data, motion, m, n_y, t_max, cfl):
+    """The message _reference_march raises on the solver's grid, and the
+    index of the step it names."""
+    dt = cfl * (1.0 / n_y) / ((1.0 + motion.da_max) / motion.a_min)
+    n_t = int(math.ceil(t_max / dt))
+    ts = (t_max / n_t) * np.arange(n_t + 1)
+    # the solver's two seed rows, from a run of one step (which marches none)
+    seed = orc.solve_oracle(data, motion, m=m, n_y=n_y, t_max=ts[1], cfl=cfl)
+    assert seed.ts.tolist() == ts[:2].tolist()
+    ref = np.empty((len(ts), n_y + 1))
+    ref[:2] = seed.psi
+    with pytest.raises(orc.Unstable) as want:
+        _reference_march(motion, m, ts, seed.ys, ref)
+    msg = str(want.value)
+    return msg, int(round(float(msg.rsplit("=", 1)[1]) / ts[1]))
 
 
 def test_chunked_steps_unstable_message_matches_reference(strong_maps):
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
-    motion, n_y, t_max, cfl = strong_maps.motion, 64, 3.0, 4.0
     with pytest.raises(orc.Unstable) as got:
-        orc.solve_oracle(data, motion, m=0.5, n_y=n_y, t_max=t_max, cfl=cfl)
-    # the solver's grid, and its two seed rows from a run of two equal steps
-    dt = cfl * (1.0 / n_y) / ((1.0 + motion.da_max) / motion.a_min)
-    n_t = int(math.ceil(t_max / dt))
-    ts = (t_max / n_t) * np.arange(n_t + 1)
-    seed = orc.solve_oracle(data, motion, m=0.5, n_y=n_y, t_max=ts[2], cfl=cfl)
-    assert seed.ts.tolist() == ts[:3].tolist()
-    ref = np.empty((len(ts), n_y + 1))
-    ref[:2] = seed.psi[:2]
-    with pytest.raises(orc.Unstable) as want:
-        _reference_march(motion, 0.5, ts, seed.ys, ref)
-    assert str(got.value) == str(want.value)
+        orc.solve_oracle(data, strong_maps.motion, m=0.5, n_y=64, t_max=3.0, cfl=4.0)
+    want, step = _reference_unstable(data, strong_maps.motion, 0.5, 64, 3.0, 4.0)
+    assert str(got.value) == want
+    # the failing step is not the first of its chunk (chunks start at 1)
+    assert (step - 1) % orc.STEP_CHUNK != 0
 
 
 def test_compare_zero_vs_zero(static_maps):
