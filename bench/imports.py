@@ -1,7 +1,9 @@
 """Import cost of ``kgcavity``, the scipy modules each command loads, and the
 oracle's solve time, for one or more source trees.
 
-For each tree, every measurement runs in a fresh interpreter:
+For each tree, every measurement runs in a fresh interpreter, and the
+processes of the trees alternate (A, B, ..., A, B, ...) so that drift of
+the host during the run lands on every tree alike:
 
 - ``import kgcavity.cli``, timed inside the child (interpreter start-up
   excluded), the minimum over ``--repeat`` processes, and the ``scipy``
@@ -118,15 +120,29 @@ def _child(src, code, args=(), cwd=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def measure(src, repeat):
-    imports = [_child(src, IMPORT_CHILD) for _ in range(repeat)]
-    commands = {}
+def measure(srcs, repeat):
+    """One result dict per tree of ``srcs``.  The trees' processes alternate
+    (tree A, tree B, ..., then A again), so drift of the host lands on every
+    tree alike."""
+    imports = {src: [] for src in srcs}
+    commands = {src: {} for src in srcs}
+    oracle = {src: [] for src in srcs}
+    for _ in range(repeat):
+        for src in srcs:
+            imports[src].append(_child(src, IMPORT_CHILD))
     for name, argv in COMMANDS:
-        with tempfile.TemporaryDirectory(prefix="kgcavity-imports-") as run:
-            shutil.copy(CONFIG, os.path.join(run, "example.cfg"))
-            commands[name] = _child(src, COMMAND_CHILD,
-                                    [argv[0], "example.cfg", *argv[1:]], cwd=run)
-    oracle = [_child(src, ORACLE_CHILD, [CONFIG]) for _ in range(repeat)]
+        for src in srcs:
+            with tempfile.TemporaryDirectory(prefix="kgcavity-imports-") as run:
+                shutil.copy(CONFIG, os.path.join(run, "example.cfg"))
+                commands[src][name] = _child(src, COMMAND_CHILD,
+                                             [argv[0], "example.cfg", *argv[1:]], cwd=run)
+    for _ in range(repeat):
+        for src in srcs:
+            oracle[src].append(_child(src, ORACLE_CHILD, [CONFIG]))
+    return [_summary(imports[src], commands[src], oracle[src]) for src in srcs]
+
+
+def _summary(imports, commands, oracle):
     return {
         "import_s_min": min(r["seconds"] for r in imports),
         "import_s_all": [round(r["seconds"], 4) for r in imports],
@@ -157,9 +173,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     trees, failed = [], False
-    for label, src in zip(string.ascii_uppercase, args.src):
-        src = os.path.abspath(src)
-        res = measure(src, args.repeat)
+    srcs = [os.path.abspath(src) for src in args.src]
+    for label, src, res in zip(string.ascii_uppercase, srcs, measure(srcs, args.repeat)):
         res.update(label=label, source_sha256=_tree_sha(src))
         trees.append(res)
         print("%s import kgcavity.cli: %.3f s (min of %d), %d scipy modules"

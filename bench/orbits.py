@@ -17,12 +17,21 @@ point, and records
   which walks all of them; the walk calls it once per chunk) and the
   scalar wall evaluations (``a_scalar`` and ``da_scalar`` calls) inside
   them, per step;
-- each ``find_periodic_points`` call, with its ``p:q`` and the points
-  passed to ``F_and_dF`` inside it;
+- each ``find_periodic_points`` call, with its ``p:q``, the points passed
+  to ``F_and_dF`` inside it, the array wall evaluations (points through
+  ``a`` and ``da``) those calls made per point, and its
+  ``_g_and_multiplier`` calls;
+- the points that missed the array inverse's seed and went through its
+  Newton fallback (``CharacteristicMaps._newton``; ``null`` for source
+  trees without it, where every array point takes Newton);
 
 all counted in one further run, on maps built from a counting subclass of
 ``sinusoidal_profile`` (built before the maps, since they may bind its
-scalar evaluators at construction).
+scalar evaluators at construction);
+- for each motion whose analysis is ``ok``, the seconds (median of 3) of
+  ``MasslessProfile.energy_series`` on the samples the scan takes there
+  (``scan.simulate``): the data and the ``fit.samples_per_window`` and
+  ``scan.sim_periods`` of the benchmark's ``scan`` config at seed 1.
 
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too:
@@ -32,7 +41,7 @@ to measure, so the same script measures an older checkout too:
 
 Each run replaces its label's entry in the ``--out`` file and keeps the
 others; ``--out`` has no default so that a run never overwrites a
-checked-in record (``BENCH_16.json`` was written by this script).  (``BENCH_5.json`` was written by an
+checked-in record (``BENCH_16.json`` and ``BENCH_23.json`` were written by this script).  (``BENCH_5.json`` was written by an
 earlier version of this script, which timed ``rotation_number`` and
 ``find_periodic_points`` on their own.)
 """
@@ -43,6 +52,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -53,11 +63,13 @@ MAX_Q = 20
 REPEAT = 3
 
 
-def measure(alpha, beta):
+def measure(alpha, beta, cfg):
     from kgcavity import boundary, circle_dynamics as cd
+    from kgcavity.characteristics_solver import build_initial_profile
 
     class CountingSinusoid(boundary.sinusoidal_profile):
         evals = 0
+        array_points = 0
 
         def a_scalar(self, t):
             self.evals += 1
@@ -66,6 +78,14 @@ def measure(alpha, beta):
         def da_scalar(self, t):
             self.evals += 1
             return super().da_scalar(t)
+
+        def a(self, t):
+            self.array_points += np.size(t)
+            return super().a(t)
+
+        def da(self, t):
+            self.array_points += np.size(t)
+            return super().da(t)
 
     def build(profile):
         return boundary.CharacteristicMaps(boundary.validate_motion(profile, 1.0))
@@ -77,11 +97,29 @@ def measure(alpha, beta):
         analysis = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
         times.append(time.perf_counter() - t0)
 
+    energy_s = None
+    if analysis.status == "ok":
+        # the samples of experiment._scan_point's scan.simulate branch
+        spw = cfg.int_("fit.samples_per_window")
+        nwin = max(int(cfg.float_("scan.sim_periods")), 6)
+        window = analysis.resonance[0] * maps.T
+        samples = window / spw * np.arange(nwin * spw)
+        profile = build_initial_profile(cfg.make_data(maps.a0), maps)
+        energy = []
+        for _ in range(REPEAT):
+            t0 = time.perf_counter()
+            profile.energy_series(samples)
+            energy.append(time.perf_counter() - t0)
+        energy_s = statistics.median(energy)
+
     prof = CountingSinusoid(alpha, beta, 1.0)
     maps = build(prof)
-    steps, evals, points, scans, walks = [0], [0], [0], [], []
+    steps, evals, points, wall_points, scans, walks = [0], [0], [0], [0], [], []
+    g_calls, fallback = [0], [0, 0]
     orbit_translation, F_and_dF = maps.orbit_translation, maps.F_and_dF
     find, rotation_number = cd.find_periodic_points, cd.rotation_number
+    g_and_multiplier = cd._g_and_multiplier
+    newton = getattr(maps, "_newton", None)
 
     def counting_orbit(x0, n):
         steps[0] += int(n)
@@ -93,14 +131,31 @@ def measure(alpha, beta):
 
     def counting_F(x):
         points[0] += np.size(x)
-        return F_and_dF(x)
+        before = prof.array_points
+        try:
+            return F_and_dF(x)
+        finally:
+            wall_points[0] += prof.array_points - before
+
+    def counting_g(*args):
+        g_calls[0] += 1
+        return g_and_multiplier(*args)
+
+    def counting_newton(y, *args):
+        fallback[0] += 1
+        fallback[1] += np.size(y)
+        return newton(y, *args)
 
     def counting_find(maps_, p, q, *args, **kwargs):
-        before = points[0]
+        before = points[0], wall_points[0], g_calls[0]
         try:
             return find(maps_, p, q, *args, **kwargs)
         finally:
-            scans.append({"p": p, "q": q, "F_and_dF_points": points[0] - before})
+            n = points[0] - before[0]
+            scans.append({"p": p, "q": q, "F_and_dF_points": n,
+                          "F_and_dF_wall_evals_per_point":
+                              (wall_points[0] - before[1]) / n if n else None,
+                          "g_and_multiplier_calls": g_calls[0] - before[2]})
 
     def counting_rotation(maps_, iterations, *args, **kwargs):
         before = steps[0]
@@ -110,11 +165,15 @@ def measure(alpha, beta):
             walks.append({"iterations": int(iterations), "steps": steps[0] - before})
 
     maps.orbit_translation, maps.F_and_dF = counting_orbit, counting_F
+    if newton is not None:
+        maps._newton = counting_newton
     cd.find_periodic_points, cd.rotation_number = counting_find, counting_rotation
+    cd._g_and_multiplier = counting_g
     try:
         counted = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
     finally:
         cd.find_periodic_points, cd.rotation_number = find, rotation_number
+        cd._g_and_multiplier = g_and_multiplier
     assert counted.to_dict() == analysis.to_dict()
 
     if getattr(analysis, "rotation_certified", False):
@@ -129,7 +188,10 @@ def measure(alpha, beta):
             "status": analysis.status, "orbit_steps": steps[0],
             "orbit_evals": evals[0],
             "orbit_evals_per_step": evals[0] / steps[0] if steps[0] else None,
-            "find_periodic_points": scans}
+            "find_periodic_points": scans,
+            "newton_fallback_calls": fallback[0] if newton is not None else None,
+            "newton_fallback_points": fallback[1] if newton is not None else None,
+            "energy_series_s": energy_s}
 
 
 def main(argv=None):
@@ -143,11 +205,17 @@ def main(argv=None):
 
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, ROOT)
-    from perfbench.workloads import SCAN_ALPHAS, SCAN_BETA
+    from kgcavity.experiment import ExperimentConfig
+    from perfbench.workloads import SCAN_ALPHAS, SCAN_BETA, config_text, generate
 
+    with tempfile.TemporaryDirectory(prefix="kgcavity-orbits-") as tmp:
+        path = os.path.join(tmp, "scan.cfg")
+        with open(path, "w") as fh:
+            fh.write(config_text(generate("scan", 1)["config"]))
+        cfg = ExperimentConfig.from_file(path)
     rows = []
     for alpha in SCAN_ALPHAS:
-        row = measure(alpha, SCAN_BETA)
+        row = measure(alpha, SCAN_BETA, cfg)
         print(json.dumps(row), flush=True)
         rows.append(row)
     entry = {
@@ -163,6 +231,9 @@ def main(argv=None):
             "orbit_evals": sum(r["orbit_evals"] for r in rows),
             "F_and_dF_points": sum(s["F_and_dF_points"] for r in rows
                                    for s in r["find_periodic_points"]),
+            "g_and_multiplier_calls": sum(s["g_and_multiplier_calls"] for r in rows
+                                          for s in r["find_periodic_points"]),
+            "energy_series_s": sum(r["energy_series_s"] or 0.0 for r in rows),
         },
     }
     bench = {}

@@ -14,6 +14,7 @@ A wall profile gives ``a``, ``da`` and ``dda`` on arrays, ``a_scalar`` and
 """
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -276,16 +277,24 @@ def validate_motion(profile, period):
 class CharacteristicMaps:
     """Evaluators for h, k, their inverses, and the circle-map lift F.
 
-    All evaluations are pure functions of (motion, x); a coarse inverse
-    table built at construction seeds the Newton iterations and is never
-    mutated afterwards, so instances are safe to share across workers.
-    The h and k tables are kept twice: as arrays for the vector inverse and
-    as list copies for the scalar one (a Python float argument), which is
-    also the step of :meth:`orbit_translation`.
+    All evaluations are pure functions of (motion, x).  Each inverse has
+    two seeds: arrays take a quintic Hermite of t(y) on SEED_NODES nodes per
+    period, which already meets the residual test, and a Python float takes
+    a linear interpolant of a 4097-node list (:meth:`_invert_scalar`, also
+    the step of :meth:`orbit_translation`).  The lists, 4097 Python floats
+    each and the bulk of an instance's memory, are built on the first
+    scalar inverse, since an instance that only maps arrays never reads
+    them.  No seed table is mutated once built, so instances are safe to
+    share across workers (two threads that both build the lists build the
+    same ones).
     """
 
     #: residual tolerance for the inverse solves, scaled by (1 + |y|)
     inv_tol = 1e-12
+    #: nodes per period of the quintic Hermite seed of the array inverse
+    SEED_NODES = 1025
+    # nodes per period of the linear seed of the scalar inverse
+    _SCALAR_NODES = 4097
 
     def __init__(self, motion):
         self.motion = motion
@@ -295,23 +304,50 @@ class CharacteristicMaps:
         s = motion.da_max
         self.dF_min = (1.0 - s) / (1.0 + s)
         self.dF_max = (1.0 + s) / (1.0 - s)
-        # one period of t -> h(t), k(t) for initial inverse guesses
-        ts = np.linspace(0.0, motion.period, 4097)
-        av = np.asarray(motion.a(ts), dtype=float)
-        self._tab_t = ts
-        self._tab_h = ts - av
-        self._tab_k = ts + av
-        # list copies of the h and k tables and the evaluators for the
-        # scalar inverse, bound once because every orbit step calls it
-        self._seed_h = self._tab_h.tolist()
-        self._seed_k = self._tab_k.tolist()
-        self._last = len(ts) - 1
+        # the scalar inverse's node spacing and evaluators, bound once
+        # because every orbit step calls it
+        self._last = self._SCALAR_NODES - 1
         self._dt = self.T / self._last
         self._a_scalar = motion.profile.a_scalar
         self._da_scalar = motion.profile.da_scalar
         # (lo_off, hi_off) per sign, indexed by sign > 0: |a'| < 1 makes
         # t + sign*a(t) monotone, so its root for y is in [y - lo_off, y - hi_off]
         self._offsets = ((-motion.a_min, -motion.a_max), (motion.a_max, motion.a_min))
+        # quintic Hermite seeds of the array inverse, indexed by sign > 0
+        self._hermite = (self._hermite_table(-1.0), self._hermite_table(1.0))
+
+    @functools.cached_property
+    def _seed_lists(self):
+        """One period of t -> h(t) and t -> k(t) on _SCALAR_NODES nodes, as
+        lists: the linear seed of the scalar inverse, indexed by sign > 0."""
+        ts = np.linspace(0.0, self.T, self._SCALAR_NODES)
+        av = np.asarray(self.motion.a(ts), dtype=float)
+        return (ts - av).tolist(), (ts + av).tolist()
+
+    def _hermite_table(self, sign):
+        """(y_j, Horner coefficients) of the quintic Hermite of t(y), the
+        inverse of y = t + sign*a(t), on the nodes t_j = j T / (SEED_NODES - 1).
+
+        t, t' = 1/(1 + s a') and t'' = -s a''/(1 + s a')^3 at both ends of
+        every cell [y_j, y_{j+1}] fix its quintic.  The coefficients are six
+        arrays of SEED_NODES - 1 cells, the k-th that of (y - y_j)^(5 - k).
+        """
+        mot = self.motion
+        t = np.linspace(0.0, self.T, self.SEED_NODES)
+        d = 1.0 + sign * np.asarray(mot.da(t), dtype=float)
+        y = t + sign * np.asarray(mot.a(t), dtype=float)
+        d1 = 1.0 / d
+        d2 = -sign * np.asarray(mot.dda(t), dtype=float) / d**3
+        H = np.diff(y)
+        c0, c1, c2 = t[:-1], d1[:-1], 0.5 * d2[:-1]
+        # what the quadratic part leaves of t, t' and t'' at y_{j+1}, scaled
+        A = (t[1:] - (c0 + H * (c1 + H * c2))) / H**3
+        B = (d1[1:] - (c1 + 2.0 * H * c2)) / H**2
+        C = (d2[1:] - 2.0 * c2) / H
+        c3 = 10.0 * A - 4.0 * B + 0.5 * C
+        c4 = (-15.0 * A + 7.0 * B - C) / H
+        c5 = (6.0 * A - 3.0 * B + 0.5 * C) / H**2
+        return y, tuple(np.stack([c5, c4, c3, c2, c1, c0]))
 
     # -- forward maps -----------------------------------------------------
     def h(self, t):
@@ -324,63 +360,105 @@ class CharacteristicMaps:
 
     # -- inverses ----------------------------------------------------------
     def _invert(self, y, sign):
-        """Solve t + sign*a(t) = y by Newton with bisection fallback.
+        """(t, a(t)) with t + sign*a(t) = y, residual <= inv_tol (1 + |y|).
 
-        sign = -1 inverts h, sign = +1 inverts k.  Monotone because
-        |a'| < 1, so the bracket [y - a_max, y - a_min] (k) or
-        [y + a_min, y + a_max] (h), widened by 1e-9, always contains the
-        root.  A 0-d y takes :meth:`_invert_scalar`.
+        sign = -1 inverts h, sign = +1 inverts k.  A 0-d y takes
+        :meth:`_invert_scalar`.  An array is seeded by the quintic Hermite
+        table of its sign (periodic reduction, then the cell of each point,
+        clipped into the table on both sides, and Horner's rule in place).
+        The seed's a(t) gives the residual test, which the seed meets to
+        about 1e-14 relative; points it misses, and non-finite ones, go
+        through :meth:`_newton`.
         """
         if np.ndim(y) == 0:
-            return self._invert_scalar(float(y), sign)[0]
+            return self._invert_scalar(float(y), sign)
         y = np.asarray(y, dtype=float)
-        mot = self.motion
-
-        tab = self._tab_h if sign < 0 else self._tab_k
+        nodes, coef = self._hermite[sign > 0]
         # periodic reduction: h(t + T) = h(t) + T, same for k
-        shift = np.floor((y - tab[0]) / self.T) * self.T
-        t = np.interp(y - shift, tab, self._tab_t) + shift
+        shift = y - nodes[0]
+        shift /= self.T
+        np.floor(shift, out=shift)
+        shift *= self.T
+        u = y - shift
+        # the cell of u, clipped on both sides: rounding can put u just
+        # outside [y_0, y_0 + T), and a NaN sorts past the end
+        j = nodes.searchsorted(u, side="right")
+        j -= 1
+        np.maximum(j, 0, out=j)
+        np.minimum(j, len(nodes) - 2, out=j)
+        z = nodes.take(j)
+        np.subtract(u, z, out=z)
+        t = coef[0].take(j)
+        for row in coef[1:]:
+            t *= z
+            t += row.take(j, out=u)
+        t += shift
+        a = np.asarray(self.motion.a(t), dtype=float)
+        # residual |t + sign*a - y| against inv_tol (1 + |y|), in the buffers
+        f = np.multiply(a, sign, out=shift)
+        f += t
+        f -= y
+        np.abs(f, out=f)
+        tol = np.abs(y, out=z)
+        tol += 1.0
+        tol *= self.inv_tol
+        ok = f <= tol
+        if not ok.all():
+            miss = ~ok
+            t[miss], a[miss] = self._newton(y[miss], sign, t[miss])
+        return t, a
 
+    def _newton(self, y, sign, t):
+        """(t, a(t)) for the 1-d y by Newton from t, with bisection fallback.
+
+        Monotone because |a'| < 1, so the bracket [y - a_max, y - a_min] (k)
+        or [y + a_min, y + a_max] (h), widened by 1e-9, always contains the
+        root.  Raises :class:`NoConvergence` after 60 steps, e.g. for a
+        non-finite y.
+        """
+        mot = self.motion
         lo_off, hi_off = self._offsets[sign > 0]
         lo = y - lo_off - 1e-9
         hi = y - hi_off + 1e-9
         tol = self.inv_tol * (1.0 + np.abs(y))
 
-        f = t + sign * np.asarray(mot.a(t)) - y
+        a = np.asarray(mot.a(t), dtype=float)
+        f = t + sign * a - y
         for _ in range(60):
             if np.all(np.abs(f) <= tol):
-                break
+                return t, a
             df = 1.0 + sign * np.asarray(mot.da(t))
-            step = f / df
-            t_new = t - step
+            t_new = t - f / df
             # fall back to bisection when Newton leaves the bracket
             bad = (t_new < lo) | (t_new > hi)
             if np.any(bad):
-                mid = 0.5 * (lo + hi)
-                t_new = np.where(bad, mid, t_new)
+                t_new = np.where(bad, 0.5 * (lo + hi), t_new)
             # the bracket residual is the next iteration's Newton residual
-            fn = t_new + sign * np.asarray(mot.a(t_new)) - y
-            pos = fn > 0.0
+            a = np.asarray(mot.a(t_new), dtype=float)
+            f = t_new + sign * a - y
+            pos = f > 0.0
             hi = np.where(pos, t_new, hi)
             lo = np.where(pos, lo, t_new)
-            t, f = t_new, fn
-        else:
-            raise NoConvergence("inverse solve did not reach tolerance")
-
-        return t
+            t = t_new
+        raise NoConvergence("inverse solve did not reach tolerance")
 
     def _invert_scalar(self, y, sign):
         """(t, a(t)) with t + sign*a(t) = y for one Python float y.
 
-        The vector path's steps on Python floats: the seed interpolates a
-        list copy of the table exactly as ``np.interp`` does (``bisect``
-        for the node, the same slope and clamping), and the bracket, the
-        tolerance, the 60-step cap and the bisection fallback are the same.
+        The seed interpolates the 4097-node list of its sign linearly, as
+        ``np.interp`` would (``bisect`` for the node, the same slope and
+        clamping); then Newton on Python floats with the bracket, the
+        tolerance, the 60-step cap and the bisection fallback of
+        :meth:`_newton`.  A NaN or infinite y raises :class:`NoConvergence`,
+        as it does for arrays.
         """
         a_s, da_s = self._a_scalar, self._da_scalar
-        tab = self._seed_h if sign < 0 else self._seed_k
+        tab = self._seed_lists[sign > 0]
         last, T, dt = self._last, self.T, self._dt
-        shift = math.floor((y - tab[0]) / T) * T
+        try:
+            shift = math.floor((y - tab[0]) / T) * T
+        except (ValueError, OverflowError):
+            raise NoConvergence("inverse solve of the non-finite %r" % y) from None
         u = y - shift
         # the table's t nodes are uniform, t_j = j dt as np.linspace makes
         # them; np.interp's slope is (t_{j+1} - t_j) / (h_{j+1} - h_j)
@@ -418,26 +496,27 @@ class CharacteristicMaps:
 
     def h_inv(self, y):
         """t with t - a(t) = y, residual <= 1e-12 * (1 + |y|)."""
-        return self._invert(y, -1.0)
+        return self._invert(y, -1.0)[0]
 
     def k_inv(self, y):
         """t with t + a(t) = y, residual <= 1e-12 * (1 + |y|)."""
-        return self._invert(y, +1.0)
+        return self._invert(y, +1.0)[0]
 
     # -- lift F and its derivative ----------------------------------------
+    # each takes a(t) from the inverse solve's residual test
     def F(self, x):
         """F(x) = x + 2 a(h^{-1}(x))."""
         if np.ndim(x) == 0:
             x = float(x)
             return x + 2.0 * self._invert_scalar(x, -1.0)[1]
-        return x + 2.0 * np.asarray(self.motion.a(self.h_inv(x)))
+        return x + 2.0 * self._invert(x, -1.0)[1]
 
     def F_inv(self, x):
         """F^{-1}(x) = x - 2 a(k^{-1}(x))."""
         if np.ndim(x) == 0:
             x = float(x)
             return x - 2.0 * self._invert_scalar(x, +1.0)[1]
-        return x - 2.0 * np.asarray(self.motion.a(self.k_inv(x)))
+        return x - 2.0 * self._invert(x, +1.0)[1]
 
     def dF(self, x):
         """DF(x) = (1 + a'(t)) / (1 - a'(t)) with t = h^{-1}(x); positive."""
@@ -447,8 +526,7 @@ class CharacteristicMaps:
 
     def F_and_dF(self, x):
         """(F(x), DF(x)) sharing one inverse solve."""
-        t = self.h_inv(x)
-        a = np.asarray(self.motion.a(t))
+        t, a = self._invert(x, -1.0)
         da = np.asarray(self.motion.da(t))
         return x + 2.0 * a, (1.0 + da) / (1.0 - da)
 
@@ -458,8 +536,7 @@ class CharacteristicMaps:
         Uses h(k^{-1}(x)) = F^{-1}(x), so the multiplier at the pulled-back
         point costs nothing extra.
         """
-        t = self.k_inv(x)
-        a = np.asarray(self.motion.a(t))
+        t, a = self._invert(x, +1.0)
         da = np.asarray(self.motion.da(t))
         return x - 2.0 * a, (1.0 + da) / (1.0 - da)
 

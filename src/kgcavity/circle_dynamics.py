@@ -268,33 +268,41 @@ def _orbit_images(maps, xs, q):
 
 def _grid_roots(maps, lo, dx, idx, p, q):
     """g on the grid nodes lo + i dx (i in the sorted array ``idx``), and its
-    roots there: exact node hits, then every sign change between adjacent
-    nodes, all brackets bisected together to ROOT_TOL."""
+    roots there: exact node hits, then the root of every sign change between
+    adjacent nodes by safeguarded Newton on g, with g' = DF^q - 1.
+
+    Each bracket starts at its secant point.  A Newton step that leaves the
+    bracket, which every evaluation narrows, is replaced by its midpoint.  A
+    root is done once its Newton step is no longer than ROOT_TOL (and that
+    step is taken), g vanishes there, or its bracket is no wider than ROOT_TOL.
+    """
     xs = lo + dx * idx
     g, _ = _g_and_multiplier(maps, xs, p, q)
     scale = max(1.0, abs(p) * maps.T)
     sign = np.sign(g)
     crossings = np.nonzero((idx[1:] == idx[:-1] + 1) & (sign[:-1] * sign[1:] < 0.0))[0]
-    a = xs[crossings]
-    # the width xs[1] - xs[0] of a scan of all nodes, so that every bracket
-    # is bit for bit the one that scan would bisect
-    b = a + ((lo + dx) - lo)
-    fa = g[crossings]
-    # a bracket drops out of the active set once it is no wider than ROOT_TOL
-    active = np.ones(a.shape, dtype=bool)
+    a, b = xs[crossings], xs[crossings + 1]
+    fa, fb = g[crossings], g[crossings + 1]
+    x = a - fa * ((b - a) / (fb - fa))
+    act = np.arange(x.size)
     for _ in range(64):
-        act = np.nonzero(active)[0]
         if not act.size:
             break
-        m = 0.5 * (a[act] + b[act])
-        fm, _ = _g_and_multiplier(maps, m, p, q)
-        left = fa[act] * fm <= 0.0
-        b[act[left]] = m[left]
+        fx, mult = _g_and_multiplier(maps, x[act], p, q)
+        left = fa[act] * fx <= 0.0
+        b[act[left]] = x[act[left]]
         right = act[~left]
-        a[right], fa[right] = m[~left], fm[~left]
-        active[act] = b[act] - a[act] > ROOT_TOL
+        a[right], fa[right] = x[right], fx[~left]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / (mult - 1.0)
+        xn = x[act] - step
+        inside = (xn > a[act]) & (xn < b[act])
+        xn[~inside] = 0.5 * (a[act] + b[act])[~inside]
+        done = (inside & (np.abs(step) <= ROOT_TOL)) | (fx == 0.0) | (b[act] - a[act] <= ROOT_TOL)
+        x[act] = np.where(fx == 0.0, x[act], xn)
+        act = act[~done]
     # exact hits on nodes (e.g. a repeller pinned at -a(0)) come first
-    return g, np.concatenate([xs[np.abs(g) <= 1e-13 * scale], 0.5 * (a + b)])
+    return g, np.concatenate([xs[np.abs(g) <= 1e-13 * scale], x])
 
 
 def find_periodic_points(maps, p, q):
@@ -302,8 +310,9 @@ def find_periodic_points(maps, p, q):
 
     The roots of g = F^q - Id - pT are found on the grid of nodes
     lo + i dx, 0 <= i <= n, dx = 2 a(0) / n, n = max(SCAN_SAMPLES q, 1024):
-    exact node hits, and sign changes between adjacent nodes bisected
-    together to 1e-12.  Only one fundamental domain of the p:q orbits is
+    exact node hits, and one root per sign change between adjacent nodes,
+    polished by safeguarded Newton to a step of 1e-12 (:func:`_grid_roots`).
+    Only one fundamental domain of the p:q orbits is
     scanned in full: with s p = 1 (mod q) and r = (s p - 1)/q, the lift
     G = F^s - rT has rotation number T/q when F has pT/q, so every p:q
     orbit has exactly one point in [lo, G(lo)) (Poincare: the orbit is
@@ -356,7 +365,7 @@ def find_periodic_points(maps, p, q):
 
     # dedupe and keep the half-open interval convention: a root closer to hi
     # than the dedupe distance is the periodic point on hi, which the last
-    # cell's bisection can return just below hi
+    # cell's Newton polish can return just below hi
     roots = sorted(r for r in roots.tolist() if lo - 1e-12 <= r < hi - 1e-10)
     dedup = []
     for r in roots:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kgcavity import boundary, circle_dynamics as cd
-from kgcavity.boundary import (CharacteristicMaps, RejectedMotion,
-                               make_motion, validate_motion,
+from kgcavity.boundary import (CharacteristicMaps, NoConvergence, RejectedMotion,
+                               fourier_profile, make_motion, validate_motion,
                                sinusoidal_profile)
 
 from conftest import random_validated_motions
@@ -111,6 +111,83 @@ def test_scalar_inverse_contract(spec, monkeypatch):
         maps.orbit_translation(0.3, 5)
     with pytest.raises(boundary.NoConvergence):
         maps.F_inv(np.array([0.3]))
+
+
+def _counting_arrays(cls, *args):
+    """A ``cls(*args)`` wall counting its array a and a' evaluations."""
+
+    class Counting(cls):
+        def a(self, t):
+            self.calls["a"] += 1
+            return super().a(t)
+
+        def da(self, t):
+            self.calls["da"] += 1
+            return super().da(t)
+
+    prof = Counting(*args)
+    prof.calls = {"a": 0, "da": 0}
+    return prof
+
+
+@pytest.mark.parametrize("cls, args", [
+    (sinusoidal_profile, (0.35, 0.14, 1.0)),
+    (sinusoidal_profile, (0.5, 0.155, 1.0)),      # sup|a'| = 0.97
+    (fourier_profile, (0.5, [-0.00315827, 0.0024102], [-0.00497221, 0.0, 0.02], 1.2)),
+    (fourier_profile, (1.0, [0.03, -0.02, 0.01], [0.02, 0.015, -0.01, 0.005], 1.0)),
+], ids=["sinusoidal-0.35", "sinusoidal-0.5", "fourier-3", "fourier-4"])
+def test_array_lift_step_evaluations(cls, args):
+    # the Hermite seed meets the residual test, so a lift step on an array
+    # evaluates a once (the residual's, reused for the step) and a' once
+    prof = _counting_arrays(cls, *args)
+    maps = CharacteristicMaps(validate_motion(prof, args[-1]))
+    x = np.linspace(-3.0, 30.0, 20_001)
+    for fn in (maps.F_and_dF, maps.F_inv_and_dF):
+        prof.calls = {"a": 0, "da": 0}
+        fn(x)
+        assert prof.calls == {"a": 1, "da": 1}
+    for fn in (maps.F, maps.F_inv, maps.h_inv, maps.k_inv):
+        prof.calls = {"a": 0, "da": 0}
+        fn(x)
+        assert prof.calls == {"a": 1, "da": 0}
+
+
+def test_array_inverse_falls_back_on_corrupted_seed(strong_maps, monkeypatch):
+    # every other cell's constant term off by 1e-4: those points miss the
+    # residual test and go through Newton, the others keep their seed
+    maps = CharacteristicMaps(strong_maps.motion)
+    monkeypatch.setattr(maps, "_hermite", tuple(
+        (nodes, coef[:-1] + (coef[-1] + 1e-4 * (np.arange(coef[-1].size) % 2),))
+        for nodes, coef in maps._hermite))
+    newton, missed = maps._newton, []
+
+    def counting(y, sign, t):
+        missed.append(y.size)
+        return newton(y, sign, t)
+
+    monkeypatch.setattr(maps, "_newton", counting)
+    y = np.linspace(-5.0, 25.0, 4001)
+    a = maps.motion.a
+    for name, sign in (("h_inv", -1.0), ("k_inv", 1.0)):
+        t = getattr(maps, name)(y)
+        assert np.all(np.abs(t + sign * a(t) - y) <= maps.inv_tol * (1.0 + np.abs(y)))
+        assert np.max(np.abs(t - getattr(strong_maps, name)(y))) <= 1e-11
+    assert len(missed) == 2 and all(1000 < n < 3000 for n in missed)
+    F, dF = maps.F_and_dF(y)
+    F0, dF0 = strong_maps.F_and_dF(y)
+    assert np.max(np.abs(F - F0)) <= 1e-11
+    assert np.max(np.abs(dF / dF0 - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_no_convergence(strong_maps, bad):
+    m = strong_maps
+    with np.errstate(invalid="ignore"):
+        for fn in (m.h_inv, m.k_inv, m.F, m.F_inv, m.F_and_dF, m.F_inv_and_dF):
+            with pytest.raises(NoConvergence):
+                fn(np.array([0.3, bad, 1.7]))
+            with pytest.raises(NoConvergence):
+                fn(bad)
 
 
 def test_F_static_translation(static_maps):

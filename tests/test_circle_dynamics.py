@@ -379,39 +379,74 @@ def test_detect_resonance_wide_bar_half_integer_edge():
 
 
 # find_periodic_points on the 15:17 motion sinusoidal(0.35, 0.14, 1), recorded
-# with one bisection loop per bracket: (x, DF^17(x)), repellers and attractors
-# alternating from the left end of [-a(0), a(0))
+# with one safeguarded Newton polish per bracket: (x, DF^17(x)), repellers and
+# attractors alternating from the left end of [-a(0), a(0))
 _PERIODIC_15_17 = [
-    (-0.3467096215195515, 1.30366220372468),
-    (-0.34081946649348027, 0.7670698722211512),
-    (-0.31975481031817543, 1.3036622036838388),
-    (-0.31192984446813077, 0.7670698722140525),
-    (-0.2981944534204286, 1.3036622036397745),
-    (-0.2955238499430347, 0.7670698721764512),
-    (-0.28478854977334256, 1.3036622036330212),
-    (-0.2802666339716491, 0.7670698721919704),
-    (-0.2715081034614759, 1.303662203811091),
-    (-0.2696713630622274, 0.767069872158588),
-    (-0.26179542028069497, 1.3036622036386265),
-    (-0.2582222213050197, 0.7670698722278252),
-    (-0.2508195526812357, 1.3036622038418755),
-    (-0.24918044731862404, 0.7670698721197944),
-    (-0.24177777869484005, 1.3036622036365901),
-    (-0.23820457971916476, 0.767069872227017),
-    (-0.23032863693763225, 1.303662203762866),
-    (-0.22849189653838384, 0.7670698721367328),
-    (-0.21973336602821067, 1.3036622037218393),
-    (-0.2152114502265173, 0.7670698722321285),
-    (-0.20447615005682498, 1.3036622037404737),
-    (-0.2018055465794311, 0.7670698722216758),
-    (-0.18807015553172896, 1.3036622036819516),
-    (-0.18024518968168426, 0.7670698722131476),
-    (-0.15918053350637942, 1.3036622036618182),
-    (-0.15329037848030816, 0.7670698721925738),
-    (-0.11737906382483593, 1.303662203705079),
-    (-0.09099770095116955, 0.7670698722075214),
-    (0.03146580402423353, 1.3036622037054009),
-    (0.10038946502804752, 0.7670698722114725),
+    (-0.34670962151929735, 1.30366220369598),
+    (-0.3408194664933273, 0.7670698722139593),
+    (-0.31975481031831604, 1.3036622036970256),
+    (-0.3119298444681072, 0.7670698722145465),
+    (-0.2981944534206357, 1.303662203695052),
+    (-0.29552384994334535, 0.7670698722133201),
+    (-0.2847885497737849, 1.3036622036982004),
+    (-0.280266633971971, 0.7670698722138988),
+    (-0.2715081034611622, 1.3036622036954166),
+    (-0.2696713630625435, 0.7670698722132364),
+    (-0.2617954202810184, 1.3036622036988996),
+    (-0.2582222213048307, 0.7670698722135243),
+    (-0.2508195526808899, 1.3036622036987322),
+    (-0.2491804473191116, 0.7670698722134507),
+    (-0.24177777869516295, 1.3036622036964955),
+    (-0.23820457971899173, 0.7670698722139485),
+    (-0.2303286369374548, 1.303662203698171),
+    (-0.22849189653883742, 0.7670698722147217),
+    (-0.21973336602803575, 1.3036622036980732),
+    (-0.21521145022623292, 0.7670698722146291),
+    (-0.20447615005664987, 1.3036622036974692),
+    (-0.2018055465793489, 0.7670698722130835),
+    (-0.18807015553190548, 1.3036622036971215),
+    (-0.18024518968169861, 0.7670698722143552),
+    (-0.15918053350666975, 1.3036622036964813),
+    (-0.1532903784806742, 0.7670698722129166),
+    (-0.11737906382443712, 1.3036622036965466),
+    (-0.09099770095170545, 0.7670698722138478),
+    (0.03146580402506015, 1.3036622036974637),
+    (0.10038946502756028, 0.7670698722139453),
+]
+
+# the same points to 40 digits, written by bench/periodic_reference.py (mpmath
+# Newton on F^17 - Id - 15 at 50 digits from each point above)
+_PERIODIC_15_17_REFERENCE = [
+    ("-0.3467096215193037201810808193973060724482", "1.303662203696811115884725025703419572248"),
+    ("-0.3408194664933287664044119381041042613523", "0.7670698722140502115799810765796000715695"),
+    ("-0.3197548103183139737864571402521241702829", "1.303662203696811115884725025703419572248"),
+    ("-0.3119298444680979861733538333801079864899", "0.7670698722140502115799810765796000715695"),
+    ("-0.298194453420642605868839166435322922096", "1.303662203696811115884725025703419572248"),
+    ("-0.2955238499433514947327026557110289600118", "0.7670698722140502115799810765796000715695"),
+    ("-0.2847885497737746335951239356394730962593", "1.303662203696811115884725025703419572248"),
+    ("-0.2802666339719730195798249476519396344069", "0.7670698722140502115799810765796000715695"),
+    ("-0.2715081034611663804833460604313743044524", "1.303662203696811115884725025703419572248"),
+    ("-0.2696713630625486193319669251888704009015", "0.7670698722140502115799810765796000715695"),
+    ("-0.2617954202810070468322878053282948747053", "1.303662203696811115884725025703419572248"),
+    ("-0.2582222213048352214197831845017966617681", "0.7670698722140502115799810765796000715695"),
+    ("-0.2508195526808853903303772654274531921286", "1.303662203696811115884725025703419572248"),
+    ("-0.2491804473191146096696227345725468078714", "0.7670698722140502115799810765796000715695"),
+    ("-0.2417777786951647785802168154982033382319", "1.303662203696811115884725025703419572248"),
+    ("-0.2382045797189929531677121946717051252947", "0.7670698722140502115799810765796000715695"),
+    ("-0.2303286369374513806680330748111295990985", "1.303662203696811115884725025703419572248"),
+    ("-0.2284918965388336195166539395686256955476", "0.7670698722140502115799810765796000715695"),
+    ("-0.2197333660280269804201750523480603655931", "1.303662203696811115884725025703419572248"),
+    ("-0.2152114502262253664048760643605269037407", "0.7670698722140502115799810765796000715695"),
+    ("-0.2044761500566485052672973442889710399882", "1.303662203696811115884725025703419572248"),
+    ("-0.201805546579357394131160833564677077904", "0.7670698722140502115799810765796000715695"),
+    ("-0.1880701555319020138266461666198920135101", "1.303662203696811115884725025703419572248"),
+    ("-0.1802451896816860262135428597478758297171", "0.7670698722140502115799810765796000715695"),
+    ("-0.1591805335066712335955880618958957386477", "1.303662203696811115884725025703419572248"),
+    ("-0.1532903784806962798189191806026939275518", "0.7670698722140502115799810765796000715695"),
+    ("-0.1173790638244740043068439494414656661045", "1.303662203696811115884725025703419572248"),
+    ("-0.09099770095172427989749488126009498136611", "0.7670698722140502115799810765796000715695"),
+    ("0.03146580402513678629529245646001426088206", "1.303662203696811115884725025703419572248"),
+    ("0.1003894650275069342145187718742440469854", "0.7670698722140502115799810765796000715695"),
 ]
 
 
@@ -425,7 +460,39 @@ def test_periodic_points_15_17_pinned():
         assert pt.x == pytest.approx(x, abs=1e-12)
         assert pt.multiplier == pytest.approx(mult, rel=1e-10)
     gamma = cd.growth_exponent(maps, pts, 15, 17)[0]
-    assert gamma == pytest.approx(0.017678492254952546, rel=1e-12)
+    assert gamma == pytest.approx(0.017678492246859225, rel=1e-12)
+
+
+def test_periodic_points_15_17_reference():
+    # bisection of every bracket, on inverses seeded by a linear table and
+    # polished by Newton, read 9.0e-13 in x and 1.23e-10 in the multipliers
+    # against these values; the Newton polish reads 7.7e-14 and 1.6e-12
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.35, "beta": 0.14,
+                  "period": 1.0})
+    pts = cd.find_periodic_points(maps, 15, 17)
+    assert len(pts) == len(_PERIODIC_15_17_REFERENCE)
+    for pt, (x, mult) in zip(pts, _PERIODIC_15_17_REFERENCE):
+        assert pt.x == pytest.approx(float(x), abs=1e-12)
+        assert pt.multiplier == pytest.approx(float(mult), rel=1e-10)
+
+
+def test_periodic_points_15_17_calls():
+    # one g for the domain's nodes, one for the nodes around the orbit
+    # images, one for the multipliers, and the Newton polish of each scan;
+    # bisecting every bracket to ROOT_TOL took 47 calls
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.35, "beta": 0.14,
+                  "period": 1.0})
+    calls = [0]
+    g_and_multiplier = cd._g_and_multiplier
+
+    def counting(*args):
+        calls[0] += 1
+        return g_and_multiplier(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cd, "_g_and_multiplier", counting)
+        assert len(cd.find_periodic_points(maps, 15, 17)) == 30
+    assert calls[0] <= 25
 
 
 @pytest.mark.parametrize("spec, p, q, members", [
