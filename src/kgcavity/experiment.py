@@ -213,6 +213,8 @@ class ExperimentConfig:
                     "analysis.max_q", "analysis.rotation_iterations"):
             if self.int_(key) < 1:
                 raise ConfigError("%s must be >= 1" % key)
+        if self.int_("oracle.n_y") < 64:
+            raise ConfigError("oracle.n_y must be >= 64")
         if need_fit and self.float_("grid.horizon_periods") < 2:
             raise ConfigError("grid.horizon_periods must be >= 2 when fitting")
         out = self.str_("output.dir")
@@ -424,7 +426,7 @@ def run_experiment(cfg):
                 "horizon": cfg.float_("oracle.horizon"),
                 "sup_discrepancy": float(overall),
             }
-        except Exception as exc:
+        except (oracle_fdm.Unstable, oracle_fdm.NoOverlap) as exc:
             report["errors"].append("oracle: %s: %s" % (type(exc).__name__, exc))
             report["oracle"] = None
 

@@ -115,7 +115,8 @@ def _backward_walk(maps, xi, eta):
     scalar inverse, and keeps its stop and inside tests on floats too: c is
     then a list of N + 3 floats and N an int.
     """
-    if np.ndim(xi) == np.ndim(eta) == 0:
+    if (isinstance(xi, float) and isinstance(eta, float)
+            or np.ndim(xi) == np.ndim(eta) == 0):
         c = [float(xi), float(eta)]
         c.append(maps.F_inv(c[0]))
         while c[-3] + c[-2] >= -1e-8:

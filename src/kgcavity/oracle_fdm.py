@@ -13,7 +13,8 @@ marched with a leapfrog scheme: the mixed term is time-centered through a
 tridiagonal implicit solve, everything else is explicit and second order.
 This solver shares no code with the characteristic machinery beyond the
 Simpson rule of its energy, and exists to cross-validate it on short
-horizons.
+horizons.  A run keeps only the steps nearest its probe times (all of them
+when given :func:`step_times`).
 """
 
 import functools
@@ -27,7 +28,7 @@ import numpy as np
 
 from ._quadrature import simpson
 
-__all__ = ["Unstable", "NoOverlap", "OracleRun", "solve_oracle", "compare"]
+__all__ = ["Unstable", "NoOverlap", "OracleRun", "step_times", "solve_oracle", "compare"]
 
 # time steps whose coefficients are built together (rows of one array)
 STEP_CHUNK = 16
@@ -44,43 +45,59 @@ class NoOverlap(ValueError):
 
 
 class OracleRun:
-    """Time history of the transformed field on the unit strip.
+    """The transformed field on the unit strip at the steps a run kept.
 
-    ``psi[n, j]`` holds the field at time ``ts[n]`` and y = ``ys[j]``;
-    boundary columns are exactly zero.
+    ``ts`` holds every step's time, ``times`` the run's probe times and
+    ``steps`` the steps nearest them, sorted and each once.  ``psi[i, j]`` is
+    the field at time ``ts[steps[i]]`` and y = ``ys[j]``; boundary columns
+    are exactly zero.  Reading a step that was not kept raises ValueError.
     """
 
-    def __init__(self, motion, m, ts, ys, psi):
+    def __init__(self, motion, m, ts, ys, times, steps, psi):
         self.motion = motion
         self.m = float(m)
         self.ts = ts
         self.ys = ys
+        self.times = times
+        self.steps = steps
         self.psi = psi
         self.n_y = len(ys) - 1
+        self._rows = {n: i for i, n in enumerate(steps)}
+
+    def _row(self, n):
+        """psi at step n (a view of the kept row)."""
+        if n not in self._rows:
+            raise ValueError("step %d (t=%g) was not kept by this run" % (n, self.ts[n]))
+        return self.psi[self._rows[n]]
 
     def slice_at(self, t):
-        """(x nodes, phi values) at the stored time nearest to t."""
-        n = int(np.clip(round((t - self.ts[0]) / (self.ts[1] - self.ts[0])),
-                        0, len(self.ts) - 1))
+        """(time, x nodes, phi values) at the step nearest to t."""
+        n = _nearest_step(self.ts, t)
         t_act = self.ts[n]
         a_t = float(self.motion.a(t_act))
-        return t_act, self.ys * a_t, self.psi[n].copy()
+        return t_act, self.ys * a_t, self._row(n).copy()
 
     def energy(self, n):
         """Discrete E_m at step n (centered time derivative)."""
         if n < 1 or n > len(self.ts) - 2:
             raise ValueError("need interior time index")
+        old, cur, new = (self._row(k) for k in (n - 1, n, n + 1))
         t = self.ts[n]
         a_t = float(self.motion.a(t))
         da_t = float(self.motion.da(t))
         dy = self.ys[1] - self.ys[0]
         dt = self.ts[1] - self.ts[0]
-        psi_t = (self.psi[n + 1] - self.psi[n - 1]) / (2.0 * dt)
-        psi_y = np.gradient(self.psi[n], dy, edge_order=2)
+        psi_t = (new - old) / (2.0 * dt)
+        psi_y = np.gradient(cur, dy, edge_order=2)
         phi_x = psi_y / a_t
         phi_t = psi_t - (da_t / a_t) * self.ys * psi_y
-        dens = 0.5 * (phi_t**2 + phi_x**2 + self.m**2 * self.psi[n] ** 2)
+        dens = 0.5 * (phi_t**2 + phi_x**2 + self.m**2 * cur ** 2)
         return float(simpson(dens, dx=dy) * a_t)
+
+
+def _nearest_step(ts, t):
+    """Index of the step of the grid ``ts`` nearest to t, clipped to it."""
+    return int(np.clip(round((t - ts[0]) / (ts[1] - ts[0])), 0, len(ts) - 1))
 
 
 @functools.cache
@@ -128,12 +145,25 @@ def _tridiagonal_solve(sub, diag, sup, rhs):
     return rhs
 
 
-def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
-    """March the transformed equation up to t_max.
+def step_times(motion, n_y, t_max, cfl=0.9):
+    """The times ``solve_oracle`` marches through: n dt for n = 0 ... n_t.
 
     The time step comes from a frozen-coefficient bound on the transformed
-    characteristic speeds (1 + sup|a'|)/inf a, scaled by ``cfl``.  The first
-    step is seeded to second order with phi1 and the PDE itself.
+    characteristic speeds (1 + sup|a'|)/inf a, scaled by ``cfl``, and is
+    shortened to divide t_max.  Passed as ``times``, it keeps every step.
+    """
+    dy = np.linspace(0.0, 1.0, n_y + 1)[1]
+    speed = (1.0 + motion.da_max) / motion.a_min
+    n_t = int(math.ceil(t_max / (cfl * dy / speed)))
+    return (t_max / n_t) * np.arange(n_t + 1)
+
+
+def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9, times=None):
+    """March the transformed equation up to t_max on :func:`step_times`, in
+    a ring of STEP_CHUNK + 2 rows, keeping the steps nearest the probe
+    ``times`` (default: 40 evenly spaced, ending at the last step).
+
+    The first step is seeded to second order with phi1 and the PDE itself.
 
     Raises :class:`Unstable` when sup|psi| exceeds 10^6 times its initial
     value or when any value is not finite (NaN or inf in the data included).
@@ -145,11 +175,14 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
     a0 = motion.a0
     ys = np.linspace(0.0, 1.0, n_y + 1)
     dy = ys[1] - ys[0]
-    speed = (1.0 + motion.da_max) / motion.a_min
-    dt = cfl * dy / speed
-    n_t = int(math.ceil(t_max / dt))
-    dt = t_max / n_t
-    ts = dt * np.arange(n_t + 1)
+    ts = step_times(motion, n_y, t_max, cfl)
+    n_t = len(ts) - 1
+    dt = ts[1] - ts[0]
+    if times is None:
+        times = np.linspace(ts[0], ts[-1], 41)[1:]
+    times = np.array(times, dtype=float)
+    steps = sorted({_nearest_step(ts, t) for t in times.tolist()})
+    psi = np.empty((len(steps), n_y + 1))
 
     x0 = ys * a0
     psi0 = np.asarray(data.phi0(x0), dtype=float)
@@ -170,12 +203,21 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
     psi0[0] = psi0[-1] = 0.0
     psi1[0] = psi1[-1] = 0.0
 
-    psi = np.empty((n_t + 1, n_y + 1))
-    psi[0] = psi0
-    psi[1] = psi1
-    psi[2:, 0] = psi[2:, -1] = 0.0
+    # ring row r holds step first + r; kept steps up to last are copied out
+    ring = np.empty((STEP_CHUNK + 2, n_y + 1))
+    ring[0] = psi0
+    ring[1] = psi1
+    ring[2:, 0] = ring[2:, -1] = 0.0
     sup0 = max(float(np.max(np.abs(psi0))), 1e-30)
+    i = 0
 
+    def keep(first, last):
+        nonlocal i
+        while i < len(steps) and steps[i] <= last:
+            psi[i] = ring[steps[i] - first]
+            i += 1
+
+    keep(0, 1)
     yint = ys[1:-1]
     idt2 = 1.0 / dt**2
     m2 = m**2
@@ -188,7 +230,6 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
     dyc = (psi0[2:] - psi0[:-2]) / two_dy
     for n0 in range(1, n_t, STEP_CHUNK):
         n1 = min(n0 + STEP_CHUNK, n_t)
-        steps = range(n0, n1)
         # the wall at the chunk's times in Python floats, as a step-by-step
         # build takes them (psi stays bit-identical): a column holds each
         # time in a row of its own, so a Fourier wall sums its terms for it
@@ -208,10 +249,10 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
         coef = g / (dt * 2.0 * dy)
         sup = -coef[:, :-1]
 
-        for k, n in enumerate(steps):
-            cur = psi[n]
+        for k in range(n1 - n0):
+            cur = ring[k + 1]
             c = cur[1:-1]
-            new = psi[n + 1, 1:-1]
+            new = ring[k + 2, 1:-1]
             np.multiply(2.0, c, out=two_c)
             np.subtract(cur[2:], two_c, out=dyy)
             dyy += cur[:-2]
@@ -220,8 +261,8 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
             np.subtract(cur[2:], cur[:-2], out=dyc)
             dyc /= two_dy
             # ((((2c - old) idt2 - g_dt dyo) + c2 dyy) + c1 dyc) - m2 c, built
-            # in psi's new row in that order, then solved there
-            np.subtract(two_c, psi[n - 1, 1:-1], out=new)
+            # in the ring's new row in that order, then solved there
+            np.subtract(two_c, ring[k, 1:-1], out=new)
             new *= idt2
             dyo *= g_dt[k]
             new -= dyo
@@ -233,24 +274,27 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9):
             new -= two_c
             _tridiagonal_solve(coef[k, 1:], diag, sup[k], new)
 
-        rows = psi[n0 + 1:n1 + 1, 1:-1]
-        for n, top in zip(steps, np.maximum(rows.max(axis=1), -rows.min(axis=1)).tolist()):
+        rows = ring[2:n1 - n0 + 2, 1:-1]
+        for n, top in zip(range(n0, n1),
+                          np.maximum(rows.max(axis=1), -rows.min(axis=1)).tolist()):
             # 'not <=' also catches NaN and inf
             if not top <= 1e6 * sup0:
                 raise Unstable("|psi| exceeded 1e+06 x initial or is not finite at t=%g"
                                % ts[n])
+        keep(n0 - 1, n1)
+        ring[:2] = ring[n1 - n0:n1 - n0 + 2]
 
-    return OracleRun(motion, m, ts, ys, psi)
+    return OracleRun(motion, m, ts, ys, times, steps, psi)
 
 
-def compare(run, field, times=None):
+def compare(run, field):
     """Discrepancy between the oracle and a characteristic-route solution.
 
     ``field`` may be a MasslessProfile (exact evaluator) or a FieldGrid;
-    both are probed at the oracle's interior nodes on the stored slices
-    nearest to the requested times, PROBE_SLICES slices per evaluation of
-    the field.  A slice whose stored time lies past the common range is
-    skipped.
+    both are probed at the oracle's interior nodes on the kept slices
+    nearest to the run's probe times, PROBE_SLICES slices per evaluation of
+    the field.  Probe times outside the common time range, and those whose
+    slice lies past it, are skipped.
     Returns (probe times kept, per-slice sup discrepancies, their maximum).
     """
     t_lo, t_hi = run.ts[0], run.ts[-1]
@@ -259,10 +303,7 @@ def compare(run, field, times=None):
         t_hi = min(t_hi, other_hi)
     if t_hi <= t_lo:
         raise NoOverlap("no common time range")
-    if times is None:
-        times = np.linspace(t_lo, t_hi, 41)[1:]
-    times = np.asarray([t for t in np.asarray(times, dtype=float)
-                        if t_lo <= t <= t_hi])
+    times = np.asarray([t for t in run.times if t_lo <= t <= t_hi])
     slices = [run.slice_at(float(t)) for t in times]
     kept = np.array([t_act <= t_hi + 1e-12 for t_act, _, _ in slices], dtype=bool)
     slices = [s for s, keep in zip(slices, kept) if keep]

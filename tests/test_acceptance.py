@@ -136,9 +136,9 @@ def test_acceptance_1_massless_oracle_equivalence():
     sups = {}
     t0 = time.perf_counter()
     for ny in (256, 512, 1024):
-        run = orc.solve_oracle(data, motion, m=0.0, n_y=ny, t_max=5.0)
-        _, _, sups[ny] = orc.compare(run, prof,
-                                     times=np.linspace(0.2, 5.0, 25))
+        run = orc.solve_oracle(data, motion, m=0.0, n_y=ny, t_max=5.0,
+                               times=np.linspace(0.2, 5.0, 25))
+        _, _, sups[ny] = orc.compare(run, prof)
     runtime = time.perf_counter() - t0
     r1 = sups[256] / sups[512]
     r2 = sups[512] / sups[1024]

@@ -113,6 +113,18 @@ def test_scalar_inverse_contract(spec, monkeypatch):
         maps.F_inv(np.array([0.3]))
 
 
+@pytest.mark.parametrize("spec", _SCALAR_PROFILES, ids=lambda s: s["profile"])
+def test_scalar_lift_same_bits_for_every_scalar_type(spec):
+    # a float and an np.float64 pass the type test, a 0-d array np.ndim;
+    # all three take the scalar inverse and return the same float
+    maps = CharacteristicMaps(make_motion(spec))
+    for fn in (maps.F, maps.F_inv):
+        for y in np.linspace(-3.0 * maps.T, 30.0 * maps.T, 97).tolist():
+            got = [fn(x) for x in (y, np.float64(y), np.array(y))]
+            assert all(type(v) is float for v in got)
+            assert len({v.hex() for v in got}) == 1
+
+
 def _counting_arrays(cls, *args):
     """A ``cls(*args)`` wall counting its array a and a' evaluations."""
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from kgcavity import cli, experiment
+from kgcavity import cli, experiment, oracle_fdm
 from kgcavity.experiment import (ConfigError, ExperimentConfig,
                                  NonpositiveEnergy, TooFewWindows,
                                  fit_exponent)
@@ -356,6 +356,31 @@ def test_run_experiment_oracle_discrepancy_falls(tmp_path):
         assert oracle["n_y"] == n_y and oracle["horizon"] == 3.0
         sup[n_y] = oracle["sup_discrepancy"]
     assert sup[512] <= 0.5 * sup[256]
+
+
+def test_run_experiment_oracle_records_only_its_own_failures(tmp_path, monkeypatch):
+    # Unstable and NoOverlap go to the report; any other error is a fault
+    cfg = _cfg(tmp_path, **{"oracle.enabled": "true", "grid.resolution": 64,
+                            "grid.horizon_periods": 2})
+
+    def fail(kind):
+        def solve(*args, **kwargs):
+            raise kind("injected")
+        return solve
+
+    monkeypatch.setattr(experiment.oracle_fdm, "solve_oracle", fail(oracle_fdm.Unstable))
+    report = experiment.run_experiment(cfg)
+    assert report["oracle"] is None
+    assert report["errors"][-1] == "oracle: Unstable: injected"
+    monkeypatch.setattr(experiment.oracle_fdm, "solve_oracle", fail(TypeError))
+    with pytest.raises(TypeError, match="injected"):
+        experiment.run_experiment(cfg)
+
+
+def test_oracle_n_y_below_64_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="oracle.n_y"):
+        _cfg(tmp_path, **{"oracle.n_y": 32}).validate()
+    _cfg(tmp_path, **{"oracle.n_y": 64}).validate()
 
 
 def test_verify_random_streams_pinned(tmp_path):

@@ -127,6 +127,16 @@ def test_boundary_point_measure_zero(strong_maps):
     assert kg.measure_M(strong_maps, 0.4, -0.4) <= 1e-12
 
 
+def test_backward_walk_same_bits_for_every_scalar_type(strong_maps):
+    # one point given as floats, np.float64 or 0-d arrays walks on floats
+    for t, x in ((0.7, 0.2), (3.1, 0.55), (9.4, 0.9)):
+        walks = [kg._backward_walk(strong_maps, kind(t + x), kind(t - x))
+                 for kind in (float, np.float64, np.array)]
+        for c, n in walks:
+            assert type(n) is int and all(type(v) is float for v in c)
+        assert len({(tuple(v.hex() for v in c), n) for c, n in walks}) == 1
+
+
 def test_measure_M_bound_random(strong_maps):
     rng = np.random.default_rng(17)
     a_max = strong_maps.motion.a_max

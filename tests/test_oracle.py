@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from kgcavity.characteristics_solver import build_initial_profile
 
 def test_zero_data_identically_zero(static_maps):
     run = orc.solve_oracle(cauchy.zero_data(1.0), static_maps.motion, m=0.3,
-                           n_y=64, t_max=1.0)
+                           n_y=64, t_max=1.0,
+                           times=orc.step_times(static_maps.motion, 64, 1.0))
+    assert len(run.psi) == len(run.ts)
     assert np.max(np.abs(run.psi)) == 0.0
 
 
@@ -25,7 +28,7 @@ def test_eigenmode_self_convergence(static_maps):
     errs = []
     for ny in (128, 256, 512):
         run = orc.solve_oracle(data, static_maps.motion, m=0.5, n_y=ny,
-                               t_max=3.0)
+                               t_max=3.0, times=(1.0, 2.0, 2.9))
         worst = 0.0
         for t in (1.0, 2.0, 2.9):
             ta, xs, vals = run.slice_at(t)
@@ -39,7 +42,8 @@ def test_eigenmode_self_convergence(static_maps):
 def test_static_energy_drift(static_maps):
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "standing")
     run = orc.solve_oracle(data, static_maps.motion, m=0.0, n_y=512,
-                           t_max=10.0)
+                           t_max=10.0,
+                           times=orc.step_times(static_maps.motion, 512, 10.0))
     E0 = run.energy(1)
     drift = max(abs(run.energy(n) / E0 - 1.0)
                 for n in range(1, len(run.ts) - 1, len(run.ts) // 40))
@@ -154,7 +158,8 @@ def test_chunked_steps_match_reference_loop(strong_maps, wall, m):
     # m = 0 is the mass crosscheck runs the oracle at
     motion = strong_maps.motion if wall == "strong" else boundary.make_motion(FOURIER_WALL)
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
-    run = orc.solve_oracle(data, motion, m=m, n_y=64, t_max=3.0)
+    run = orc.solve_oracle(data, motion, m=m, n_y=64, t_max=3.0,
+                           times=orc.step_times(motion, 64, 3.0))
     steps = len(run.ts) - 2
     assert steps > 3 * orc.STEP_CHUNK and steps % orc.STEP_CHUNK != 0
     ref = np.empty_like(run.psi)
@@ -166,11 +171,10 @@ def test_chunked_steps_match_reference_loop(strong_maps, wall, m):
 def _reference_unstable(data, motion, m, n_y, t_max, cfl):
     """The message _reference_march raises on the solver's grid, and the
     index of the step it names."""
-    dt = cfl * (1.0 / n_y) / ((1.0 + motion.da_max) / motion.a_min)
-    n_t = int(math.ceil(t_max / dt))
-    ts = (t_max / n_t) * np.arange(n_t + 1)
+    ts = orc.step_times(motion, n_y, t_max, cfl)
     # the solver's two seed rows, from a run of one step (which marches none)
-    seed = orc.solve_oracle(data, motion, m=m, n_y=n_y, t_max=ts[1], cfl=cfl)
+    seed = orc.solve_oracle(data, motion, m=m, n_y=n_y, t_max=ts[1], cfl=cfl,
+                            times=ts[:2])
     assert seed.ts.tolist() == ts[:2].tolist()
     ref = np.empty((len(ts), n_y + 1))
     ref[:2] = seed.psi
@@ -190,6 +194,63 @@ def test_chunked_steps_unstable_message_matches_reference(strong_maps):
     assert (step - 1) % orc.STEP_CHUNK != 0
 
 
+# demos/example.cfg's wall and data, which crosscheck runs the oracle on at
+# n_y = 512 up to t = 4
+EXAMPLE_WALL = {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0}
+
+
+def _example():
+    motion = boundary.make_motion(EXAMPLE_WALL)
+    return motion, cauchy.make_bump(0.5, 0.15, 0.10, 1.0, "right")
+
+
+@pytest.mark.parametrize("m", [0.0, 0.27])
+def test_probe_rows_match_full_history(m):
+    # the default run keeps one row per probe time, each the same bytes as
+    # that step of a run that kept every step, and compares bit for bit
+    motion, data = _example()
+    prof = build_initial_profile(data, boundary.CharacteristicMaps(motion))
+    run = orc.solve_oracle(data, motion, m=m, n_y=512, t_max=4.0)
+    full = orc.solve_oracle(data, motion, m=m, n_y=512, t_max=4.0,
+                            times=orc.step_times(motion, 512, 4.0))
+    assert len(run.psi) == len(run.steps) <= 41
+    assert len(full.psi) == len(full.ts) == len(run.ts)
+    assert run.psi.tobytes() == full.psi[run.steps].tobytes()
+    # the full history probed at the default times, as compare read it
+    # before runs kept only their probe rows
+    probed = orc.OracleRun(motion, m, full.ts, full.ys, run.times, full.steps, full.psi)
+    got, want = orc.compare(run, prof), orc.compare(probed, prof)
+    assert got[0].tobytes() == want[0].tobytes() and len(got[0]) == 40
+    assert got[1].tobytes() == want[1].tobytes() and got[2] == want[2]
+
+
+def test_probe_run_peak_memory():
+    # at crosscheck's size the ring and the 40 kept rows are all a solve
+    # holds; the full history would be 20.6 MB
+    motion, data = _example()
+    orc._flapack()                          # loaded once per process
+    tracemalloc.start()
+    try:
+        run = orc.solve_oracle(data, motion, m=0.0, n_y=512, t_max=4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.psi) == 40
+    assert peak <= 2e6                      # measured 0.95 MB
+
+
+def test_unkept_steps_raise(static_maps):
+    data = cauchy.make_eigenmode(1.0, 1, 1.0)
+    run = orc.solve_oracle(data, static_maps.motion, m=0.5, n_y=64, t_max=1.0,
+                           times=[0.5])
+    t_act, _, vals = run.slice_at(0.5)
+    assert run.steps == [round(0.5 / run.ts[1])] and vals.tobytes() == run.psi[0].tobytes()
+    with pytest.raises(ValueError, match="not kept"):
+        run.slice_at(0.25)
+    with pytest.raises(ValueError, match="not kept"):
+        run.energy(run.steps[0])
+
+
 def test_compare_zero_vs_zero(static_maps):
     run = orc.solve_oracle(cauchy.zero_data(1.0), static_maps.motion, m=0.0,
                            n_y=64, t_max=1.0)
@@ -200,21 +261,23 @@ def test_compare_zero_vs_zero(static_maps):
 
 def test_compare_no_overlap(static_maps):
     run = orc.solve_oracle(cauchy.zero_data(1.0), static_maps.motion, m=0.0,
-                           n_y=64, t_max=1.0)
+                           n_y=64, t_max=1.0, times=[5.0, 6.0])
     prof = build_initial_profile(cauchy.zero_data(1.0), static_maps)
     with pytest.raises(orc.NoOverlap):
-        orc.compare(run, prof, times=[5.0, 6.0])
+        orc.compare(run, prof)
 
 
 def test_compare_pairs_each_value_with_its_probe_time(static_maps):
     # the slice nearest t_max = 1.00559 lies at 72 dt = 1.00699, past the
     # field's range, and is skipped; the time kept is 0.5, the one measured
     data = cauchy.make_eigenmode(1.0, 1, 1.0)
-    run = orc.solve_oracle(data, static_maps.motion, m=0.5, n_y=64, t_max=2.0)
     fg = kg.picard_solve(data, static_maps, m=0.5, resolution=64, t_max=1.00559)
+    run, run_half = (orc.solve_oracle(data, static_maps.motion, m=0.5, n_y=64,
+                                      t_max=2.0, times=times)
+                     for times in ([fg.t_max, 0.5], [0.5]))
     assert run.slice_at(fg.t_max)[0] > fg.t_max
-    ts, sups, overall = orc.compare(run, fg, times=[fg.t_max, 0.5])
-    ts_half, sups_half, _ = orc.compare(run, fg, times=[0.5])
+    ts, sups, overall = orc.compare(run, fg)
+    ts_half, sups_half, _ = orc.compare(run_half, fg)
     assert ts.tolist() == [0.5] == ts_half.tolist()
     assert sups.tolist() == sups_half.tolist() and overall == sups[0]
 
@@ -224,9 +287,10 @@ def test_compare_batched_matches_per_slice(strong_maps):
     # sup bit for bit; 11 slices end in a partial batch
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
     prof = build_initial_profile(data, strong_maps)
-    run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=64, t_max=2.0)
     for times, count in ((None, 40), (np.linspace(0.1, 1.9, 11), 11)):
-        ts, sups, overall = orc.compare(run, prof, times=times)
+        run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=64, t_max=2.0,
+                               times=times)
+        ts, sups, overall = orc.compare(run, prof)
         assert len(ts) == count > orc.PROBE_SLICES
         for t, sup in zip(ts, sups):
             t_act, xs, vals = run.slice_at(t)
@@ -279,9 +343,10 @@ def test_oracle_loads_no_scipy_linalg():
 def test_compare_against_fieldgrid_massive(static_maps):
     # oracle vs picard lattice on the static massive eigenmode
     data = cauchy.make_eigenmode(1.0, 1, 1.0)
-    run = orc.solve_oracle(data, static_maps.motion, m=1.0, n_y=256, t_max=2.0)
+    run = orc.solve_oracle(data, static_maps.motion, m=1.0, n_y=256, t_max=2.0,
+                           times=np.linspace(0.3, 1.9, 9))
     fg = kg.picard_solve(data, static_maps, m=1.0, resolution=256, t_max=2.2)
-    _, _, overall = orc.compare(run, fg, times=np.linspace(0.3, 1.9, 9))
+    _, _, overall = orc.compare(run, fg)
     assert overall <= 5e-4
 
 
@@ -293,9 +358,8 @@ def test_moving_wall_cross_solver_second_order(strong_maps):
     errs = {}
     for ny in (256, 512):
         run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=ny,
-                               t_max=2.4)
-        _, _, overall = orc.compare(run, prof,
-                                    times=np.linspace(0.2, 2.4, 12))
+                               t_max=2.4, times=np.linspace(0.2, 2.4, 12))
+        _, _, overall = orc.compare(run, prof)
         errs[ny] = overall
     assert errs[256] / errs[512] > 3.0
     # 1.2x the measured 3.02e-2; a profile built from a wall 1 % off
@@ -307,7 +371,9 @@ def test_moving_wall_cross_solver_second_order(strong_maps):
 
 def test_dirichlet_traces_pinned(strong_maps):
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
-    run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=128, t_max=2.0)
+    run = orc.solve_oracle(data, strong_maps.motion, m=0.0, n_y=128, t_max=2.0,
+                           times=orc.step_times(strong_maps.motion, 128, 2.0))
+    assert len(run.psi) == len(run.ts)
     assert np.max(np.abs(run.psi[:, 0])) == 0.0
     assert np.max(np.abs(run.psi[:, -1])) == 0.0
 
@@ -319,8 +385,8 @@ def test_massive_moving_wall_refinement_ladder(tuned_maps):
     sups = {}
     for ny in (128, 256):
         run = orc.solve_oracle(data, tuned_maps.motion, m=0.3, n_y=ny,
-                               t_max=1.8)
+                               t_max=1.8, times=np.linspace(0.3, 1.7, 8))
         fg = kg.picard_solve(data, tuned_maps, m=0.3, resolution=ny,
                              t_max=2.0)
-        _, _, sups[ny] = orc.compare(run, fg, times=np.linspace(0.3, 1.7, 8))
+        _, _, sups[ny] = orc.compare(run, fg)
     assert sups[128] / sups[256] > 3.0
