@@ -26,11 +26,12 @@ def test_eigenmode_self_convergence(static_maps):
     data = cauchy.make_eigenmode(1.0, 1, 1.0)
     om = math.sqrt(math.pi**2 + 0.25)
     errs = []
+    probes = (1.0, 2.0, 2.9)
     for ny in (128, 256, 512):
         run = orc.solve_oracle(data, static_maps.motion, m=0.5, n_y=ny,
-                               t_max=3.0, times=(1.0, 2.0, 2.9))
+                               t_max=3.0, times=probes)
         worst = 0.0
-        for t in (1.0, 2.0, 2.9):
+        for t in probes:
             ta, xs, vals = run.slice_at(t)
             worst = max(worst, float(np.max(np.abs(
                 vals - np.sin(np.pi * xs) * math.cos(om * ta)))))
@@ -216,8 +217,7 @@ def test_probe_rows_match_full_history(m):
     assert len(run.psi) == len(run.steps) <= 41
     assert len(full.psi) == len(full.ts) == len(run.ts)
     assert run.psi.tobytes() == full.psi[run.steps].tobytes()
-    # the full history probed at the default times, as compare read it
-    # before runs kept only their probe rows
+    # the reference: the full history probed at the same default times
     probed = orc.OracleRun(motion, m, full.ts, full.ys, run.times, full.steps, full.psi)
     got, want = orc.compare(run, prof), orc.compare(probed, prof)
     assert got[0].tobytes() == want[0].tobytes() and len(got[0]) == 40
