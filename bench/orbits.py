@@ -6,6 +6,8 @@ runs ``analyze_map(maps, 1e5, max_q=20)``, the call the scan makes per
 point, and records
 
 - its seconds (median of 3 runs without counters);
+- the microseconds per scalar orbit step: a walk of 50 000 steps
+  of ``orbit_translation`` from 0, median of 3 walks;
 - the route that produced the rotation number: ``certified`` (a short
   orbit proposed p/q and a periodic orbit certified it), ``bracket`` (the
   1e5-step walk stopped once the orbit's Farey bracket on rho was narrower
@@ -41,7 +43,7 @@ to measure, so the same script measures an older checkout too:
 
 Each run replaces its label's entry in the ``--out`` file and keeps the
 others; ``--out`` has no default so that a run never overwrites a
-checked-in record (``BENCH_16.json`` and ``BENCH_23.json`` were written by this script).  (``BENCH_5.json`` was written by an
+checked-in record (``BENCH_16.json``, ``BENCH_23.json`` and ``BENCH_25.json`` were written by this script).  (``BENCH_5.json`` was written by an
 earlier version of this script, which timed ``rotation_number`` and
 ``find_periodic_points`` on their own.)
 """
@@ -59,6 +61,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITERATIONS = 100_000
+ORBIT_STEPS = 50_000
 MAX_Q = 20
 REPEAT = 3
 
@@ -96,6 +99,11 @@ def measure(alpha, beta, cfg):
         t0 = time.perf_counter()
         analysis = cd.analyze_map(maps, ITERATIONS, max_q=MAX_Q)
         times.append(time.perf_counter() - t0)
+    step_s = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        maps.orbit_translation(0.0, ORBIT_STEPS)
+        step_s.append((time.perf_counter() - t0) / ORBIT_STEPS)
 
     energy_s = None
     if analysis.status == "ok":
@@ -183,6 +191,7 @@ def measure(alpha, beta, cfg):
     else:
         route = "full"
     return {"alpha": alpha, "analyze_map_s": statistics.median(times), "route": route,
+            "orbit_step_us": 1e6 * statistics.median(step_s),
             "rotation_walks": walks,
             "rho": analysis.rotation_estimate, "resonance": analysis.resonance,
             "status": analysis.status, "orbit_steps": steps[0],
@@ -223,6 +232,7 @@ def main(argv=None):
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "repeat": REPEAT,
         "iterations": ITERATIONS,
+        "orbit_steps_timed": ORBIT_STEPS,
         "max_q": MAX_Q,
         "motions": rows,
         "totals": {

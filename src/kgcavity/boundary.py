@@ -277,24 +277,19 @@ def validate_motion(profile, period):
 class CharacteristicMaps:
     """Evaluators for h, k, their inverses, and the circle-map lift F.
 
-    All evaluations are pure functions of (motion, x).  Each inverse has
-    two seeds: arrays take a quintic Hermite of t(y) on SEED_NODES nodes per
-    period, which already meets the residual test, and a Python float takes
-    a linear interpolant of a 4097-node list (:meth:`_invert_scalar`, also
-    the step of :meth:`orbit_translation`).  The lists, 4097 Python floats
-    each and the bulk of an instance's memory, are built on the first
-    scalar inverse, since an instance that only maps arrays never reads
-    them.  No seed table is mutated once built, so instances are safe to
-    share across workers (two threads that both build the lists build the
-    same ones).
+    All evaluations are pure functions of (motion, x).  Every inverse is
+    seeded by a quintic Hermite of t(y) on SEED_NODES nodes per period,
+    which already meets the residual test; arrays (:meth:`_invert`) and
+    Python floats (:meth:`_invert_scalar`, the step of
+    :meth:`orbit_translation`) evaluate it with the same operations.  No
+    seed table is mutated once built, so instances are safe to share
+    across workers.
     """
 
     #: residual tolerance for the inverse solves, scaled by (1 + |y|)
     inv_tol = 1e-12
-    #: nodes per period of the quintic Hermite seed of the array inverse
+    #: nodes per period of the quintic Hermite seed of the inverses
     SEED_NODES = 1025
-    # nodes per period of the linear seed of the scalar inverse
-    _SCALAR_NODES = 4097
 
     def __init__(self, motion):
         self.motion = motion
@@ -304,25 +299,22 @@ class CharacteristicMaps:
         s = motion.da_max
         self.dF_min = (1.0 - s) / (1.0 + s)
         self.dF_max = (1.0 + s) / (1.0 - s)
-        # the scalar inverse's node spacing and evaluators, bound once
-        # because every orbit step calls it
-        self._last = self._SCALAR_NODES - 1
-        self._dt = self.T / self._last
+        # bound once because every scalar orbit step calls them
         self._a_scalar = motion.profile.a_scalar
         self._da_scalar = motion.profile.da_scalar
         # (lo_off, hi_off) per sign, indexed by sign > 0: |a'| < 1 makes
         # t + sign*a(t) monotone, so its root for y is in [y - lo_off, y - hi_off]
         self._offsets = ((-motion.a_min, -motion.a_max), (motion.a_max, motion.a_min))
-        # quintic Hermite seeds of the array inverse, indexed by sign > 0
+        # quintic Hermite seeds of the inverses, indexed by sign > 0
         self._hermite = (self._hermite_table(-1.0), self._hermite_table(1.0))
 
     @functools.cached_property
-    def _seed_lists(self):
-        """One period of t -> h(t) and t -> k(t) on _SCALAR_NODES nodes, as
-        lists: the linear seed of the scalar inverse, indexed by sign > 0."""
-        ts = np.linspace(0.0, self.T, self._SCALAR_NODES)
-        av = np.asarray(self.motion.a(ts), dtype=float)
-        return (ts - av).tolist(), (ts + av).tolist()
+    def _scalar_seed(self):
+        """Per sign, the Hermite table's cell starts as a list for ``bisect``
+        and its rows as memoryviews, which index to floats; made on the
+        first scalar inverse, since arrays never read them."""
+        return tuple((nodes.tolist(), *map(memoryview, coef))
+                     for nodes, coef in self._hermite)
 
     def _hermite_table(self, sign):
         """(y_j, Horner coefficients) of the quintic Hermite of t(y), the
@@ -363,12 +355,12 @@ class CharacteristicMaps:
         """(t, a(t)) with t + sign*a(t) = y, residual <= inv_tol (1 + |y|).
 
         sign = -1 inverts h, sign = +1 inverts k.  A 0-d y takes
-        :meth:`_invert_scalar`.  An array is seeded by the quintic Hermite
-        table of its sign (periodic reduction, then the cell of each point,
-        clipped into the table on both sides, and Horner's rule in place).
-        The seed's a(t) gives the residual test, which the seed meets to
-        about 1e-14 relative; points it misses, and non-finite ones, go
-        through :meth:`_newton`.
+        :meth:`_invert_scalar`, which evaluates the same seed on floats.  An
+        array is seeded by the quintic Hermite table of its sign (periodic
+        reduction, then the cell of each point, clipped into the table on
+        both sides, and Horner's rule in place).  The seed's a(t) gives the
+        residual test, which the seed meets to about 1e-14 relative; points
+        it misses, and non-finite ones, go through :meth:`_newton`.
         """
         if np.ndim(y) == 0:
             return self._invert_scalar(float(y), sign)
@@ -379,7 +371,10 @@ class CharacteristicMaps:
         shift /= self.T
         np.floor(shift, out=shift)
         shift *= self.T
-        u = y - shift
+        # an infinite y gives inf - inf = NaN here, which then ends in
+        # NoConvergence; every later operation on it is quiet
+        with np.errstate(invalid="ignore"):
+            u = y - shift
         # the cell of u, clipped on both sides: rounding can put u just
         # outside [y_0, y_0 + T), and a NaN sorts past the end
         j = nodes.searchsorted(u, side="right")
@@ -445,39 +440,38 @@ class CharacteristicMaps:
     def _invert_scalar(self, y, sign):
         """(t, a(t)) with t + sign*a(t) = y for one Python float y.
 
-        The seed interpolates the 4097-node list of its sign linearly, as
-        ``np.interp`` would (``bisect`` for the node, the same slope and
-        clamping); then Newton on Python floats with the bracket, the
-        tolerance, the 60-step cap and the bisection fallback of
-        :meth:`_newton`.  A NaN or infinite y raises :class:`NoConvergence`,
-        as it does for arrays.
+        The seed is :meth:`_invert`'s, with its operations in its order, so
+        it has the same bits; its a(t) gives the residual test.  A miss
+        takes Newton on floats with the bracket, the tolerance, the 60-step
+        cap and the bisection fallback of :meth:`_newton`.  A NaN or
+        infinite y raises :class:`NoConvergence`, as it does for arrays.
         """
-        a_s, da_s = self._a_scalar, self._da_scalar
-        tab = self._seed_lists[sign > 0]
-        last, T, dt = self._last, self.T, self._dt
+        nodes, c5, c4, c3, c2, c1, c0 = self._scalar_seed[sign > 0]
+        T = self.T
         try:
-            shift = math.floor((y - tab[0]) / T) * T
+            shift = math.floor((y - nodes[0]) / T) * T
         except (ValueError, OverflowError):
             raise NoConvergence("inverse solve of the non-finite %r" % y) from None
         u = y - shift
-        # the table's t nodes are uniform, t_j = j dt as np.linspace makes
-        # them; np.interp's slope is (t_{j+1} - t_j) / (h_{j+1} - h_j)
-        j = bisect.bisect_right(tab, u) - 1
+        j = bisect.bisect_right(nodes, u) - 1
         if j < 0:
-            t = 0.0
-        elif j >= last:
-            t = T
-        else:
-            t = ((j + 1) * dt - j * dt) / (tab[j + 1] - tab[j]) * (u - tab[j]) + j * dt
+            j = 0
+        elif j > len(nodes) - 2:
+            j = len(nodes) - 2
+        z = u - nodes[j]
+        t = ((((c5[j] * z + c4[j]) * z + c3[j]) * z + c2[j]) * z + c1[j]) * z + c0[j]
         t += shift
+        a_s = self._a_scalar
+        a = a_s(t)
+        f = t + sign * a - y
+        tol = self.inv_tol * (1.0 + abs(y))
+        if abs(f) <= tol:
+            return t, a
 
+        da_s = self._da_scalar
         lo_off, hi_off = self._offsets[sign > 0]
         lo = y - lo_off - 1e-9
         hi = y - hi_off + 1e-9
-        tol = self.inv_tol * (1.0 + abs(y))
-
-        a = a_s(t)
-        f = t + sign * a - y
         for _ in range(60):
             if abs(f) <= tol:
                 return t, a
@@ -546,10 +540,10 @@ class CharacteristicMaps:
         """[F^k(x0) - x0 for k = 1..n] via n scalar lift steps.
 
         Each step is the scalar :meth:`F`: the reflection time t = h^{-1}(x)
-        from :meth:`_invert_scalar` (residual <= inv_tol (1 + |x|)) and the
-        step 2 a(t) from the a(t) of its last residual.  Each translation is
-        taken from the running point x_k, so from x0 = 0 they are the orbit
-        points F^k(0) bit for bit.
+        from :meth:`_invert_scalar`, whose Hermite seed meets the residual
+        test, and the step 2 a(t) from that test's a(t), so a step evaluates
+        a once.  Each translation is taken from the running point x_k, so
+        from x0 = 0 they are the orbit points F^k(0) bit for bit.
         """
         invert = self._invert_scalar
         x0 = x = float(x0)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +115,23 @@ def test_scalar_inverse_contract(spec, monkeypatch):
         maps.F_inv(np.array([0.3]))
 
 
+@pytest.mark.parametrize("spec", [
+    {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.012, "period": 1.0},
+    {"profile": "sinusoidal", "alpha": 0.36, "beta": 0.14, "period": 1.0},
+    {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.155, "period": 1.0},
+    _SCALAR_PROFILES[2]], ids=["example", "sinusoidal-0.36", "sinusoidal-0.5", "fourier"])
+def test_scalar_and_array_maps_agree(spec):
+    # both paths evaluate the one Hermite seed with the same operations: they
+    # differ only where a wall's a and a_scalar round differently (a Fourier
+    # wall sums its terms in another order), by 4 ulp of 1 + |x| at most
+    maps = CharacteristicMaps(make_motion(spec))
+    x = np.linspace(-30.0, 30.0, 20_000)
+    tol = 4.0 * np.spacing(1.0 + np.abs(x))
+    for fn in (maps.F, maps.F_inv, maps.h_inv, maps.k_inv):
+        scalar = np.array([fn(v) for v in x.tolist()])
+        assert np.all(np.abs(scalar - fn(x)) <= tol)
+
+
 @pytest.mark.parametrize("spec", _SCALAR_PROFILES, ids=lambda s: s["profile"])
 def test_scalar_lift_same_bits_for_every_scalar_type(spec):
     # a float and an np.float64 pass the type test, a 0-d array np.ndim;
@@ -189,6 +208,21 @@ def test_array_inverse_falls_back_on_corrupted_seed(strong_maps, monkeypatch):
     F0, dF0 = strong_maps.F_and_dF(y)
     assert np.max(np.abs(F - F0)) <= 1e-11
     assert np.max(np.abs(dF / dF0 - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_without_warnings(strong_maps, bad):
+    # the same inputs with warnings as errors, and one more entry point each
+    # way: dF on arrays and floats, orbit_translation on floats
+    m = strong_maps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (m.h_inv, m.k_inv, m.F, m.F_inv, m.dF, m.F_and_dF, m.F_inv_and_dF):
+            for x in (np.array([0.3, bad, 1.7]), bad, np.float64(bad), np.array(bad)):
+                with pytest.raises(NoConvergence):
+                    fn(x)
+        with pytest.raises(NoConvergence):
+            m.orbit_translation(bad, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -272,9 +306,10 @@ def test_orbit_translation_matches_repeated_F(spec):
 
 
 class _CountingSinusoid(sinusoidal_profile):
-    """sinusoidal_profile counting its scalar a and a' evaluations."""
+    """sinusoidal_profile counting its scalar a and a' evaluations, together
+    (``evals``) and a' alone (``da_evals``)."""
 
-    evals = 0
+    evals = da_evals = 0
 
     def a_scalar(self, t):
         self.evals += 1
@@ -282,20 +317,74 @@ class _CountingSinusoid(sinusoidal_profile):
 
     def da_scalar(self, t):
         self.evals += 1
+        self.da_evals += 1
         return super().da_scalar(t)
 
 
 @pytest.mark.parametrize("alpha", [0.35, 0.5, 0.66, 0.8])
 def test_orbit_translation_table_seed_evaluations(alpha):
-    # beta = 0.14 walls of the benchmark scan (sup|a'| = 0.88): the table seed
-    # of the scalar inverse leaves about one Newton update per orbit step; the
-    # old guess t + 2a/(1 - a') cost 13-33 evaluations per step on these motions
+    # beta = 0.14 walls of the benchmark scan (sup|a'| = 0.88): the Hermite
+    # seed of the scalar inverse meets the residual test, so an orbit step
+    # evaluates a once; the old guess t + 2a/(1 - a') cost 13-33 evaluations
+    # per step on these motions
     prof = _CountingSinusoid(alpha, 0.14, 1.0)
     maps = CharacteristicMaps(validate_motion(prof, 1.0))
     prof.evals = 0
     n = 5000
     maps.orbit_translation(0.0, n)
     assert prof.evals / n <= 5
+
+
+@pytest.mark.parametrize("alpha", [0.30, 0.35, 0.36, 0.40, 0.50, 0.66, 0.70, 0.80])
+def test_orbit_translation_one_evaluation_per_step(alpha):
+    # every motion of the benchmark scan: a step's seed meets the residual
+    # test, whose a(t) is the step, so no step needs Newton
+    prof = _CountingSinusoid(alpha, 0.14, 1.0)
+    maps = CharacteristicMaps(validate_motion(prof, 1.0))
+    prof.evals = prof.da_evals = 0
+    n = 5000
+    maps.orbit_translation(0.0, n)
+    assert (prof.evals, prof.da_evals) == (n, 0)
+
+
+def test_scalar_inverse_falls_back_on_corrupted_seed(strong_maps, monkeypatch):
+    # the scalar form of test_array_inverse_falls_back_on_corrupted_seed: the
+    # points in a corrupted cell evaluate a', i.e. take Newton, and end on
+    # the uncorrupted values; the others evaluate a once
+    prof = _CountingSinusoid(1.0, 0.1, 1.0)
+    maps = CharacteristicMaps(validate_motion(prof, 1.0))
+    monkeypatch.setattr(maps, "_hermite", tuple(
+        (nodes, coef[:-1] + (coef[-1] + 1e-4 * (np.arange(coef[-1].size) % 2),))
+        for nodes, coef in maps._hermite))
+    a = sinusoidal_profile(1.0, 0.1, 1.0).a_scalar
+    for name, sign in (("h_inv", -1.0), ("k_inv", 1.0)):
+        missed = 0
+        for y in np.linspace(-5.0, 25.0, 4001).tolist():
+            prof.evals = prof.da_evals = 0
+            t = getattr(maps, name)(y)
+            assert abs(t + sign * a(t) - y) <= maps.inv_tol * (1.0 + abs(y))
+            assert abs(t - getattr(strong_maps, name)(y)) <= 1e-11
+            missed += prof.da_evals > 0
+            if not prof.da_evals:
+                assert prof.evals == 1
+        assert 1000 < missed < 3000
+    for y in np.linspace(-5.0, 25.0, 97).tolist():
+        assert abs(maps.F(y) - strong_maps.F(y)) <= 1e-11
+        assert abs(maps.F_inv(y) - strong_maps.F_inv(y)) <= 1e-11
+
+
+def test_first_scalar_inverse_memory():
+    # the scalar seed's node lists and row views, made on the first scalar
+    # inverse, take about 67 KB
+    maps = CharacteristicMaps(make_motion(
+        {"profile": "sinusoidal", "alpha": 0.36, "beta": 0.14, "period": 1.0}))
+    tracemalloc.start()
+    try:
+        maps.F(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000
 
 
 # rotation_number(maps, 1e5) and detect_resonance(max_q = 20) on the benchmark
