@@ -12,8 +12,7 @@ this records
   runs) and the sha256 of the depths, and of every rectangle's sign,
   ``float.hex`` corners and clipped flag;
 - ``measure_M`` called once on the arrays of all probes: seconds (median of
-  3) and its largest relative distance to the per-point values, or null
-  where the source tree has no array form;
+  3) and its largest relative distance to the per-point values;
 - ``verify_integral_identity(samples=100)`` on the ``m = 0.27`` Picard field
   at resolution 256 and ``t_max`` 5: seconds (median of 3), the
   ``tracemalloc`` peak of one further call and the residual.
@@ -90,7 +89,7 @@ def measure():
     row = {"scalar_F_inv_calls": SCALAR_CALLS, "scalar_F_inv_s": scalar_s,
            "probes": len(single), "per_point_s": point_s,
            "per_point_sha256": _sha256(hexes),
-           "per_point_hex": hexes, "array_s": None, "array_rel_dev": None}
+           "per_point_hex": hexes}
     depth_s, depths = _median_seconds(lambda: [
         kg.depth(maps, a + b, a - b) for a, b in spec["points"]])
     union_s, unions = _median_seconds(lambda: [
@@ -102,13 +101,10 @@ def measure():
                 "depth_sha256": _sha256(" ".join(map(str, depths))),
                 "union_M_per_point_s": union_s,
                 "union_M_sha256": _sha256(rects)})
-    try:
-        array_s, whole = _median_seconds(lambda: kg.measure_M(maps, t + x, t - x))
-        single = np.array(single)
-        row.update({"array_s": array_s,
-                    "array_rel_dev": float(np.max(np.abs(whole - single) / single))})
-    except (TypeError, ValueError):
-        pass                     # a source tree whose measure_M takes scalars only
+    array_s, whole = _median_seconds(lambda: kg.measure_M(maps, t + x, t - x))
+    single = np.array(single)
+    row.update({"array_s": array_s,
+                "array_rel_dev": float(np.max(np.abs(whole - single) / single))})
 
     fg = kg.picard_solve(cfg.make_data(maps.a0), maps, MASS,
                          resolution=RESOLUTION, t_max=T_MAX)

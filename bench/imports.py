@@ -17,9 +17,8 @@ the host during the run lands on every tree alike:
   ``oracle_fdm.compare`` of that run against the exact massless field of the
   same data on the default probe times, each the minimum over ``--repeat``
   processes; the sha256 of the per-slice discrepancies and the process's
-  ``scipy`` record; then a run that keeps every step (asked for
-  ``oracle_fdm.step_times`` where the tree has it; older trees keep every
-  step anyway), whose ``psi`` rows are hashed;
+  ``scipy`` record; then a run that keeps every step (asked for with
+  ``oracle_fdm.step_times``), whose ``psi`` rows are hashed;
 - in the same processes, after the ``m = 0.27`` runs are released, one
   ``m = 0`` solve (the mass ``perfbench``'s ``crosscheck`` runs) and its
   ``compare``, timed (the minimum) and digested the same way;
@@ -92,9 +91,8 @@ profile = build_initial_profile(data, boundary.CharacteristicMaps(motion))
 """
 
 ORACLE_CHILD = _ORACLE_SETUP + """
-# a run that keeps every step; a tree without step_times keeps them all anyway
-every = ({"times": oracle_fdm.step_times(motion, 512, 4.0)}
-         if hasattr(oracle_fdm, "step_times") else {})
+# the times of every step, for the runs that keep them all
+every = oracle_fdm.step_times(motion, 512, 4.0)
 times = []
 for _ in range(2):
     t0 = time.perf_counter()
@@ -104,7 +102,7 @@ t0 = time.perf_counter()
 _, sups, _ = oracle_fdm.compare(run, profile)
 compare_s = time.perf_counter() - t0
 del run
-full = oracle_fdm.solve_oracle(data, motion, 0.27, n_y=512, t_max=4.0, **every)
+full = oracle_fdm.solve_oracle(data, motion, 0.27, n_y=512, t_max=4.0, times=every)
 psi_shape, psi_sha256 = list(full.psi.shape), hashlib.sha256(full.psi.tobytes()).hexdigest()
 del full
 t0 = time.perf_counter()
@@ -112,7 +110,7 @@ run0 = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0)
 m0_s = time.perf_counter() - t0
 _, sups0, _ = oracle_fdm.compare(run0, profile)
 del run0
-full0 = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0, **every)
+full0 = oracle_fdm.solve_oracle(data, motion, 0.0, n_y=512, t_max=4.0, times=every)
 print(json.dumps({"first_s": times[0], "second_s": times[1], "compare_s": compare_s,
                   "m0_s": m0_s,
                   "psi_shape": psi_shape,

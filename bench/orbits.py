@@ -11,8 +11,7 @@ point, and records
 - the route that produced the rotation number: ``certified`` (a short
   orbit proposed p/q and a periodic orbit certified it), ``bracket`` (the
   1e5-step walk stopped once the orbit's Farey bracket on rho was narrower
-  than 2T/n) or ``full`` (all 1e5 steps walked; the route of every
-  uncertified point in source trees without the bracket);
+  than 2T/n) or ``full`` (all 1e5 steps walked);
 - each ``rotation_number`` call, with the steps it asked for and the steps
   it walked;
 - the orbit steps walked (the ``n`` of every ``orbit_translation`` call,
@@ -24,8 +23,7 @@ point, and records
   ``a`` and ``da``) those calls made per point, and its
   ``_g_and_multiplier`` calls;
 - the points that missed the array inverse's seed and went through its
-  Newton fallback (``CharacteristicMaps._newton``; ``null`` for source
-  trees without it, where every array point takes Newton);
+  Newton fallback (``CharacteristicMaps._newton``);
 
 all counted in one further run, on maps built from a counting subclass of
 ``sinusoidal_profile`` (built before the maps, since they may bind its
@@ -127,7 +125,7 @@ def measure(alpha, beta, cfg):
     orbit_translation, F_and_dF = maps.orbit_translation, maps.F_and_dF
     find, rotation_number = cd.find_periodic_points, cd.rotation_number
     g_and_multiplier = cd._g_and_multiplier
-    newton = getattr(maps, "_newton", None)
+    newton = maps._newton
 
     def counting_orbit(x0, n):
         steps[0] += int(n)
@@ -173,8 +171,7 @@ def measure(alpha, beta, cfg):
             walks.append({"iterations": int(iterations), "steps": steps[0] - before})
 
     maps.orbit_translation, maps.F_and_dF = counting_orbit, counting_F
-    if newton is not None:
-        maps._newton = counting_newton
+    maps._newton = counting_newton
     cd.find_periodic_points, cd.rotation_number = counting_find, counting_rotation
     cd._g_and_multiplier = counting_g
     try:
@@ -184,7 +181,7 @@ def measure(alpha, beta, cfg):
         cd._g_and_multiplier = g_and_multiplier
     assert counted.to_dict() == analysis.to_dict()
 
-    if getattr(analysis, "rotation_certified", False):
+    if analysis.rotation_certified:
         route = "certified"
     elif any(w["iterations"] == ITERATIONS and w["steps"] < ITERATIONS for w in walks):
         route = "bracket"
@@ -198,8 +195,8 @@ def measure(alpha, beta, cfg):
             "orbit_evals": evals[0],
             "orbit_evals_per_step": evals[0] / steps[0] if steps[0] else None,
             "find_periodic_points": scans,
-            "newton_fallback_calls": fallback[0] if newton is not None else None,
-            "newton_fallback_points": fallback[1] if newton is not None else None,
+            "newton_fallback_calls": fallback[0],
+            "newton_fallback_points": fallback[1],
             "energy_series_s": energy_s}
 
 

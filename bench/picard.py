@@ -11,14 +11,12 @@ Every size runs in its own process, which records
 
 - seconds: median of 3 solves at the default ``tol = 1e-9``;
 - ``ru_maxrss`` after those solves (MB, interpreter included);
-- the band shape, the sweep count (``iterations``) and, when the tree
-  records them, the passes per block of rows (mean, max and total) and the
-  contraction bound ``q`` of each block against its largest measured ratio
-  of successive changes;
-- the sha256 of the default-tol field ``phi`` and of its ``changes``
-  (float64 bytes) and, when the tree records them, of ``row_sup`` and
-  ``block_passes`` (int64 bytes), so that trees whose march should agree
-  bit for bit can be compared;
+- the band shape, the sweep count (``iterations``), the passes per block
+  of rows (mean, max and total) and the contraction bound ``q`` of each
+  block against its largest measured ratio of successive changes;
+- the sha256 of the default-tol field ``phi``, of its ``changes`` and
+  ``row_sup`` (float64 bytes) and of ``block_passes`` (int64 bytes), so
+  that trees whose march should agree bit for bit can be compared;
 - ``tol_gap``: after one more solve at ``tol = 1e-14``,
   ``max|phi_tol - phi| / sup|phi0|`` of the default-tol field against it,
   the distance to the fixed point that ``tol = 1e-9`` leaves;
@@ -27,12 +25,11 @@ Every size runs in its own process, which records
   ``--phi-dir``.
 
 One more process per run records the massive energies of ``simulate`` on
-the same wall and bump: ``m = 0.27``, res 512, ``t_max = 12 + 1/16`` and
-the 384 sample times ``(k + 1/2)/32``.  Source trees with
-``picard_energy_series`` take that streamed route; older ones take
-``picard_solve`` plus ``FieldGrid.energy_series``.  It records the seconds
-(median of 3), ``ru_maxrss`` after them, the ``tracemalloc`` peak of one
-further call, and the sha256 of the returned ``(t, E, share)`` bytes.
+the same wall and bump through ``picard_energy_series``: ``m = 0.27``, res
+512, ``t_max = 12 + 1/16`` and the 384 sample times ``(k + 1/2)/32``.  It
+records the seconds (median of 3), ``ru_maxrss`` after them, the
+``tracemalloc`` peak of one further call, and the sha256 of the returned
+``(t, E, share)`` bytes.
 
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too.  Measure the
@@ -112,24 +109,19 @@ def measure(res, periods, label, phi_dir):
            "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
            "band": [fg.lattice.R, fg.lattice.Wmax],
            "iterations": fg.iterations, "changes": fg.changes}
-    passes = getattr(fg, "block_passes", None)
-    if passes is not None:
-        row["passes_per_block"] = {"mean": float(passes.mean()),
-                                   "max": int(passes.max()),
-                                   "total": int(passes.sum()),
-                                   "blocks": int(passes.size)}
-    q = getattr(fg, "contraction", None)
-    if q is not None:
-        row["contraction"] = {"q_min": float(q.min()), "q_max": float(q.max()),
-                              "ratio_max": float(fg.ratios.max()),
-                              "ratio_over_q_max": float(np.max(fg.ratios / q))}
+    passes, q = fg.block_passes, fg.contraction
+    row["passes_per_block"] = {"mean": float(passes.mean()),
+                               "max": int(passes.max()),
+                               "total": int(passes.sum()),
+                               "blocks": int(passes.size)}
+    row["contraction"] = {"q_min": float(q.min()), "q_max": float(q.max()),
+                          "ratio_max": float(fg.ratios.max()),
+                          "ratio_over_q_max": float(np.max(fg.ratios / q))}
     digests = {"phi": fg.phi, "changes": np.array(fg.changes, dtype=float),
-               "row_sup": getattr(fg, "row_sup", None),
-               "block_passes": None if passes is None else passes.astype(np.int64)}
+               "row_sup": fg.row_sup, "block_passes": passes.astype(np.int64)}
     for name, a in digests.items():
-        if a is not None:
-            row[name + "_sha256"] = hashlib.sha256(
-                np.ascontiguousarray(a).tobytes()).hexdigest()
+        row[name + "_sha256"] = hashlib.sha256(
+            np.ascontiguousarray(a).tobytes()).hexdigest()
     tol_path = _phi_path(phi_dir, label + "-tol", res, periods)
     np.save(tol_path, fg.phi)          # on disk: one band in memory at a time
     fg = None
@@ -154,15 +146,10 @@ def measure_energies():
 
     data, maps = _inputs()
     want = (np.arange(ENERGY_TIMES) + 0.5) / 32.0
-    streamed = hasattr(kg, "picard_energy_series")
 
     def energies():
-        if streamed:
-            return kg.picard_energy_series(data, maps, MASS, want,
-                                           resolution=ENERGY_RES, t_max=ENERGY_T_MAX)
-        fg = kg.picard_solve(data, maps, MASS, resolution=ENERGY_RES,
-                             t_max=ENERGY_T_MAX)
-        return fg, fg.energy_series(want)
+        return kg.picard_energy_series(data, maps, MASS, want,
+                                       resolution=ENERGY_RES, t_max=ENERGY_T_MAX)
 
     times = []
     for _ in range(REPEAT):
@@ -176,15 +163,13 @@ def measure_energies():
     run, series = energies()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"route": "picard_energy_series" if streamed
-            else "picard_solve + FieldGrid.energy_series",
-            "resolution": ENERGY_RES, "t_max": ENERGY_T_MAX, "samples": ENERGY_TIMES,
+    return {"resolution": ENERGY_RES, "t_max": ENERGY_T_MAX, "samples": ENERGY_TIMES,
             "seconds": statistics.median(times), "seconds_all": times,
             "ru_maxrss_mb": rss, "tracemalloc_peak_mb": peak / 2**20,
             "band": [run.lattice.R, run.lattice.Wmax],
             "band_mb": 8 * run.lattice.R * run.lattice.Wmax / 2**20,
             "energies_returned": len(series[0]), "changes": run.changes,
-            "block_passes": int(np.sum(getattr(run, "block_passes", 0))),
+            "block_passes": int(run.block_passes.sum()),
             "series_sha256": hashlib.sha256(
                 b"".join(a.tobytes() for a in series)).hexdigest()}
 

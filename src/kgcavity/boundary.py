@@ -513,14 +513,9 @@ class CharacteristicMaps:
             return x - 2.0 * self._invert_scalar(x, +1.0)[1]
         return x - 2.0 * self._invert(x, +1.0)[1]
 
-    def dF(self, x):
-        """DF(x) = (1 + a'(t)) / (1 - a'(t)) with t = h^{-1}(x); positive."""
-        da = np.asarray(self.motion.da(self.h_inv(x)))
-        out = (1.0 + da) / (1.0 - da)
-        return out if np.ndim(x) else float(out)
-
     def F_and_dF(self, x):
-        """(F(x), DF(x)) sharing one inverse solve."""
+        """(F(x), DF(x)) sharing one inverse solve, where DF(x) = (1 + a'(t))
+        / (1 - a'(t)) > 0 with t = h^{-1}(x)."""
         t, a = self._invert(x, -1.0)
         da = np.asarray(self.motion.da(t))
         return x + 2.0 * a, (1.0 + da) / (1.0 - da)

@@ -563,7 +563,7 @@ def _chk_maps(cfg, motion, maps, rng):
     e2 = float(np.max(np.abs(maps.F(x + T) - maps.F(x) - T)))
     xs = np.sort(x)
     mono = bool(np.all(np.diff(maps.F(xs)) > 0))
-    d = np.asarray(maps.dF(x))
+    d = np.asarray(maps.F_and_dF(x)[1])
     bounds = bool(np.all((d >= maps.dF_min - 1e-12) & (d <= maps.dF_max + 1e-12)))
     step = x - np.asarray(maps.F_inv(x))
     stp = bool(np.all((step >= 2 * motion.a_min - 1e-9)

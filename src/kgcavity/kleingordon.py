@@ -68,7 +68,6 @@ __all__ = [
     "time_of",
     "depth",
     "union_M",
-    "theta_sign",
     "measure_M",
 ]
 
@@ -148,20 +147,16 @@ def depth(maps, xi, eta):
     return _backward_walk(maps, xi, eta)[1]
 
 
-def theta_sign(n):
-    """Sign of the integrand on Q(B^n): (-1)^(n+1)."""
-    return -1.0 if n % 2 == 0 else 1.0
-
-
 def union_M(maps, xi, eta):
     """Signed rectangles making up M(xi, eta) at one point.
 
-    Returns a list of (sign, (y0, y1), (z0, z1), clipped); the last entry is
+    Returns a list of (sign, (y0, y1), (z0, z1), clipped), where sign =
+    (-1)^(n+1) is the sign of the integrand on Q(B^n); the last entry is
     Q(B^N) intersected with the domain, i.e. additionally z >= -y.
     """
     c, N = _backward_walk(maps, xi, eta)
-    return [(theta_sign(n), (c[n + 1], c[n]), (c[n + 2], c[n + 1]), n == N)
-            for n in range(N + 1)]
+    return [(-1.0 if n % 2 == 0 else 1.0, (c[n + 1], c[n]), (c[n + 2], c[n + 1]),
+             n == N) for n in range(N + 1)]
 
 
 def _clipped_area(y0, y1, z0, z1):
@@ -308,24 +303,20 @@ class _Lattice:
             return len(iis)
         return int(np.argmin(ok))           # band columns form a contiguous prefix
 
-    def slice_lengths(self, L):
-        """(n, n+, n-): node counts of the slices L, L + 2, L - 2 that the
-        energy at L reads."""
-        n = (self.slice_len(L), self.slice_len(L + 2), self.slice_len(L - 2))
-        if n[0] < 7:
-            raise SliceUnavailable("slice too short for the stencils")
-        return n
-
     def slice_plan(self, ts):
         """(L, n) of the times ts whose energy slices exist: L the nearest
-        anti-diagonal of each, n its (n, n+, n-) rows; the others are dropped."""
+        anti-diagonal of each, n the node counts (n, n+, n-) of the slices L,
+        L + 2, L - 2 that its energy reads; times whose slices leave the
+        stored lattice, or are too short for the stencils, are dropped."""
         plan = []
         for t in np.asarray(ts, dtype=float).tolist():
             L = self.slice_L(t)
             try:
-                plan.append((L,) + self.slice_lengths(L))
+                n = (self.slice_len(L), self.slice_len(L + 2), self.slice_len(L - 2))
             except SliceUnavailable:
                 continue
+            if n[0] >= 7:
+                plan.append((L,) + n)
         plan = np.array(plan, dtype=int).reshape(-1, 4)
         return plan[:, 0], plan[:, 1:]
 
@@ -349,7 +340,8 @@ class PicardRun:
               below, so their changes[0] is what that seed missed, not the
               whole O(m^2) correction.
     block_passes : Picard passes each block of rows needed (int array);
-                   iterations is its maximum, len(changes) for m > 0.
+                   iterations is its maximum, len(changes).  At m = 0 every
+                   block takes one pass, which changes nothing.
     row_sup : max |phi| of each band row, recorded as its block converged.
     ratios : largest measured change ratio of successive passes of each
              block (0.0 for a block of one pass).
@@ -358,13 +350,13 @@ class PicardRun:
     """
 
     def __init__(self, lattice, m, changes, block_passes, tol_abs, sup_phi0,
-                 row_sup, ratios=(), contraction=()):
+                 row_sup, ratios, contraction):
         self.lattice = lattice
         self.maps = lattice.maps
         self.m = float(m)
         self.changes = list(changes)
         self.block_passes = np.array(block_passes, dtype=int)
-        self.iterations = int(self.block_passes.max(initial=0))
+        self.iterations = int(self.block_passes.max())
         self.tol_abs = float(tol_abs)
         self.sup_phi0 = float(sup_phi0)
         self.row_sup = row_sup
@@ -496,14 +488,6 @@ class FieldGrid(PicardRun):
         return (1.0 - wx) * va + wx * vb
 
     # -- energy ----------------------------------------------------------------
-    def energy_components(self, t):
-        """(kinetic, gradient, mass) shares of E_m(t) plus the slice time."""
-        lat = self.lattice
-        L = lat.slice_L(t)
-        t_act, kin, grad, mass = _slice_energies(
-            lat, self.m, np.array([L]), lat.slice_lengths(L), self._gather)
-        return float(kin[0]), float(grad[0]), float(mass[0]), float(t_act[0])
-
     def energy_series(self, ts):
         """(t_actual, E, mass share) arrays at the aligned times nearest ts."""
         return _energy_series(self.lattice, self.m, *self.lattice.slice_plan(ts),
@@ -570,26 +554,22 @@ def _slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
     return E_kin, E_grad, E_mass
 
 
-def _slice_energies(lat, m, L, n, gather):
-    """(t, kinetic, gradient, mass) at the anti-diagonals L (an int array)
-    whose slices L, L + 2, L - 2 have the node counts n = (n, n+, n-);
-    gather(L, k) returns the first k nodes of each anti-diagonal of L as rows."""
-    t = 0.5 * lat.delta * L - lat.a0
-    x_end = lat.s[L // 2 + n[0] - 1] - t
-    return (t,) + _slice_energy(gather(L, n[0]), gather(L + 2, n[1]),
-                                gather(L - 2, n[2]), t, x_end, lat.delta, m,
-                                lat.maps.motion)
-
-
 def _energy_series(lat, m, L, n, gather):
-    """(t, E, mass share) at the anti-diagonals L of a slice plan (L, n),
-    evaluated together for all slices of one length triple."""
-    t, E, share = np.empty(len(L)), np.empty(len(L)), np.empty(len(L))
+    """(t, E, mass share) at the anti-diagonals L (an int array) of a slice
+    plan (L, n), whose slices L, L + 2, L - 2 have the node counts n = (n, n+,
+    n-); the slices of one length triple are evaluated together.  gather(L, k)
+    returns the first k nodes of each anti-diagonal of L as rows."""
+    t = 0.5 * lat.delta * L - lat.a0
+    E, share = np.empty(len(L)), np.empty(len(L))
     triples, group = np.unique(n, axis=0, return_inverse=True)
     group = group.reshape(-1)
-    for g, triple in enumerate(triples.tolist()):
+    for g, (k, k_p, k_m) in enumerate(triples.tolist()):
         sel = np.flatnonzero(group == g)
-        t[sel], kin, grad, mass = _slice_energies(lat, m, L[sel], triple, gather)
+        Ls, ts = L[sel], t[sel]
+        x_end = lat.s[Ls // 2 + k - 1] - ts
+        kin, grad, mass = _slice_energy(gather(Ls, k), gather(Ls + 2, k_p),
+                                        gather(Ls - 2, k_m), ts, x_end, lat.delta,
+                                        m, lat.maps.motion)
         E[sel] = kin + grad + mass
         share[sel] = mass
     return t, E, share
@@ -601,7 +581,12 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     The blocks are iterated in ``phi`` when it is given (the band, R x Wmax
     rows), which then holds the converged field; otherwise in one block buffer
     that every block reuses.  ``on_block(r0, r1, rows)`` sees the converged
-    rows r0 .. r1 - 1 of each block before the next block starts.
+    rows r0 .. r1 - 1 of each block before the next block starts.  The band
+    route iterates in place rather than copying each block out through
+    ``on_block``, because the copy held one more block buffer: +0.27 MB
+    ``tracemalloc`` peak in a res-256 solve (64 x 525 rows, band bit for
+    bit), and the benchmark's crosscheck peak RSS read 51.69-51.74 MB
+    against 51.47-51.52 MB in place, in 4 of 4 alternating pairs.
 
     A pass over a block has four parts: the C trapezoid table (one add over
     the flattened block, cumulated from the diagonal along each row), the D
@@ -624,8 +609,11 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     height b, the width Wmax and its prolongation and initial-interval
     columns) bounds its Lipschitz constant in the sup norm.  A block stops
     once change * q / (1 - q) <= tol_abs, so its distance to its fixed point
-    is within tol_abs; for q >= 1/2 it stops on change <= tol_abs.  The
-    PicardRun records q and the largest measured change ratio of each block.
+    is within tol_abs; for q >= 1/2 it stops on change <= tol_abs.  At
+    m = 0 a pass is constant (q = 0): every first iterate is the massless
+    field G(s_j) - G(s_i), and one pass that changes nothing stops on
+    change <= tol_abs.  The PicardRun records q and the largest measured
+    change ratio of each block.
     """
     # numpy buffers every operand of a pass that is not one flat run (row
     # slices, sliding windows); a 1024-element buffer suits the block's rows.
@@ -641,26 +629,9 @@ def _march_blocks(lat, profile, m, tol, n_max, phi, on_block):
     keep = phi is not None
     if not keep:
         phi = np.empty((B, W))
-
-    def rows(r0, r1):
-        return phi[r0:r1] if keep else phi[:r1 - r0]
-
     Gl0, G0rows = lat.g_table()
     Gl0[:] = profile.G(lat.s)
     row_sup = np.empty(lat.R)
-    if m == 0.0:
-        sup0 = 0.0
-        for r0, r1 in lat.blocks():
-            block = rows(r0, r1)
-            lat.fill_rows(G0rows, r0, block)
-            top, bottom = block.max(axis=1), block.min(axis=1)
-            sup0 = max(sup0, float(top.max()), -float(bottom.min()))
-            np.maximum(top, -bottom, out=row_sup[r0:r1])
-            if on_block is not None:
-                on_block(r0, r1, block)
-        return PicardRun(lat, 0.0, [0.0], [], tol * max(sup0, 1e-300), sup0,
-                         row_sup)
-
     # sup0 and tol_abs are needed before the first block iterates: row i of
     # phi^(0) is G(s_j) - G(s_i) over its band columns, and x -> fl(x - G_i)
     # is monotone, so its extrema are those of G minus G_i, bit for bit
@@ -716,7 +687,7 @@ def _march_blocks(lat, profile, m, tol, n_max, phi, on_block):
     # restarts from them
     for r0, r1 in lat.blocks():
         b = r1 - r0
-        home = rows(r0, r1)
+        home = phi[r0:r1] if keep else phi[:b]
         old, out = home, new[:b]
         k = np.arange(max(r0, 1), min(r1, n0 + 1))
         C = D = Cb[1:b + 1]
@@ -739,7 +710,7 @@ def _march_blocks(lat, profile, m, tol, n_max, phi, on_block):
                   + w * float(8 * k.sum() - 4 * k.size))
         q = spread * (W - 1) + 2.0 * corr_q
         # Banach: |phi* - phi_n| <= q / (1 - q) |phi_n - phi_(n-1)|
-        stop = tol_abs * (1.0 - q) / q if q < 0.5 else tol_abs
+        stop = tol_abs * (1.0 - q) / q if 0.0 < q < 0.5 else tol_abs
 
         if r0:
             # first iterate from D extrapolated down each diagonal from the
@@ -827,8 +798,8 @@ def picard_solve(data, maps, m, resolution=256, t_max=5.0, tol=1e-9,
     distance to the fixed point of its pass (given the converged rows below)
     is provably within tol_abs = tol sup|phi^(0)| by the contraction bound
     of ``_march``; where that bound is no contraction (q >= 1/2) it stops on
-    a change within tol_abs.  m = 0 short-circuits to the exact massless
-    solution sampled on the lattice.
+    a change within tol_abs.  At m = 0 the march returns the exact massless
+    solution sampled on the lattice, after one pass per block.
 
     Raises
     ------
@@ -943,7 +914,7 @@ def verify_integral_identity(fieldgrid, samples=200, seed=0):
     mid = c[1:-1][live]
     q[live] = _quad_rects(fieldgrid, mid, c[:-2][live], c[2:][live], mid,
                           (n == N)[live])
-    sign = np.where(n % 2 == 0, -1.0, 1.0)         # theta_sign(n)
+    sign = np.where(n % 2 == 0, -1.0, 1.0)         # (-1)^(n+1), as in union_M
     acc = np.cumsum(sign * q, axis=0)[-1]
     rhs = fieldgrid.profile.eval_phi(xi, eta) + 0.25 * fieldgrid.m**2 * acc
     lhs = fieldgrid.interp_phi(xi, eta)

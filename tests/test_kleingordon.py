@@ -113,7 +113,7 @@ def test_geometry_one_point_bit_for_bit(name, request):
         rects = kg.union_M(maps, xi, eta)
         assert [(s, y0.hex(), y1.hex(), z0.hex(), z1.hex(), cl)
                 for s, (y0, y1), (z0, z1), cl in rects] == [
-            (kg.theta_sign(n), c[n + 1].hex(), c[n].hex(), c[n + 2].hex(),
+            (-1.0 if n % 2 == 0 else 1.0, c[n + 1].hex(), c[n].hex(), c[n + 2].hex(),
              c[n + 1].hex(), n == N) for n in range(N + 1)]
         clipped += c[N + 2] < -c[N + 1]
     assert clipped >= 20                           # the clipped-area branch
@@ -194,16 +194,21 @@ def test_clipped_area_matches_branchwise_reference():
 # picard solver
 # ---------------------------------------------------------------------------
 
-def test_picard_zero_mass_shortcut(static_maps):
-    data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
-    fg = kg.picard_solve(data, static_maps, m=0.0, resolution=64, t_max=2.0)
-    assert fg.iterations == 0
+def test_picard_zero_mass_shortcut(tuned_maps):
+    # m = 0 takes the general march: every block starts from the massless
+    # field, its one pass changes nothing, and every band node is the exact
+    # massless solution at that node
+    data = cauchy.make_bump(0.5, 0.25, 0.15, 1.0, "right")
+    fg = kg.picard_solve(data, tuned_maps, m=0.0, resolution=256, t_max=2.0)
+    lat = fg.lattice
     assert fg.changes == [0.0]
-    # equals the exact massless solution on the lattice
-    t, xs, vals = fg.phi_slice(1.0)
-    prof = build_initial_profile(data, static_maps)
-    exact = prof.eval_phi(t + xs, t - xs)
-    assert np.max(np.abs(vals - exact)) <= 1e-12
+    assert fg.block_passes.tolist() == [1] * len(list(lat.blocks()))
+    assert fg.picard_bound_ok()
+    r, c = np.nonzero(np.arange(lat.Wmax) >= lat.cmin[:, None])
+    i = lat.n0 + r
+    j = i - (lat.Wmax - 1 - c)                 # column c of row i is eta = s_j
+    exact = build_initial_profile(data, tuned_maps).eval_phi(lat.s[i], lat.s[j])
+    assert np.array_equal(fg.phi[r, c], exact)
 
 
 def test_picard_boundary_samples_exact_zero(tuned_maps):
@@ -673,10 +678,10 @@ def test_energy_massless_cross_check(tuned_maps):
     data = cauchy.make_bump(0.5, 0.25, 0.15, 1.0, "right")
     fg = kg.picard_solve(data, tuned_maps, m=0.0, resolution=256, t_max=3.0)
     prof = build_initial_profile(data, tuned_maps)
-    for t in (0.5, 1.25, 2.3):
-        kin, grad, mass, ta = fg.energy_components(t)
-        assert mass == 0.0
-        assert kin + grad + mass == pytest.approx(prof.energy(ta), rel=4e-3)
+    ts, E, share = fg.energy_series([0.5, 1.25, 2.3])
+    assert share.tolist() == [0.0] * 3
+    for ta, e in zip(ts.tolist(), E.tolist()):
+        assert e == pytest.approx(prof.energy(ta), rel=4e-3)
 
 
 def test_energy_mass_share_bound(tuned_maps):
@@ -686,8 +691,9 @@ def test_energy_mass_share_bound(tuned_maps):
     fg = kg.picard_solve(data, tuned_maps, m=m, resolution=128, t_max=3.0)
     amax = tuned_maps.motion.a_max
     c = fg.sup_phi0 * 1.1
-    for t in (0.8, 1.9, 2.7):
-        _, _, Em, ta = fg.energy_components(t)
+    ts, _, share = fg.energy_series([0.8, 1.9, 2.7])
+    assert len(ts) == 3
+    for ta, Em in zip(ts.tolist(), share.tolist()):
         bound = 0.5 * m**2 * amax * c**2 * math.exp(amax * m**2 * (ta + amax))
         assert Em <= bound
 
@@ -736,27 +742,37 @@ def test_slice_unavailable_near_horizon(tuned_maps):
     data = cauchy.make_bump(0.5, 0.25, 0.1, 1.0, "right")
     fg = kg.picard_solve(data, tuned_maps, m=0.3, resolution=64, t_max=1.5)
     with pytest.raises(kg.SliceUnavailable):
-        fg.energy_components(1.6)
+        fg.phi_slice(1.6)
     # energy_series drops the slice past the horizon and keeps the others
     ts, E, share = fg.energy_series([0.5, 1.6, 1.0])
-    assert ts.tolist() == [fg.energy_components(t)[3] for t in (0.5, 1.0)]
+    assert ts.tolist() == [fg.phi_slice(t)[0] for t in (0.5, 1.0)]
     assert E.shape == share.shape == (2,)
 
 
 def test_energy_components_additive_nonnegative(tuned_maps):
+    # the kinetic, gradient and mass parts of each slice, computed one slice
+    # at a time from the band's nodes, are nonnegative, and energy_series
+    # returns their sum and the mass part
     data = cauchy.make_bump(0.5, 0.25, 0.15, 1.0, "right")
     fg = kg.picard_solve(data, tuned_maps, m=0.4, resolution=128, t_max=2.0)
-    for t in (0.4, 1.1, 1.8):
-        kin, grad, mass, ta = fg.energy_components(t)
+    lat = fg.lattice
+    ts, E, share = fg.energy_series([0.4, 1.1, 1.8])
+    L, n = lat.slice_plan([0.4, 1.1, 1.8])
+    assert len(ts) == len(L) == 3
+    for s in range(3):
+        t, x, phi = fg.phi_slice(ts[s])
+        assert t == ts[s] and len(x) == n[s, 0]
+        kin, grad, mass = (float(p[0]) for p in kg._slice_energy(
+            phi[None], fg._gather(L[s:s + 1] + 2, n[s, 1]),
+            fg._gather(L[s:s + 1] - 2, n[s, 2]), ts[s:s + 1], x[-1:], lat.delta,
+            fg.m, tuned_maps.motion))
         assert kin >= 0 and grad >= 0 and mass >= 0
-        ts, E, share = fg.energy_series([t])
-        assert ts.tolist() == [ta]
-        assert E.tolist() == [kin + grad + mass]
-        assert share.tolist() == [mass]
+        assert E[s] == kin + grad + mass
+        assert share[s] == mass
 
 
 def _slice_energy_reference(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
-    """One slice at a time, node by node, as energy_components computed it."""
+    """One slice at a time, node by node, as _slice_energy computes a row."""
     n = len(phi_c)
     phi_x = np.zeros(n)
     k = np.arange(2, n - 2)
