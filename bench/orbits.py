@@ -16,18 +16,18 @@ point, and records
   it walked;
 - the orbit steps walked (the ``n`` of every ``orbit_translation`` call,
   which walks all of them; the walk calls it once per chunk) and the
-  scalar wall evaluations (``a_scalar`` and ``da_scalar`` calls) inside
-  them, per step;
+  scalar wall evaluations (``a_scalar`` calls) inside them, per step;
 - each ``find_periodic_points`` call, with its ``p:q``, the points passed
   to ``F_and_dF`` inside it, the array wall evaluations (points through
   ``a`` and ``da``) those calls made per point, and its
   ``_g_and_multiplier`` calls;
-- the points that missed the array inverse's seed and went through its
-  Newton fallback (``CharacteristicMaps._newton``);
+- the points that missed the inverse's seed and went through its Newton
+  fallback (``CharacteristicMaps._newton``), on arrays and on floats alike:
+  a scalar miss is one call on a one-point array;
 
 all counted in one further run, on maps built from a counting subclass of
 ``sinusoidal_profile`` (built before the maps, since they may bind its
-scalar evaluators at construction);
+scalar evaluator at construction);
 - for each motion whose analysis is ``ok``, the seconds (median of 3) of
   ``MasslessProfile.energy_series`` on the samples the scan takes there
   (``scan.simulate``): the data and the ``fit.samples_per_window`` and
@@ -75,10 +75,6 @@ def measure(alpha, beta, cfg):
         def a_scalar(self, t):
             self.evals += 1
             return super().a_scalar(t)
-
-        def da_scalar(self, t):
-            self.evals += 1
-            return super().da_scalar(t)
 
         def a(self, t):
             self.array_points += np.size(t)

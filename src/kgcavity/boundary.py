@@ -9,8 +9,9 @@ encode one light-ray reflection off both walls: a ray leaving x = 0 at
 characteristic coordinate eta returns to x = 0 at F(eta).  F is a degree-one
 lift of a circle diffeomorphism, F(x + T) = F(x) + T.
 
-A wall profile gives ``a``, ``da`` and ``dda`` on arrays, ``a_scalar`` and
-``da_scalar`` on Python floats, ``kind`` and ``describe()``.
+A wall profile gives ``a``, ``da`` and ``dda`` on arrays, ``a_scalar`` on
+Python floats (``a``'s operations in ``a``'s order, so the same bits),
+``kind`` and ``describe()``.
 """
 
 import bisect
@@ -61,9 +62,6 @@ class constant_profile:
     def a_scalar(self, t):
         return self.alpha
 
-    def da_scalar(self, t):
-        return 0.0
-
     def describe(self):
         return {"profile": "constant", "alpha": self.alpha}
 
@@ -90,9 +88,6 @@ class sinusoidal_profile:
     def a_scalar(self, t):
         return self.alpha + self.beta * math.sin(self.omega * t)
 
-    def da_scalar(self, t):
-        return self.beta * self.omega * math.cos(self.omega * t)
-
     def describe(self):
         return {
             "profile": "sinusoidal",
@@ -118,14 +113,18 @@ class fourier_profile:
         self.order = order
         self.omega = 2.0 * math.pi / float(period)
         self._kw = self.omega * np.arange(1, order + 1)
-        # (k omega, cos_k, sin_k) as Python floats for the scalar path
+        # (k omega, cos_k, sin_k) as Python floats, summed in this order
         self._terms = list(zip(self._kw.tolist(), self.cos_coeffs.tolist(),
                                self.sin_coeffs.tolist()))
 
     def a(self, t):
+        # one harmonic at a time, in a_scalar's order, so both round alike
         t = np.asarray(t, dtype=float)
-        ph = np.multiply.outer(t, self._kw)
-        return self.mean + np.cos(ph) @ self.cos_coeffs + np.sin(ph) @ self.sin_coeffs
+        s = np.full_like(t, self.mean)
+        for kw, c, sn in self._terms:
+            ph = kw * t
+            s += c * np.cos(ph) + sn * np.sin(ph)
+        return s
 
     def da(self, t):
         t = np.asarray(t, dtype=float)
@@ -142,13 +141,6 @@ class fourier_profile:
         for kw, c, sn in self._terms:
             ph = kw * t
             s += c * math.cos(ph) + sn * math.sin(ph)
-        return s
-
-    def da_scalar(self, t):
-        s = 0.0
-        for kw, c, sn in self._terms:
-            ph = kw * t
-            s += kw * (-c * math.sin(ph) + sn * math.cos(ph))
         return s
 
     def describe(self):
@@ -281,7 +273,9 @@ class CharacteristicMaps:
     seeded by a quintic Hermite of t(y) on SEED_NODES nodes per period,
     which already meets the residual test; arrays (:meth:`_invert`) and
     Python floats (:meth:`_invert_scalar`, the step of
-    :meth:`orbit_translation`) evaluate it with the same operations.  No
+    :meth:`orbit_translation`) evaluate it with the same operations.  A
+    point it misses goes through the one bracketed Newton, :meth:`_newton`,
+    from either path, so scalar and array inverses agree bit for bit.  No
     seed table is mutated once built, so instances are safe to share
     across workers.
     """
@@ -299,9 +293,8 @@ class CharacteristicMaps:
         s = motion.da_max
         self.dF_min = (1.0 - s) / (1.0 + s)
         self.dF_max = (1.0 + s) / (1.0 - s)
-        # bound once because every scalar orbit step calls them
+        # bound once because every scalar orbit step calls it
         self._a_scalar = motion.profile.a_scalar
-        self._da_scalar = motion.profile.da_scalar
         # (lo_off, hi_off) per sign, indexed by sign > 0: |a'| < 1 makes
         # t + sign*a(t) monotone, so its root for y is in [y - lo_off, y - hi_off]
         self._offsets = ((-motion.a_min, -motion.a_max), (motion.a_max, motion.a_min))
@@ -360,7 +353,8 @@ class CharacteristicMaps:
         reduction, then the cell of each point, clipped into the table on
         both sides, and Horner's rule in place).  The seed's a(t) gives the
         residual test, which the seed meets to about 1e-14 relative; points
-        it misses, and non-finite ones, go through :meth:`_newton`.
+        it misses, and non-finite ones, go through :meth:`_newton` together,
+        each to its own stop.
         """
         if np.ndim(y) == 0:
             return self._invert_scalar(float(y), sign)
@@ -408,7 +402,10 @@ class CharacteristicMaps:
 
         Monotone because |a'| < 1, so the bracket [y - a_max, y - a_min] (k)
         or [y + a_min, y + a_max] (h), widened by 1e-9, always contains the
-        root.  Raises :class:`NoConvergence` after 60 steps, e.g. for a
+        root.  Each point stops once its residual meets inv_tol (1 + |y|)
+        and drops out of the arrays, so its result does not depend on the
+        other points: a one-point array is :meth:`_invert_scalar`'s
+        fallback.  Raises :class:`NoConvergence` after 60 steps, e.g. for a
         non-finite y.
         """
         mot = self.motion
@@ -416,25 +413,25 @@ class CharacteristicMaps:
         lo = y - lo_off - 1e-9
         hi = y - hi_off + 1e-9
         tol = self.inv_tol * (1.0 + np.abs(y))
-
-        a = np.asarray(mot.a(t), dtype=float)
-        f = t + sign * a - y
+        t_out, a_out = t.copy(), np.asarray(mot.a(t), dtype=float)
+        live = np.arange(y.size)
+        f = t + sign * a_out - y
         for _ in range(60):
-            if np.all(np.abs(f) <= tol):
-                return t, a
-            df = 1.0 + sign * np.asarray(mot.da(t))
-            t_new = t - f / df
+            # a NaN residual never meets the tolerance
+            on = ~(np.abs(f) <= tol)
+            if not on.any():
+                return t_out, a_out
+            live, y, t, f, lo, hi, tol = (v[on] for v in (live, y, t, f, lo, hi, tol))
+            t_new = t - f / (1.0 + sign * np.asarray(mot.da(t)))
             # fall back to bisection when Newton leaves the bracket
-            bad = (t_new < lo) | (t_new > hi)
-            if np.any(bad):
-                t_new = np.where(bad, 0.5 * (lo + hi), t_new)
+            t = np.where((t_new < lo) | (t_new > hi), 0.5 * (lo + hi), t_new)
             # the bracket residual is the next iteration's Newton residual
-            a = np.asarray(mot.a(t_new), dtype=float)
-            f = t_new + sign * a - y
+            a = np.asarray(mot.a(t), dtype=float)
+            t_out[live], a_out[live] = t, a
+            f = t + sign * a - y
             pos = f > 0.0
-            hi = np.where(pos, t_new, hi)
-            lo = np.where(pos, lo, t_new)
-            t = t_new
+            hi = np.where(pos, t, hi)
+            lo = np.where(pos, lo, t)
         raise NoConvergence("inverse solve did not reach tolerance")
 
     def _invert_scalar(self, y, sign):
@@ -442,9 +439,10 @@ class CharacteristicMaps:
 
         The seed is :meth:`_invert`'s, with its operations in its order, so
         it has the same bits; its a(t) gives the residual test.  A miss
-        takes Newton on floats with the bracket, the tolerance, the 60-step
-        cap and the bisection fallback of :meth:`_newton`.  A NaN or
-        infinite y raises :class:`NoConvergence`, as it does for arrays.
+        takes :meth:`_newton` on a one-point array, so it returns the array
+        path's bits; its numpy calls cost some 50 times a hit, and no
+        benchmark motion misses.  A NaN or infinite y raises
+        :class:`NoConvergence`, as it does for arrays.
         """
         nodes, c5, c4, c3, c2, c1, c0 = self._scalar_seed[sign > 0]
         T = self.T
@@ -461,32 +459,11 @@ class CharacteristicMaps:
         z = u - nodes[j]
         t = ((((c5[j] * z + c4[j]) * z + c3[j]) * z + c2[j]) * z + c1[j]) * z + c0[j]
         t += shift
-        a_s = self._a_scalar
-        a = a_s(t)
-        f = t + sign * a - y
-        tol = self.inv_tol * (1.0 + abs(y))
-        if abs(f) <= tol:
+        a = self._a_scalar(t)
+        if abs(t + sign * a - y) <= self.inv_tol * (1.0 + abs(y)):
             return t, a
-
-        da_s = self._da_scalar
-        lo_off, hi_off = self._offsets[sign > 0]
-        lo = y - lo_off - 1e-9
-        hi = y - hi_off + 1e-9
-        for _ in range(60):
-            if abs(f) <= tol:
-                return t, a
-            t_new = t - f / (1.0 + sign * da_s(t))
-            # fall back to bisection when Newton leaves the bracket
-            if t_new < lo or t_new > hi:
-                t_new = 0.5 * (lo + hi)
-            a = a_s(t_new)
-            f = t_new + sign * a - y
-            if f > 0.0:
-                hi = t_new
-            else:
-                lo = t_new
-            t = t_new
-        raise NoConvergence("inverse solve did not reach tolerance")
+        t, a = self._newton(np.array([y]), sign, np.array([t]))
+        return float(t[0]), float(a[0])
 
     def h_inv(self, y):
         """t with t - a(t) = y, residual <= 1e-12 * (1 + |y|)."""

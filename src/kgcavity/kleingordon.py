@@ -380,8 +380,6 @@ class PicardRun:
         estimate (a_max m^2 dxi_block / 2)^n / n! * change_0: the rows below
         a block are final while it iterates, so its xi extent dxi_block =
         block * delta takes the place of xi_max."""
-        if not self.changes:
-            return np.array([]), np.array([])
         dxi_block = self.lattice.block * self.lattice.delta
         base = 0.5 * self.maps.motion.a_max * self.m**2 * dxi_block
         c0 = self.changes[0]

@@ -93,7 +93,7 @@ _SCALAR_PROFILES = [
 
 @pytest.mark.parametrize("spec", _SCALAR_PROFILES, ids=lambda s: s["profile"])
 def test_scalar_inverse_contract(spec, monkeypatch):
-    # a Python float takes the scalar Newton; it must keep the array path's
+    # a Python float takes the scalar inverse; it must keep the array path's
     # return type, residual and values
     maps = CharacteristicMaps(make_motion(spec))
     a = maps.motion.a
@@ -121,15 +121,69 @@ def test_scalar_inverse_contract(spec, monkeypatch):
     {"profile": "sinusoidal", "alpha": 0.5, "beta": 0.155, "period": 1.0},
     _SCALAR_PROFILES[2]], ids=["example", "sinusoidal-0.36", "sinusoidal-0.5", "fourier"])
 def test_scalar_and_array_maps_agree(spec):
-    # both paths evaluate the one Hermite seed with the same operations: they
-    # differ only where a wall's a and a_scalar round differently (a Fourier
-    # wall sums its terms in another order), by 4 ulp of 1 + |x| at most
+    # both paths evaluate the one Hermite seed with the same operations, a
+    # and a_scalar round alike, and a miss takes the one Newton: same bits
     maps = CharacteristicMaps(make_motion(spec))
     x = np.linspace(-30.0, 30.0, 20_000)
-    tol = 4.0 * np.spacing(1.0 + np.abs(x))
     for fn in (maps.F, maps.F_inv, maps.h_inv, maps.k_inv):
         scalar = np.array([fn(v) for v in x.tolist()])
-        assert np.all(np.abs(scalar - fn(x)) <= tol)
+        assert np.array_equal(scalar, fn(x))
+
+
+_FOURIER_3 = (0.5, [-0.00315827, 0.0024102], [-0.00497221, 0.0, 0.02], 1.2)
+_FOURIER_4 = (1.0, [0.03, -0.02, 0.01], [0.02, 0.015, -0.01, 0.005], 1.0)
+
+
+@pytest.mark.parametrize("wall", [
+    boundary.constant_profile(0.7),
+    sinusoidal_profile(0.5, 0.012, 1.0),
+    fourier_profile(*_FOURIER_3),
+    fourier_profile(*_FOURIER_4),
+], ids=["constant", "example", "fourier-3", "fourier-4"])
+def test_wall_scalar_matches_array(wall):
+    # the profile contract: a_scalar has a's bits, point by point
+    t = np.linspace(-7.0, 31.0, 4001)
+    assert [wall.a_scalar(v) for v in t.tolist()] == wall.a(t).tolist()
+
+
+class _ContractWall:
+    """A wall with only the attributes the profile contract names."""
+
+    kind = "contract"
+
+    def __init__(self):
+        self._wall = sinusoidal_profile(1.0, 0.1, 1.0)
+
+    def a(self, t):
+        return self._wall.a(t)
+
+    def da(self, t):
+        return self._wall.da(t)
+
+    def dda(self, t):
+        return self._wall.dda(t)
+
+    def a_scalar(self, t):
+        return self._wall.a_scalar(t)
+
+    def describe(self):
+        return {"profile": self.kind}
+
+
+def test_maps_need_only_the_profile_contract(monkeypatch):
+    # scalar and array F_inv and orbit_translation run on the contract, also
+    # through a forced Newton fallback, which then ends in NoConvergence
+    maps = CharacteristicMaps(validate_motion(_ContractWall(), 1.0))
+    ref = CharacteristicMaps(validate_motion(sinusoidal_profile(1.0, 0.1, 1.0), 1.0))
+    x = np.linspace(-5.0, 25.0, 401)
+    assert np.array_equal(maps.F_inv(x), ref.F_inv(x))
+    assert [maps.F_inv(v) for v in x.tolist()] == ref.F_inv(x).tolist()
+    assert maps.orbit_translation(0.3, 200) == ref.orbit_translation(0.3, 200)
+    monkeypatch.setattr(maps, "inv_tol", -1.0)
+    for call in (lambda: maps.F_inv(0.3), lambda: maps.F_inv(np.array([0.3])),
+                 lambda: maps.orbit_translation(0.3, 5)):
+        with pytest.raises(NoConvergence):
+            call()
 
 
 @pytest.mark.parametrize("spec", _SCALAR_PROFILES, ids=lambda s: s["profile"])
@@ -164,8 +218,8 @@ def _counting_arrays(cls, *args):
 @pytest.mark.parametrize("cls, args", [
     (sinusoidal_profile, (0.35, 0.14, 1.0)),
     (sinusoidal_profile, (0.5, 0.155, 1.0)),      # sup|a'| = 0.97
-    (fourier_profile, (0.5, [-0.00315827, 0.0024102], [-0.00497221, 0.0, 0.02], 1.2)),
-    (fourier_profile, (1.0, [0.03, -0.02, 0.01], [0.02, 0.015, -0.01, 0.005], 1.0)),
+    (fourier_profile, _FOURIER_3),
+    (fourier_profile, _FOURIER_4),
 ], ids=["sinusoidal-0.35", "sinusoidal-0.5", "fourier-3", "fourier-4"])
 def test_array_lift_step_evaluations(cls, args):
     # the Hermite seed meets the residual test, so a lift step on an array
@@ -183,20 +237,31 @@ def test_array_lift_step_evaluations(cls, args):
         assert prof.calls == {"a": 1, "da": 0}
 
 
+def _count_newton(maps, monkeypatch):
+    """The sizes of the arrays passed to ``maps._newton``, as it is called."""
+    newton, sizes = maps._newton, []
+
+    def counting(y, sign, t):
+        sizes.append(y.size)
+        return newton(y, sign, t)
+
+    monkeypatch.setattr(maps, "_newton", counting)
+    return sizes
+
+
+def _corrupt_seed(maps, monkeypatch):
+    """Put every other cell's constant term of both seed tables off by 1e-4."""
+    monkeypatch.setattr(maps, "_hermite", tuple(
+        (nodes, coef[:-1] + (coef[-1] + 1e-4 * (np.arange(coef[-1].size) % 2),))
+        for nodes, coef in maps._hermite))
+
+
 def test_array_inverse_falls_back_on_corrupted_seed(strong_maps, monkeypatch):
     # every other cell's constant term off by 1e-4: those points miss the
     # residual test and go through Newton, the others keep their seed
     maps = CharacteristicMaps(strong_maps.motion)
-    monkeypatch.setattr(maps, "_hermite", tuple(
-        (nodes, coef[:-1] + (coef[-1] + 1e-4 * (np.arange(coef[-1].size) % 2),))
-        for nodes, coef in maps._hermite))
-    newton, missed = maps._newton, []
-
-    def counting(y, sign, t):
-        missed.append(y.size)
-        return newton(y, sign, t)
-
-    monkeypatch.setattr(maps, "_newton", counting)
+    _corrupt_seed(maps, monkeypatch)
+    missed = _count_newton(maps, monkeypatch)
     y = np.linspace(-5.0, 25.0, 4001)
     a = maps.motion.a
     for name, sign in (("h_inv", -1.0), ("k_inv", 1.0)):
@@ -296,55 +361,52 @@ def test_orbit_translation_matches_repeated_F(spec):
 
 
 class _CountingSinusoid(sinusoidal_profile):
-    """sinusoidal_profile counting its scalar a and a' evaluations, together
-    (``evals``) and a' alone (``da_evals``)."""
+    """sinusoidal_profile counting its scalar a evaluations (``evals``)."""
 
-    evals = da_evals = 0
+    evals = 0
 
     def a_scalar(self, t):
         self.evals += 1
         return super().a_scalar(t)
 
-    def da_scalar(self, t):
-        self.evals += 1
-        self.da_evals += 1
-        return super().da_scalar(t)
-
 
 @pytest.mark.parametrize("alpha", [0.30, 0.35, 0.36, 0.40, 0.50, 0.66, 0.70, 0.80])
-def test_orbit_translation_one_evaluation_per_step(alpha):
+def test_orbit_translation_one_evaluation_per_step(alpha, monkeypatch):
     # every motion of the benchmark scan (beta = 0.14, sup|a'| = 0.88): a
     # step's seed meets the residual test, whose a(t) is the step, so no step
     # needs Newton
     prof = _CountingSinusoid(alpha, 0.14, 1.0)
     maps = CharacteristicMaps(validate_motion(prof, 1.0))
-    prof.evals = prof.da_evals = 0
+    newton = _count_newton(maps, monkeypatch)
+    prof.evals = 0
     n = 5000
     maps.orbit_translation(0.0, n)
-    assert (prof.evals, prof.da_evals) == (n, 0)
+    assert (prof.evals, newton) == (n, [])
 
 
 def test_scalar_inverse_falls_back_on_corrupted_seed(strong_maps, monkeypatch):
     # the scalar form of test_array_inverse_falls_back_on_corrupted_seed: the
-    # points in a corrupted cell evaluate a', i.e. take Newton, and end on
-    # the uncorrupted values; the others evaluate a once
+    # points in a corrupted cell take Newton on a one-point array and end on
+    # the uncorrupted values and on the array path's bits; the others
+    # evaluate a once
     prof = _CountingSinusoid(1.0, 0.1, 1.0)
     maps = CharacteristicMaps(validate_motion(prof, 1.0))
-    monkeypatch.setattr(maps, "_hermite", tuple(
-        (nodes, coef[:-1] + (coef[-1] + 1e-4 * (np.arange(coef[-1].size) % 2),))
-        for nodes, coef in maps._hermite))
+    _corrupt_seed(maps, monkeypatch)
+    newton = _count_newton(maps, monkeypatch)
     a = sinusoidal_profile(1.0, 0.1, 1.0).a_scalar
+    ys = np.linspace(-5.0, 25.0, 4001)
     for name, sign in (("h_inv", -1.0), ("k_inv", 1.0)):
-        missed = 0
-        for y in np.linspace(-5.0, 25.0, 4001).tolist():
-            prof.evals = prof.da_evals = 0
+        array = getattr(maps, name)(ys).tolist()
+        newton.clear()
+        for i, y in enumerate(ys.tolist()):
+            prof.evals, misses = 0, len(newton)
             t = getattr(maps, name)(y)
             assert abs(t + sign * a(t) - y) <= maps.inv_tol * (1.0 + abs(y))
             assert abs(t - getattr(strong_maps, name)(y)) <= 1e-11
-            missed += prof.da_evals > 0
-            if not prof.da_evals:
+            assert t == array[i]
+            if len(newton) == misses:
                 assert prof.evals == 1
-        assert 1000 < missed < 3000
+        assert set(newton) == {1} and 1000 < len(newton) < 3000
     for y in np.linspace(-5.0, 25.0, 97).tolist():
         assert abs(maps.F(y) - strong_maps.F(y)) <= 1e-11
         assert abs(maps.F_inv(y) - strong_maps.F_inv(y)) <= 1e-11
