@@ -29,7 +29,9 @@ the same wall and bump through ``picard_energy_series``: ``m = 0.27``, res
 512, ``t_max = 12 + 1/16`` and the 384 sample times ``(k + 1/2)/32``.  It
 records the seconds (median of 3), ``ru_maxrss`` after them, the
 ``tracemalloc`` peak of one further call, and the sha256 of the returned
-``(t, E, share)`` bytes.
+``(t, E, share)`` bytes.  It also records ``slice_plan_s``, the median of 3
+calls of ``slice_plan`` for those times on one ``_Lattice`` of that run,
+which is the slice-energy layer's choice of anti-diagonals.
 
 Run from the repository root; ``--src`` picks the ``kgcavity`` source tree
 to measure, so the same script measures an older checkout too.  Measure the
@@ -159,12 +161,19 @@ def measure_energies():
         times.append(time.perf_counter() - t0)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     result = None
+    lattice = kg._Lattice(maps, ENERGY_RES, ENERGY_T_MAX)
+    plan_times = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        lattice.slice_plan(want)
+        plan_times.append(time.perf_counter() - t0)
     tracemalloc.start()
     run, series = energies()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {"resolution": ENERGY_RES, "t_max": ENERGY_T_MAX, "samples": ENERGY_TIMES,
             "seconds": statistics.median(times), "seconds_all": times,
+            "slice_plan_s": statistics.median(plan_times),
             "ru_maxrss_mb": rss, "tracemalloc_peak_mb": peak / 2**20,
             "band": [run.lattice.R, run.lattice.Wmax],
             "band_mb": 8 * run.lattice.R * run.lattice.Wmax / 2**20,

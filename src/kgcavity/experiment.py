@@ -370,9 +370,14 @@ def run_experiment(cfg):
     spw = cfg.int_("fit.samples_per_window")
     burn = cfg.int_("fit.burn_in_windows")
     gamma_pred = analysis.gamma
+    masses = cfg.list_("mass.values")
+    step = maps.a0 / cfg.int_("grid.resolution")    # of a massive run's slices
+    if any(masses) and window / spw <= step:        # two samples on one slice
+        raise ConfigError("fit.samples_per_window: samples %g apart, not wider than "
+                          "the lattice step a(0)/grid.resolution = %g" % (window / spw, step))
 
     report["masses"] = []
-    for m in cfg.list_("mass.values"):
+    for m in masses:
         entry = {"m": m}
         try:
             nwin = int(round(horizon / window))

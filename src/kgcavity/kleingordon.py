@@ -220,6 +220,7 @@ class _Lattice:
         self.R = self.M - self.n0 + 1
         rows = np.arange(self.n0, self.M + 1)
         width = rows - self.jmin[rows] + 1
+        self.edge = np.maximum.accumulate(rows + self.jmin[rows])   # see slice_len
         self.Wmax = int(width.max())
         self.cmin = self.Wmax - width                    # per-row first valid column
         # prolongation stencil for columns beyond the initial interval
@@ -282,43 +283,28 @@ class _Lattice:
         _clear_left(out, self.cmin[r0:r0 + len(out)])
 
     # -- time slices: anti-diagonals i + j = L, nodes at rows i = L/2, L/2 + 1, ...
-    def slice_L(self, t):
-        """Even anti-diagonal index L with node times closest to t."""
-        return int(round((t + self.a0) / self.delta)) * 2
+    def slice_L(self, ts):
+        """Even anti-diagonals L with node times closest to ts, halves to even."""
+        return 2 * np.round((np.asarray(ts, dtype=float) + self.a0) / self.delta).astype(int)
 
     def slice_len(self, L):
-        """Node count of anti-diagonal L, from x = 0 up to the last band node
-        before the wall; SliceUnavailable where it leaves the stored lattice."""
+        """(node counts, in lattice) of the anti-diagonals L: node (i, L - i) is
+        in the band while i + jmin(i) <= L, so one search of the band edge
+        counts the nodes from x = 0 up to the last before the wall.  A slice is
+        in the lattice when L/2 is a stored row and the band ends before M."""
         i_lo = L // 2                       # x = 0 sits on the diagonal
-        if i_lo < self.n0 or i_lo > self.M:
-            raise SliceUnavailable("slice time outside the stored lattice")
-        i_cap = min(self.M, L)              # j = L - i must stay >= 0
-        # rows are Wmax wide, so the band holds no node of L past row
-        # i_lo + Wmax // 2: testing up to one row beyond finds the same first gap
-        iis = np.arange(i_lo, min(i_cap, i_lo + self.Wmax // 2 + 1) + 1)
-        ok = L - iis >= self.jmin[iis]
-        if bool(ok.all()):
-            if i_cap == self.M and i_cap < L:
-                raise SliceUnavailable("slice extends beyond the stored lattice")
-            return len(iis)
-        return int(np.argmin(ok))           # band columns form a contiguous prefix
+        end = np.searchsorted(self.edge, L, "right")
+        return end - (i_lo - self.n0), (i_lo >= self.n0) & (i_lo <= self.M) & (end < self.R)
 
     def slice_plan(self, ts):
         """(L, n) of the times ts whose energy slices exist: L the nearest
         anti-diagonal of each, n the node counts (n, n+, n-) of the slices L,
         L + 2, L - 2 that its energy reads; times whose slices leave the
         stored lattice, or are too short for the stencils, are dropped."""
-        plan = []
-        for t in np.asarray(ts, dtype=float).tolist():
-            L = self.slice_L(t)
-            try:
-                n = (self.slice_len(L), self.slice_len(L + 2), self.slice_len(L - 2))
-            except SliceUnavailable:
-                continue
-            if n[0] >= 7:
-                plan.append((L,) + n)
-        plan = np.array(plan, dtype=int).reshape(-1, 4)
-        return plan[:, 0], plan[:, 1:]
+        L = self.slice_L(ts)
+        n, ok = self.slice_len(L + np.array([[0], [2], [-2]]))
+        keep = ok.all(axis=0) & (n[0] >= 7)
+        return L[keep], n[:, keep].T
 
 
 def _clear_left(a, first):
@@ -417,10 +403,13 @@ class FieldGrid(PicardRun):
         return self.phi[i - lat.n0, lat.Wmax - 1 - 2 * i + L[:, None]]
 
     def phi_slice(self, t):
-        """(t_actual, x nodes, phi values) on the nearest aligned slice."""
+        """(t_actual, x nodes, phi values) on the nearest aligned slice;
+        SliceUnavailable where slice_len finds it outside the stored lattice."""
         lat = self.lattice
-        L = lat.slice_L(t)
-        n = lat.slice_len(L)
+        L = int(lat.slice_L(t))
+        n, ok = lat.slice_len(L)
+        if not ok:
+            raise SliceUnavailable("slice leaves the stored lattice")
         t_act = 0.5 * lat.delta * L - lat.a0
         xs = lat.s[L // 2 + np.arange(n)] - t_act
         return t_act, xs, self._gather(np.array([L]), n)[0]
@@ -521,7 +510,8 @@ def _slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
         phi_x[s, 0] = np.dot(_C_EDGE, phi_c[s, 0:5]) / d
         phi_x[s, n - 1] = -np.dot(_C_EDGE, phi_c[s, n - 1:n - 6:-1]) / d
 
-    da = np.array([float(motion.da(ts)) for ts in t.tolist()])
+    a = motion.a(t[:, None])[:, 0]      # columns: each time evaluated alone
+    da = motion.da(t[:, None])[:, 0]
     phi_t = np.zeros((S, n))                       # 0 on x = 0 (Dirichlet)
     phi_t[:, 1:n_ct] = (phi_p[:, 1:n_ct] - phi_m[:, 1:n_ct]) / (2.0 * d)
     # first-order backward in t; O(1) cells next to the wall
@@ -537,8 +527,8 @@ def _slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
     E_mass = simpson(mass_dens, dx=d)
 
     # partial cell [x_end, a(t)] with the exact Dirichlet zero at the wall
-    for s, ts in enumerate(t.tolist()):
-        gap = float(motion.a(ts)) - x_end[s]
+    for s, a_s in enumerate(a.tolist()):
+        gap = a_s - x_end[s]
         if gap > 1e-12:
             if gap > 0.1 * d:
                 px_w = (0.0 - phi_c[s, n - 1]) / gap
@@ -828,9 +818,11 @@ def picard_energy_series(data, maps, m, times, resolution=256, t_max=5.0,
     profile = build_initial_profile(data, maps)
     lat = _Lattice(maps, resolution, t_max)
     L, n = lat.slice_plan(times)
-    # every anti-diagonal read, once: its first row, node count and offset
-    keys, first = np.unique(np.concatenate([L, L + 2, L - 2]), return_index=True)
-    lens = n.T.ravel()[first]
+    # every anti-diagonal read, once (np.unique would import numpy.ma): its
+    # first row, node count and offset
+    keys = np.sort(np.concatenate([L, L + 2, L - 2]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    lens = lat.slice_len(keys)[0]
     off = np.cumsum(lens) - lens
     i_lo = keys // 2
     buf = np.empty(int(lens.sum()))

@@ -31,6 +31,11 @@ def tuned_maps():
     return boundary.CharacteristicMaps(m)
 
 
+# (mean, cos, sin, period) of two Fourier walls
+FOURIER_3 = (0.5, [-0.00315827, 0.0024102], [-0.00497221, 0.0, 0.02], 1.2)
+FOURIER_4 = (1.0, [0.03, -0.02, 0.01], [0.02, 0.015, -0.01, 0.005], 1.0)
+
+
 def random_validated_motions(rng, count):
     """Sample sinusoidal/fourier motions that pass validation."""
     out = []

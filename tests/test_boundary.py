@@ -11,7 +11,7 @@ from kgcavity.boundary import (CharacteristicMaps, NoConvergence, RejectedMotion
                                fourier_profile, make_motion, validate_motion,
                                sinusoidal_profile)
 
-from conftest import random_validated_motions
+from conftest import FOURIER_3, FOURIER_4, random_validated_motions
 
 
 def test_constant_profile_accepted():
@@ -130,15 +130,11 @@ def test_scalar_and_array_maps_agree(spec):
         assert np.array_equal(scalar, fn(x))
 
 
-_FOURIER_3 = (0.5, [-0.00315827, 0.0024102], [-0.00497221, 0.0, 0.02], 1.2)
-_FOURIER_4 = (1.0, [0.03, -0.02, 0.01], [0.02, 0.015, -0.01, 0.005], 1.0)
-
-
 @pytest.mark.parametrize("wall", [
     boundary.constant_profile(0.7),
     sinusoidal_profile(0.5, 0.012, 1.0),
-    fourier_profile(*_FOURIER_3),
-    fourier_profile(*_FOURIER_4),
+    fourier_profile(*FOURIER_3),
+    fourier_profile(*FOURIER_4),
 ], ids=["constant", "example", "fourier-3", "fourier-4"])
 def test_wall_scalar_matches_array(wall):
     # the profile contract: a_scalar has a's bits, point by point
@@ -218,8 +214,8 @@ def _counting_arrays(cls, *args):
 @pytest.mark.parametrize("cls, args", [
     (sinusoidal_profile, (0.35, 0.14, 1.0)),
     (sinusoidal_profile, (0.5, 0.155, 1.0)),      # sup|a'| = 0.97
-    (fourier_profile, _FOURIER_3),
-    (fourier_profile, _FOURIER_4),
+    (fourier_profile, FOURIER_3),
+    (fourier_profile, FOURIER_4),
 ], ids=["sinusoidal-0.35", "sinusoidal-0.5", "fourier-3", "fourier-4"])
 def test_array_lift_step_evaluations(cls, args):
     # the Hermite seed meets the residual test, so a lift step on an array

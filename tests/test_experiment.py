@@ -256,6 +256,36 @@ def test_cli_simulate_numerical_failure_exit(tmp_path, capsys):
     assert cli.main(["simulate", path]) == 2
 
 
+def _example_cfg(tmp_path, **over):
+    """demos/example.cfg, writing into tmp_path, as a config and a file."""
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "example.cfg")
+    vals = dict(ExperimentConfig.from_file(demo).values,
+                **{"output.dir": str(tmp_path / "out")}, **over)
+    path = tmp_path / "example.cfg"
+    path.write_text("".join("%s = %s\n" % kv for kv in vals.items()))
+    return ExperimentConfig(vals), str(path)
+
+
+def test_samples_finer_than_lattice_are_a_config_error(tmp_path, monkeypatch, capsys):
+    # 1024 samples per period lie 0.00098 apart, closer than the lattice step
+    # a(0)/256 = 0.00195, so two would share an anti-diagonal: the massive leg
+    # is refused before its march, and the CLI exits 1
+    calls = []
+    monkeypatch.setattr(experiment.kleingordon, "picard_energy_series",
+                        lambda *a, **k: calls.append(a))
+    cfg, path = _example_cfg(tmp_path, **{"fit.samples_per_window": "1024"})
+    with pytest.raises(ConfigError, match="fit.samples_per_window.*grid.resolution"):
+        experiment.run_experiment(cfg)
+    assert cli.main(["simulate", path]) == 1
+    assert "config error: fit.samples_per_window" in capsys.readouterr().err
+    assert calls == []
+    # the massless leg samples the exact field, at any spacing
+    cfg, _ = _example_cfg(tmp_path, **{"fit.samples_per_window": "1024",
+                                       "mass.values": "0.0"})
+    report = experiment.run_experiment(cfg)
+    assert not report["errors"] and len(report["masses"]) == 1
+
+
 def test_simulate_outputs_byte_identical(tmp_path):
     reports = []
     for tag in ("r1", "r2"):

@@ -8,6 +8,8 @@ from kgcavity import boundary, cauchy, kleingordon as kg
 from kgcavity._quadrature import simpson
 from kgcavity.characteristics_solver import OutsideDomain, build_initial_profile
 
+from conftest import FOURIER_3
+
 
 # ---------------------------------------------------------------------------
 # backward-characteristic geometry
@@ -807,19 +809,79 @@ def _slice_energy_reference(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
     return E
 
 
-@pytest.mark.parametrize("n_p, n_m", [(p, q) for p in (11, 12, 13) for q in (11, 12, 13)])
-def test_slice_energy_batch_matches_one_slice(tuned_maps, n_p, n_m):
-    # every length triple around n = 12, wall cells wide, narrow and absent
+def _fourier_3_motion():
+    return boundary.validate_motion(boundary.fourier_profile(*FOURIER_3), FOURIER_3[3])
+
+
+@pytest.mark.parametrize("fourier, n_p, n_m", [
+    pytest.param(f, p, q, id="%s%d-%d" % ("fourier-3-" if f else "", p, q))
+    for f in (False, True) for p in (11, 12, 13) for q in (11, 12, 13)])
+def test_slice_energy_batch_matches_one_slice(tuned_maps, fourier, n_p, n_m):
+    # every length triple around n = 12, wall cells wide, narrow and absent;
+    # a Fourier a' is a matmul, where a column could round unlike one time
+    motion = _fourier_3_motion() if fourier else tuned_maps.motion
     rng = np.random.default_rng(100 * n_p + n_m)
     d, m, n = 0.01, 0.4, 12
     t = np.array([1.0, 1.3, 2.2])
-    x_end = np.asarray(tuned_maps.motion.a(t)) - np.array([0.5, 0.05, 0.0]) * d
+    x_end = np.asarray(motion.a(t)) - np.array([0.5, 0.05, 0.0]) * d
     phi_c, phi_p, phi_m = (rng.standard_normal((3, k)) for k in (n, n_p, n_m))
-    got = kg._slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, tuned_maps.motion)
+    got = kg._slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, motion)
     for s in range(3):
         want = _slice_energy_reference(phi_c[s], phi_p[s], phi_m[s], float(t[s]),
-                                       x_end[s], d, m, tuned_maps.motion)
+                                       x_end[s], d, m, motion)
         assert [float(g[s]).hex() for g in got] == [w.hex() for w in want]
+
+
+def _walk_slice(lat, L):
+    """Node count of anti-diagonal L, walking its band nodes (i, L - i) row by
+    row from x = 0; None where the slice leaves the stored lattice."""
+    i = L // 2
+    if not lat.n0 <= i <= lat.M:
+        return None
+    while L - i >= lat.jmin[i]:
+        i += 1
+        if i > lat.M:
+            return None
+    return i - L // 2
+
+
+_SLICE_WALLS = {
+    "static": lambda request: request.getfixturevalue("static_maps"),
+    "tuned": lambda request: request.getfixturevalue("tuned_maps"),
+    "sinusoidal-0.35": lambda request: boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": 0.35, "beta": 0.14, "period": 1.0})),
+    "fourier-3": lambda request: boundary.CharacteristicMaps(_fourier_3_motion()),
+}
+
+
+@pytest.mark.parametrize("t_max", [0.3, 2.0])
+@pytest.mark.parametrize("res", [16, 33, 97, 256])
+@pytest.mark.parametrize("wall", list(_SLICE_WALLS))
+def test_slice_len_matches_node_walk(wall, res, t_max, request):
+    # the closed form (one search of the band edge) against a walk of the
+    # nodes, on slice_len, slice_plan and phi_slice, for times before t = 0,
+    # inside the lattice and past its horizon
+    maps = _SLICE_WALLS[wall](request)
+    data = cauchy.make_bump(maps.a0, 0.5 * maps.a0, 0.25 * maps.a0, 1.0, "right")
+    fg = kg.picard_solve(data, maps, 0.0, resolution=res, t_max=t_max)
+    lat = fg.lattice
+    assert np.all(np.diff(lat.edge) >= 0)
+    ts = np.linspace(-1.0, t_max + 1.0, 301)
+    Ls = [2 * round((t + lat.a0) / lat.delta) for t in ts.tolist()]
+    every = np.array(sorted({L + k for L in Ls for k in (-2, 0, 2)}))
+    walk = {L: _walk_slice(lat, L) for L in every.tolist()}
+    n, ok = lat.slice_len(every)
+    assert [int(c) if o else None for c, o in zip(n, ok)] == [walk[L] for L in every.tolist()]
+    plan = [(L,) + tuple(walk[L + k] for k in (0, 2, -2)) for L in Ls]
+    plan = [p for p in plan if None not in p and p[1] >= 7]
+    assert np.column_stack(lat.slice_plan(ts)).tolist() == [list(p) for p in plan]
+    assert 0 < len(plan) < len(ts)
+    for t, L in zip(ts.tolist(), Ls):
+        if walk[L] is None:
+            with pytest.raises(kg.SliceUnavailable):
+                fg.phi_slice(t)
+        else:
+            assert len(fg.phi_slice(t)[1]) == walk[L]
 
 
 def _example_wall():
