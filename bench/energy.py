@@ -17,7 +17,9 @@ those panels the reference itself is off, so a second one, this checkout's
 ``energy_series`` with 2048 extra uniform cuts of ``[-a(0), a(0)]``, is
 recorded beside it.  Recorded per tree and motion: the seconds and the
 largest relative error against both references; per motion also the
-largest relative difference between the first tree and each other.
+largest relative difference between the first tree and each other, and
+the Gauss panels of ``energy_series`` (``panels``) with those where
+``G0' != 0`` (``live_panels``, the ones this checkout pushes through F).
 
 Run from the repository root:
 
@@ -26,7 +28,7 @@ Run from the repository root:
 
 Results go to ``--out`` (relative to the repository root), which has no
 default so that a run never overwrites a checked-in record
-(``BENCH_11.json`` was written by this script).
+(``BENCH_11.json`` and ``BENCH_29.json`` were written by this script).
 """
 
 import argparse
@@ -110,6 +112,19 @@ def refined_zeta(prof, ts):
         prof._initial_kinks = kinks
 
 
+def panel_counts(prof, ts):
+    """(panels, live panels) of energy_series: the Gauss panels between the
+    initial kinks and the pulled-back h(t), and those with w G0'^2 != 0."""
+    from kgcavity import characteristics_solver as cs
+    from kgcavity._quadrature import gauss_panels
+
+    ys = prof.pullback(prof.maps.h(ts))[0]
+    cuts = np.union1d(prof._initial_kinks, ys)
+    x, w = gauss_panels(cuts[:-1], cuts[1:], cs._GAUSS_NODES, cs._GAUSS_WEIGHTS)
+    wg = w * prof._G0_prime(x.ravel()).reshape(x.shape) ** 2
+    return cuts.size - 1, int(wg.any(axis=1).sum())
+
+
 def motions():
     from kgcavity import circle_dynamics
     from perfbench.workloads import SCAN_ALPHAS, SCAN_BETA
@@ -159,6 +174,7 @@ def main(argv=None):
         ref = reference(_profile(motion), _times(motion)[sub])
         row = {"motion": motion["name"], "samples": len(_times(motion)),
                "reference_samples": len(ref), "reference_s": time.perf_counter() - t0}
+        row["panels"], row["live_panels"] = panel_counts(_profile(motion), _times(motion))
         zeta = refined_zeta(_profile(motion), _times(motion))
         for name, res in trees.items():
             E = np.asarray(res[i]["E"])

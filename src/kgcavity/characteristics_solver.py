@@ -150,24 +150,29 @@ class MasslessProfile:
 
         whose integrand does not compress however deep the pullback.  One set
         of 24-node Gauss panels, cut at the initial kinks and at every y,
-        serves all samples: its nodes are pushed forward once, row k of P
-        holds every panel's sum of w G0'^2 / DF^k, and each E_0 adds two
-        cumulative sums of P.  1/DF^k overflows only past gamma t ~ 700.
+        serves all samples: row k of P holds every panel's sum of
+        w G0'^2 / DF^k, and each E_0 adds two cumulative sums of P.  Only
+        the live panels, those with some G0' != 0, are pushed forward, once
+        for all samples; a dead panel's sums are exact zeros, and each node
+        is pushed on its own, so a live panel's sums do not depend on which
+        others are live.  1/DF^k overflows only past gamma t ~ 700.
         """
         ys, ns, _ = self.pullback(self.maps.h(ts))
         # np.unique without its numpy.ma import: sort, drop adjacent repeats
         cuts = np.sort(np.concatenate([self._initial_kinks, ys]))
         cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
         x, wg = gauss_panels(cuts[:-1], cuts[1:], _GAUSS_NODES, _GAUSS_WEIGHTS)
-        x = x.ravel()
-        wg = wg.ravel() * self._G0_prime(x) ** 2
-        P = np.empty((int(ns.max()) + 2, cuts.size - 1))
-        P[0] = wg.reshape(P.shape[1], -1).sum(axis=1)
+        wg = wg * self._G0_prime(x.ravel()).reshape(x.shape) ** 2
+        live = np.flatnonzero(wg.any(axis=1))
+        x, wg = x[live].ravel(), wg[live]
+        P = np.zeros((int(ns.max()) + 2, cuts.size - 1))
+        P[0, live] = wg.sum(axis=1)
         dfk = np.ones_like(x)
-        for k in range(1, P.shape[0]):
+        # zero data has no live panel and pushes nothing
+        for k in range(1, P.shape[0] if live.size else 1):
             x, d = self.maps.F_and_dF(x)
             dfk *= d
-            P[k] = (wg / dfk).reshape(P.shape[1], -1).sum(axis=1)
+            P[k, live] = (wg / dfk.reshape(live.size, 24)).sum(axis=1)
         # below[k, j]: panels on [-a(0), cuts[j]); above[k, j]: on [cuts[j], a(0))
         zero = np.zeros((P.shape[0], 1))
         below = np.hstack([zero, np.cumsum(P, axis=1)])

@@ -3,6 +3,7 @@ import pytest
 
 from kgcavity import boundary, cauchy
 from kgcavity import characteristics_solver as cs
+from kgcavity._quadrature import gauss_panels
 
 
 def _profile(maps, data=None, **kw):
@@ -152,9 +153,15 @@ def test_energy_massless_static_conservation(static_maps):
     assert np.max(np.abs(E / E[0] - 1.0)) <= 1e-8
 
 
-def test_energy_massless_zero_data(strong_maps):
+def test_energy_massless_zero_data(strong_maps, monkeypatch):
     prof = _profile(strong_maps, cauchy.zero_data(strong_maps.a0))
+    calls, push = [], strong_maps.F_and_dF
+    monkeypatch.setattr(strong_maps, "F_and_dF", lambda x: calls.append(x.size) or push(x))
     assert prof.energy(1.0) == 0.0
+    E = prof.energy_series(np.arange(8 * 32) / 32.0)
+    assert np.array_equal(E, np.zeros(8 * 32)) and not np.signbit(E).any()
+    # no panel carries energy, so no node is pushed through F
+    assert calls == []
 
 
 def test_energy_two_time_sandwich(strong_maps):
@@ -280,3 +287,73 @@ def test_energy_tabulated_data_cut_at_table_nodes(tmp_path):
         + tuple(np.linspace(0.0, maps.a0, 4098)[1:-1])
     ref = cs.MasslessProfile(fine, maps).energy_series(ts)
     assert np.max(np.abs(E / ref - 1.0)) <= 1e-12
+
+
+def _all_panel_energy_series(prof, ts):
+    """(E_0, live panels) of energy_series as it was before only the live
+    panels were pushed: every panel's nodes go through F_and_dF."""
+    ys, ns, _ = prof.pullback(prof.maps.h(ts))
+    cuts = np.union1d(prof._initial_kinks, ys)
+    x, wg = gauss_panels(cuts[:-1], cuts[1:], cs._GAUSS_NODES, cs._GAUSS_WEIGHTS)
+    x = x.ravel()
+    wg = wg.ravel() * prof._G0_prime(x) ** 2
+    P = np.empty((int(ns.max()) + 2, cuts.size - 1))
+    P[0] = wg.reshape(P.shape[1], -1).sum(axis=1)
+    dfk = np.ones_like(x)
+    for k in range(1, P.shape[0]):
+        x, d = prof.maps.F_and_dF(x)
+        dfk *= d
+        P[k] = (wg / dfk).reshape(P.shape[1], -1).sum(axis=1)
+    zero = np.zeros((P.shape[0], 1))
+    below = np.hstack([zero, np.cumsum(P, axis=1)])
+    above = np.hstack([np.cumsum(P[:, ::-1], axis=1)[:, ::-1], zero])
+    j = np.searchsorted(cuts, ys)
+    live = int(wg.reshape(P.shape[1], -1).any(axis=1).sum())
+    return above[ns, j] + below[ns + 1, j], live, P.shape[1], int(ns.max())
+
+
+def _tabulated_bump(path, a0):
+    # a 51-node table of a right-moving bump, as a user would supply it
+    bump = cauchy.make_bump(a0, 0.13, 0.06, 1.0, "right")
+    xs = np.linspace(0.0, a0, 51)
+    with open(path, "w") as fh:
+        fh.write("[phi0]\n")
+        fh.writelines("%.17g %.17g\n" % (x, v) for x, v in zip(xs, bump.phi0(xs)))
+        fh.write("[phi1]\n")
+        fh.writelines("%.17g %.17g\n" % (x, v) for x, v in zip(xs, bump.phi1(xs)))
+        fh.write("[derivatives]\nphi0_prime_0 = 0.0\nphi0_prime_a = 0.0\n"
+                 "phi0_second_0 = 0.0\nphi0_second_a = 0.0\nphi1_prime_a = 0.0\n")
+    return cauchy.load_tabulated(str(path), a0)
+
+
+@pytest.mark.parametrize("data_kind", ["right", "left", "standing", "eigenmode",
+                                       "tabulated"])
+@pytest.mark.parametrize("alpha, beta, window", [
+    (0.5, 0.012, 1.0),            # demos/example.cfg's wall, 1:1
+    (0.35, 0.14, 15.0),           # a scan wall, 15:17
+])
+def test_energy_series_pushes_only_live_panels(alpha, beta, window, data_kind,
+                                               tmp_path, monkeypatch):
+    maps = boundary.CharacteristicMaps(boundary.make_motion(
+        {"profile": "sinusoidal", "alpha": alpha, "beta": beta, "period": 1.0}))
+    if data_kind == "eigenmode":
+        data = cauchy.make_eigenmode(maps.a0)
+    elif data_kind == "tabulated":
+        data = _tabulated_bump(tmp_path / "bump.txt", maps.a0)
+    else:
+        data = cauchy.make_bump(maps.a0, 0.13, 0.06, 1.0, data_kind)
+    prof = cs.MasslessProfile(data, maps)
+    ts = window / 32.0 * np.arange(4 * 32)
+    ref, live, panels, depth = _all_panel_energy_series(prof, ts)
+
+    sizes = []
+    push = maps.F_and_dF
+    monkeypatch.setattr(maps, "F_and_dF", lambda x: sizes.append(x.size) or push(x))
+    E = prof.energy_series(ts)
+    assert np.array_equal(E, ref)
+    assert sizes == [24 * live] * (depth + 1)
+    if data_kind == "eigenmode":
+        assert live == panels
+    else:
+        # G0' vanishes off the bump, and on one side of eta = 0 for a mover
+        assert live < panels
