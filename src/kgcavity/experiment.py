@@ -666,28 +666,35 @@ _VERIFY_CHECKS = (
 )
 
 
-def _verify_one(args):
-    cfg_values, name, check, stream = args
+def _verify_group(args):
+    """Run a group of checks on one motion and one set of maps, built once."""
+    cfg_values, checks = args
     cfg = ExperimentConfig(cfg_values)
     motion = cfg.make_motion()
     maps = boundary.CharacteristicMaps(motion)
-    rng = None if stream is None else np.random.default_rng([cfg.int_("seed"), stream])
-    try:
-        ok, detail = check(cfg, motion, maps, rng)
-    except Exception as exc:
-        return name, False, "ERROR %s: %s" % (type(exc).__name__, exc)
-    return name, bool(ok), detail
+    results = []
+    for name, check, stream in checks:
+        rng = None if stream is None else np.random.default_rng([cfg.int_("seed"), stream])
+        try:
+            ok, detail = check(cfg, motion, maps, rng)
+        except Exception as exc:
+            results.append((name, False, "ERROR %s: %s" % (type(exc).__name__, exc)))
+        else:
+            results.append((name, bool(ok), detail))
+    return results
 
 
 def run_verify(cfg, workers=1):
     """Run the invariant battery; returns (all_ok, lines).
 
-    Lines are sorted by check name and written byte-identically regardless
-    of the worker count.
+    The checks go out in one group per worker, each of which builds the
+    motion and its maps once.  Lines are sorted by check name and written
+    byte-identically regardless of the worker count.
     """
     cfg.validate(need_fit=False)
-    results = _dispatch(_verify_one, [(cfg.values, *c) for c in _VERIFY_CHECKS],
-                        workers)
+    n = max(1, min(workers, len(_VERIFY_CHECKS)))
+    groups = [(cfg.values, _VERIFY_CHECKS[g::n]) for g in range(n)]
+    results = [r for group in _dispatch(_verify_group, groups, workers) for r in group]
     results.sort(key=lambda r: r[0])
     lines = ["%-4s %-24s %s" % ("PASS" if ok else "FAIL", name, detail)
              for name, ok, detail in results]

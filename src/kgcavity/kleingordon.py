@@ -72,7 +72,8 @@ __all__ = [
 ]
 
 _G16, _W16 = leggauss(16)
-_BLOCK_ROWS = 64        # band rows per block of the marched Picard iteration
+_BLOCK_ROWS = 64        # most band rows per block of the marched Picard iteration
+_BLOCK_NODES = 40_000   # most nodes (rows x Wmax) per block: 312 KiB per block buffer
 _QUAD_NODES = 4096      # Gauss nodes per interp_phi call of the identity checks
 
 
@@ -233,9 +234,10 @@ class _Lattice:
         self.jstar = jstar
         self.u = np.maximum(self.s[jstar] - eta_star, 0.0)
         self.lam = 1.0 - self.u / d                      # weight of Corr[jstar]
-        # a block of rows must not reach its own prolongation sources jstar
+        # a block of rows must not reach its own prolongation sources jstar;
+        # on wide bands it holds at most _BLOCK_NODES nodes (see _march)
         reach = int(np.min(j_pro - jstar)) if j_pro.size else _BLOCK_ROWS
-        self.block = min(_BLOCK_ROWS, reach)
+        self.block = max(1, min(_BLOCK_ROWS, _BLOCK_NODES // self.Wmax, reach))
 
     def blocks(self):
         """(r0, r1) row ranges of the blocks, in the order they converge."""
@@ -585,6 +587,10 @@ def _march(lat, profile, m, tol, n_max, phi=None, on_block=None):
     The new iterate goes to a second block buffer, which then swaps with the
     old one, so no pass copies a block; a block of the band whose last pass
     ended in that buffer is copied back once.
+
+    A block holds at most _BLOCK_NODES nodes: a seed extrapolated over fewer
+    rows misses less, so fewer blocks need a second pass, while each block
+    costs a fixed amount (first iterate, q, row maxima, ``on_block``).
 
     The first block starts from its phi^(0) rows.  Every later block starts
     from a seeded D: D[r, c] = D_above[c+r+1] + (r+1) (D_above[c+r+1] -

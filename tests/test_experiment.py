@@ -413,6 +413,25 @@ def test_oracle_n_y_below_64_is_a_config_error(tmp_path):
     _cfg(tmp_path, **{"oracle.n_y": 64}).validate()
 
 
+def test_verify_builds_motion_and_maps_once(tmp_path, monkeypatch):
+    # with one worker every check runs in one group, on one motion and one
+    # set of maps
+    built = []
+
+    def counting(fn):
+        def wrapper(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("make_motion", "CharacteristicMaps"):
+        monkeypatch.setattr(experiment.boundary, name,
+                            counting(getattr(experiment.boundary, name)))
+    ok, lines = experiment.run_verify(_cfg(tmp_path), workers=1)
+    assert ok and len(lines) == len(experiment._VERIFY_CHECKS)
+    assert sorted(built) == ["CharacteristicMaps", "make_motion"]
+
+
 def test_verify_random_streams_pinned(tmp_path):
     # profile_traces and energy_sandwich_steps each draw from a fresh
     # generator of stream 2; sharing one would move t1 and t2

@@ -580,9 +580,46 @@ def test_picard_tol_bounds_distance_to_fixed_point(case, request):
     assert 0.0 < max(gap) <= run.tol_abs
     assert run.picard_bound_ok()
     if case is _SIMULATE_CASE:
-        # 660 passes when every block started from phi^(0) and stopped on
-        # change <= tol_abs, 435 with seeds alone, 356 with the bound
-        assert run.block_passes.sum() <= 400
+        # rows marched, the passes times the rows of each block: 64-row
+        # blocks took 660 passes when every block started from phi^(0) and
+        # stopped on change <= tol_abs, and 356 passes (22 732 rows) with
+        # seeds and the bound; 38-row blocks (_BLOCK_NODES) march 15 308
+        rows = [r1 - r0 for r0, r1 in lat.blocks()]
+        assert int(run.block_passes @ rows) <= 16_000
+
+
+@pytest.mark.parametrize("wall", ["example", "tuned_maps", "strong_maps"])
+def test_lattice_block_within_node_budget(wall, request):
+    # bands of at most 625 nodes keep 64-row blocks; a wider band's block
+    # holds at most _BLOCK_NODES nodes and never reaches its own prolongation
+    # sources
+    maps = _example_wall() if wall == "example" else request.getfixturevalue(wall)
+    for res in (128, 256):
+        lat = kg._Lattice(maps, res, 3.0)
+        assert lat.Wmax <= 625 and lat.block == 64
+    for res in (512, 1024):
+        lat = kg._Lattice(maps, res, 3.0)
+        reach = int(np.min(lat.j_pro - lat.jstar))
+        assert 1 <= lat.block < 64 and lat.block <= reach
+        assert lat.block * lat.Wmax <= kg._BLOCK_NODES
+
+
+def test_node_budget_energies_match_64_row_march(monkeypatch):
+    # on the simulate lattice (res 512, 38-row blocks) the energies lie within
+    # 1e-9 relative of those of 64-row blocks, and both keep the Picard bound
+    _, m, res, t_max, bump = _SIMULATE_CASE
+    data = cauchy.make_bump(*bump, 1.0, "right")
+    want = (np.arange(384) + 0.5) / 32.0
+    runs = [kg.picard_energy_series(data, _example_wall(), m, want,
+                                    resolution=res, t_max=t_max)]
+    monkeypatch.setattr(kg, "_BLOCK_NODES", 10**9)
+    runs.append(kg.picard_energy_series(data, _example_wall(), m, want,
+                                        resolution=res, t_max=t_max))
+    (run, (t, E, _)), (run64, (t64, E64, _)) = runs
+    assert (run.lattice.block, run64.lattice.block) == (38, 64)
+    assert len(t) == 384 and t.tobytes() == t64.tobytes()
+    assert np.max(np.abs(E - E64) / np.abs(E64)) <= 1e-9
+    assert run.picard_bound_ok() and run64.picard_bound_ok()
 
 
 def test_picard_bufsize_restored(static_maps, request):
