@@ -41,7 +41,7 @@ to measure, so the same script measures an older checkout too:
 
 Each run replaces its label's entry in the ``--out`` file and keeps the
 others; ``--out`` has no default so that a run never overwrites a
-checked-in record (``BENCH_16.json``, ``BENCH_23.json`` and ``BENCH_25.json`` were written by this script).  (``BENCH_5.json`` was written by an
+checked-in record (``BENCH_16.json``, ``BENCH_23.json``, ``BENCH_25.json`` and ``BENCH_31.json`` were written by this script).  (``BENCH_5.json`` was written by an
 earlier version of this script, which timed ``rotation_number`` and
 ``find_periodic_points`` on their own.)
 """

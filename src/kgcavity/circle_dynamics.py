@@ -16,7 +16,13 @@ orbit it finds anyway and runs the long orbit only when none is found
 as soon as the Farey bracket its steps put on rho is narrower than 2T/n
 (:func:`rotation_bracket`).  The periodic orbits are ordered like those of
 the rigid rotation, so :func:`find_periodic_points` scans one fundamental
-domain of them and maps its roots around.
+domain of them and maps its roots around.  Besides the sign changes of
+F^q - Id - pT between grid nodes it finds the roots that no sign change
+shows: at the edge of a resonance zone (Arnold tongue) the attracting and
+repelling orbits merge into one neutral orbit (a saddle-node), a double
+root, and just inside the edge they form close pairs inside one grid cell.
+A tongue edge is reported as :class:`NeutralPoint`, which also certifies
+rho = (p/q) T.
 
 For a resonant map the attracting periodic points a_i (multiplier
 DF^q(a_i) < 1) drive exponential energy growth at rate
@@ -266,10 +272,68 @@ def _orbit_images(maps, xs, q):
     return np.concatenate(orbit)
 
 
+def _cell_extrema(maps, xs, g, dg, cells, tol, p, q):
+    """Double roots and close pairs of g = F^q - Id - pT inside the grid cells
+    [xs[i], xs[i + 1]], i in ``cells``, whose nodes share the sign of g while
+    g' = ``dg`` = DF^q - 1 changes sign.
+
+    Where g is concave on a cell it lies below both node tangents (above them
+    where convex), so a cell whose tangents meet farther than ``tol`` from 0,
+    on the side of its nodes, holds no root unless g'' changes sign in it too;
+    such cells are dropped unrefined.  In the others the extremum of g is
+    refined by a safeguarded secant on g', vectorized over the cells like the
+    Newton polish of :func:`_grid_roots`: a step that leaves the bracket is
+    replaced by its midpoint, and a cell is done once its step is no longer
+    than ROOT_TOL (the step is not taken), g' vanishes or its bracket is no
+    wider than ROOT_TOL.  An extremum with |g| <= ``tol`` is a double root,
+    with multiplier 1 up to that step; one where g has the sign opposite to
+    the nodes splits its cell into two brackets of a close pair.
+
+    Returns the double roots, then the brackets' ends a, b and g(a), g(b).
+    """
+    ga, gb, da, db = g[cells], g[cells + 1], dg[cells], dg[cells + 1]
+    # the tangents at both nodes meet s past the left node
+    s = (gb - ga - db * (xs[cells + 1] - xs[cells])) / (da - db)
+    keep = (ga + da * s) * np.sign(ga) <= tol
+    cells, ga, gb, da, db = cells[keep], ga[keep], gb[keep], da[keep], db[keep]
+    a, b = xs[cells], xs[cells + 1]
+    x = a - da * ((b - a) / (db - da))
+    xp, dp = a.copy(), da.copy()
+    gx = np.empty_like(x)
+    act = np.arange(x.size)
+    for _ in range(64):
+        if not act.size:
+            break
+        gx[act], mult = _g_and_multiplier(maps, x[act], p, q)
+        d = mult - 1.0
+        left = da[act] * d <= 0.0
+        b[act[left]] = x[act[left]]
+        right = act[~left]
+        a[right], da[right] = x[right], d[~left]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = d * ((x[act] - xp[act]) / (d - dp[act]))
+        xn = x[act] - step
+        inside = (xn > a[act]) & (xn < b[act])
+        xn[~inside] = 0.5 * (a[act] + b[act])[~inside]
+        done = (inside & (np.abs(step) <= ROOT_TOL)) | (d == 0.0) | (b[act] - a[act] <= ROOT_TOL)
+        xp[act], dp[act] = x[act], d
+        x[act] = np.where(done, x[act], xn)
+        act = act[~done]
+    double = np.abs(gx) <= tol
+    roots = x[double]
+    split = ~double & (gx * ga < 0.0)
+    x, gx, ga, gb, cells = x[split], gx[split], ga[split], gb[split], cells[split]
+    return (roots, np.concatenate([xs[cells], x]), np.concatenate([x, xs[cells + 1]]),
+            np.concatenate([ga, gx]), np.concatenate([gx, gb]))
+
+
 def _grid_roots(maps, lo, dx, idx, p, q):
     """g on the grid nodes lo + i dx (i in the sorted array ``idx``), and its
-    roots there: exact node hits, then the root of every sign change between
-    adjacent nodes by safeguarded Newton on g, with g' = DF^q - 1.
+    roots there: exact node hits (|g| <= 1e-13 max(1, |p| T)), the double
+    roots and close pairs of :func:`_cell_extrema` between adjacent nodes of
+    one sign where g' = DF^q - 1 changes sign, and the root of every bracket:
+    each sign change between adjacent nodes, and each half of a cell split by
+    a close pair, polished by safeguarded Newton on g.
 
     Each bracket starts at its secant point.  A Newton step that leaves the
     bracket, which every evaluation narrows, is replaced by its midpoint.  A
@@ -277,12 +341,16 @@ def _grid_roots(maps, lo, dx, idx, p, q):
     step is taken), g vanishes there, or its bracket is no wider than ROOT_TOL.
     """
     xs = lo + dx * idx
-    g, _ = _g_and_multiplier(maps, xs, p, q)
-    scale = max(1.0, abs(p) * maps.T)
-    sign = np.sign(g)
-    crossings = np.nonzero((idx[1:] == idx[:-1] + 1) & (sign[:-1] * sign[1:] < 0.0))[0]
-    a, b = xs[crossings], xs[crossings + 1]
-    fa, fb = g[crossings], g[crossings + 1]
+    g, mult = _g_and_multiplier(maps, xs, p, q)
+    tol = 1e-13 * max(1.0, abs(p) * maps.T)
+    dg = mult - 1.0
+    sides = np.sign(g[:-1]) * np.sign(g[1:])
+    adjacent = idx[1:] == idx[:-1] + 1
+    crossings = np.nonzero(adjacent & (sides < 0.0))[0]
+    turns = np.nonzero(adjacent & (sides > 0.0) & (dg[:-1] * dg[1:] < 0.0))[0]
+    doubles, a, b, fa, fb = _cell_extrema(maps, xs, g, dg, turns, tol, p, q)
+    a, b = np.concatenate([xs[crossings], a]), np.concatenate([xs[crossings + 1], b])
+    fa, fb = np.concatenate([g[crossings], fa]), np.concatenate([g[crossings + 1], fb])
     x = a - fa * ((b - a) / (fb - fa))
     act = np.arange(x.size)
     for _ in range(64):
@@ -302,7 +370,7 @@ def _grid_roots(maps, lo, dx, idx, p, q):
         x[act] = np.where(fx == 0.0, x[act], xn)
         act = act[~done]
     # exact hits on nodes (e.g. a repeller pinned at -a(0)) come first
-    return g, np.concatenate([xs[np.abs(g) <= 1e-13 * scale], x])
+    return g, np.concatenate([xs[np.abs(g) <= tol], x, doubles])
 
 
 def find_periodic_points(maps, p, q):
@@ -310,8 +378,10 @@ def find_periodic_points(maps, p, q):
 
     The roots of g = F^q - Id - pT are found on the grid of nodes
     lo + i dx, 0 <= i <= n, dx = 2 a(0) / n, n = max(SCAN_SAMPLES q, 1024):
-    exact node hits, and one root per sign change between adjacent nodes,
-    polished by safeguarded Newton to a step of 1e-12 (:func:`_grid_roots`).
+    exact node hits, one root per sign change between adjacent nodes, and
+    the roots a cell hides where g keeps its sign but g' = DF^q - 1 changes
+    it (the double root of a tongue edge, or a close pair just inside it),
+    each polished to a step of 1e-12 (:func:`_grid_roots`).
     Only one fundamental domain of the p:q orbits is
     scanned in full: with s p = 1 (mod q) and r = (s p - 1)/q, the lift
     G = F^s - rT has rotation number T/q when F has pT/q, so every p:q
@@ -332,8 +402,10 @@ def find_periodic_points(maps, p, q):
     DegenerateMap
         g vanishes identically on the interval (rigid translation).
     NeutralPoint
-        An isolated root has |DF^q - 1| <= 1e-8; the hyperbolicity
-        assumptions exclude this case.
+        A root has |DF^q - 1| <= 1e-8: a root near which g is flat, or a
+        double root between grid nodes, where |g| at the extremum is within
+        1e-13 max(1, |p| T) (the saddle-node at the edge of a tongue).  The
+        hyperbolicity assumptions exclude this case.
     """
     p, q = int(p), int(q)
     if math.gcd(p, q) != 1:
@@ -573,7 +645,9 @@ def analyze_map(maps, rotation_iterations=100_000, max_q=20):
     orbit of SHORT_ORBIT steps proposes p/q (bar T/SHORT_ORBIT), and if
     ``find_periodic_points(p, q)`` finds a root of F^q - Id - pT (or raises
     DegenerateMap or NeutralPoint, which also mean a root), rho = pT/q
-    exactly by Poincare's theorem.  The estimate is then pT/q, the
+    exactly by Poincare's theorem; at a tongue edge the NeutralPoint is the
+    double root :func:`find_periodic_points` finds between its grid nodes, so
+    no long orbit runs there either.  The estimate is then pT/q, the
     half-width stays T/n and the scan is the one the analysis uses.  Every
     output but the estimate is what the n-step orbit gives: that orbit lies
     within T/n of pT/q, and a second fraction within 2T/n of p/q with

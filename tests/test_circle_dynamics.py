@@ -195,6 +195,98 @@ def test_neutral_point_raised():
 
 
 # ---------------------------------------------------------------------------
+# roots between grid nodes: the saddle-node at a tongue edge
+# ---------------------------------------------------------------------------
+
+# sinusoidal(alpha, 0.14, 1) has max (F - Id) = 2 (alpha + 0.14), reached at
+# x = -0.25, so alpha = 0.36 is the lower edge of its 1:1 tongue; the 2:3
+# tongue's lower edge, bisected in alpha on find_periodic_points, is here
+_EDGE_23 = 0.2979191970022564
+
+# (x, DF^q) to 40 digits, written by bench/periodic_reference.py --doubles
+# (mpmath Newton at 50 digits from each point find_periodic_points returns)
+# for sinusoidal(0.36 + 1e-10, 0.14, 1), 1:1 ...
+_PAIR_11 = [
+    ("-0.250006015491668474232459167007869706639", "1.000066497196660637974621939423978186107"),
+    ("-0.249993984508331525767540832992130293361", "0.9999335072249225028652724721807241153432"),
+]
+# ... and for sinusoidal(_EDGE_23 + 1e-11, 0.14, 1) = (0.2979191970122564, ...), 2:3
+_PAIRS_23 = [
+    ("-0.2500023086408434020798233058565802255196", "1.000031351404250558853661659450713198036"),
+    ("-0.2499976913591565979201766941434197744804", "0.9999686495786291749684333589917121326382"),
+    ("-0.09208643762302777560004228675485552257603", "1.000031351404250558853661659450713198036"),
+    ("-0.09207516817697733826154366553744271993532", "0.9999686495786291749684333589917121326382"),
+]
+
+
+def _sign_changes(maps, p, q, xs):
+    g, _ = cd._g_and_multiplier(maps, xs, p, q)
+    return int(np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
+
+
+def test_tongue_edge_neutral_point():
+    # g(-0.25) = 0 with DF = 1, while the nodes around it read -1.7e-8 and
+    # -1.4e-9: a double root that no sign change shows
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.36, "beta": 0.14,
+                  "period": 1.0})
+    with pytest.raises(cd.NeutralPoint) as exc:
+        cd.find_periodic_points(maps, 1, 1)
+    assert abs(exc.value.x + 0.25) <= 1e-9
+    analysis = cd.analyze_map(maps, rotation_iterations=100_000, max_q=20)
+    assert analysis.status == "NeutralPoint at x=%.12g" % exc.value.x
+    assert analysis.rotation_certified
+    assert analysis.rotation_estimate == maps.T
+
+
+def test_close_pair_inside_one_cell():
+    # just inside the tongue the pair lies 1.2e-5 apart, in one cell of 7.2e-5
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.36 + 1e-10, "beta": 0.14,
+                  "period": 1.0})
+    pts = cd.find_periodic_points(maps, 1, 1)
+    dx = 2 * maps.a0 / cd.SCAN_SAMPLES
+    assert math.floor((pts[0].x + maps.a0) / dx) == math.floor((pts[1].x + maps.a0) / dx)
+    assert [pt.kind for pt in pts] == ["repelling", "attracting"]
+    # a dense scan at 1e-8 sees the same two roots
+    assert _sign_changes(maps, 1, 1, np.linspace(-0.2501, -0.2499, 20_001)) == 2
+    for pt, (x, mult) in zip(pts, _PAIR_11):
+        assert pt.x == pytest.approx(float(x), abs=1e-12)
+        assert pt.multiplier == pytest.approx(float(mult), rel=1e-10)
+    analysis = cd.analyze_map(maps, rotation_iterations=100_000, max_q=20)
+    assert analysis.status == "ok"
+    assert analysis.rotation_certified
+    assert analysis.periodic_points == pts
+    assert analysis.gamma == -math.log(pts[1].multiplier) / maps.T > 0
+
+
+def test_close_pairs_through_the_orbit_images():
+    # 1e-11 inside the 2:3 edge: two close pairs in [lo, hi), 4.6e-6 and
+    # 1.1e-5 wide in cells of 2e-5; the one-domain scan finds one, the
+    # rescan around its orbit images the other
+    maps = _maps({"profile": "sinusoidal", "alpha": _EDGE_23 + 1e-11, "beta": 0.14,
+                  "period": 1.0})
+    pts = cd.find_periodic_points(maps, 2, 3)
+    assert [pt.kind for pt in pts] == ["repelling", "attracting"] * 2
+    assert _sign_changes(maps, 2, 3, np.linspace(-maps.a0, maps.a0, 600_001)) == 4
+    # DF^3 - 1 = 3.1e-5 there, so the 2e-16 that rounding leaves in g moves
+    # a root by 6e-12
+    for pt, (x, mult) in zip(pts, _PAIRS_23):
+        assert pt.x == pytest.approx(float(x), abs=2e-11)
+        assert pt.multiplier == pytest.approx(float(mult), rel=1e-9)
+    # 1e-11 outside no root is left: g peaks at -3.7e-11 and -8.9e-11
+    outside = _maps({"profile": "sinusoidal", "alpha": _EDGE_23 - 1e-11, "beta": 0.14,
+                     "period": 1.0})
+    assert cd.find_periodic_points(outside, 2, 3) == []
+
+
+def test_outside_the_tongue_edge_no_root():
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.36 - 1e-9, "beta": 0.14,
+                  "period": 1.0})
+    assert cd.find_periodic_points(maps, 1, 1) == []
+    g, _ = cd._g_and_multiplier(maps, np.linspace(-0.2501, -0.2499, 20_001), 1, 1)
+    assert g.max() < 0.0
+
+
+# ---------------------------------------------------------------------------
 # asymptotic coefficients and weighted integrals
 # ---------------------------------------------------------------------------
 
@@ -643,6 +735,9 @@ def _full_orbit_reference(maps, n, max_q):
     except cd.DegenerateMap:
         ref["status"] = "DegenerateMap"
         return ref
+    except cd.NeutralPoint as exc:
+        ref["status"] = "NeutralPoint at x=%.12g" % exc.x
+        return ref
     if not ref["points"]:
         ref["status"] = "no_periodic_points"
         return ref
@@ -669,10 +764,10 @@ def test_analyze_map_certificate_matches_full_orbit(alpha, beta):
     assert analysis.J == ref["J"]
     assert analysis.rotation_half_width == maps.T / n
     assert analysis.rotation_iterations == n
-    # alpha = 0.36 is a tongue edge without periodic points, 0.66 is
-    # quasi-periodic: both take the estimate of the orbit's bracket, and the
-    # bracket of all n steps lies within T/n of it
-    fallback = alpha in (0.36, 0.66)
+    # alpha = 0.66 is quasi-periodic: it takes the estimate of the orbit's
+    # bracket, and the bracket of all n steps lies within T/n of it.  The
+    # tongue edge 0.36 is certified by its neutral point
+    fallback = alpha == 0.66
     assert analysis.rotation_certified is not fallback
     assert analysis.to_dict()["rotation_certified"] is not fallback
     if fallback:
@@ -686,8 +781,12 @@ def test_analyze_map_certificate_matches_full_orbit(alpha, beta):
 
 def test_analyze_map_fallback_scans_once(monkeypatch):
     # the short orbit proposes 1:1, the scan finds no root, and the n-step
-    # orbit detects 1:1 again: its scan is reused
-    maps = _maps({"profile": "sinusoidal", "alpha": 0.36, "beta": 0.14,
+    # orbit detects 1:1 again: its scan is reused.  Just outside the tongue
+    # edge 0.36, alpha + beta < T/2 keeps F - Id below T, so no fixed point
+    # of F - T exists, while the orbit passes the bottleneck at -0.25 only
+    # once in n steps (alpha = 0.36 - 1e-9 passes it three times, and the
+    # n-step bar excludes 1:1)
+    maps = _maps({"profile": "sinusoidal", "alpha": 0.36 - 1e-10, "beta": 0.14,
                   "period": 1.0})
     calls = []
     find = cd.find_periodic_points
