@@ -12,11 +12,12 @@ N - 1 points plus Cartwright's correction for the last interval.
 and weights agree bit for bit, without importing ``numpy.polynomial``
 (0.8 MB resident in every run); ``gauss_panels(lo, hi, nodes, weights)``
 maps one Gauss-Legendre rule onto each panel [lo[i], hi[i]].
+``sorted_unique(a)`` is ``np.unique(a)`` without its ``numpy.ma`` import.
 """
 
 import numpy as np
 
-__all__ = ["gauss_panels", "leggauss", "simpson"]
+__all__ = ["gauss_panels", "leggauss", "simpson", "sorted_unique"]
 
 
 def simpson(y, dx):
@@ -83,3 +84,9 @@ def leggauss(n):
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()
     return x, w
+
+
+def sorted_unique(a):
+    """The distinct values of ``a``, flattened: sort, drop adjacent repeats."""
+    s = np.sort(a, axis=None)
+    return s[np.concatenate([[True], s[1:] != s[:-1]])]

@@ -9,9 +9,10 @@ encode one light-ray reflection off both walls: a ray leaving x = 0 at
 characteristic coordinate eta returns to x = 0 at F(eta).  F is a degree-one
 lift of a circle diffeomorphism, F(x + T) = F(x) + T.
 
-A wall profile gives ``a``, ``da`` and ``dda`` on arrays, ``a_scalar`` on
-Python floats (``a``'s operations in ``a``'s order, so the same bits),
-``kind`` and ``describe()``.
+A wall profile gives ``a``, ``da`` and ``dda`` on arrays, elementwise (a flat
+vector has the bits of 0-d calls, and so has DF), ``a_scalar`` on Python
+floats (``a``'s operations in ``a``'s order, so the same bits), ``kind`` and
+``describe()``.
 """
 
 import bisect
@@ -112,29 +113,30 @@ class fourier_profile:
         self.sin_coeffs[:nsin] = sin_coeffs
         self.order = order
         self.omega = 2.0 * math.pi / float(period)
-        self._kw = self.omega * np.arange(1, order + 1)
-        # (k omega, cos_k, sin_k) as Python floats, summed in this order
-        self._terms = list(zip(self._kw.tolist(), self.cos_coeffs.tolist(),
-                               self.sin_coeffs.tolist()))
+        kw = (self.omega * np.arange(1, order + 1)).tolist()
+        # (k omega, cos, sin) coefficients of a, a' and a'' as Python floats
+        self._terms = list(zip(kw, self.cos_coeffs.tolist(), self.sin_coeffs.tolist()))
+        self._dterms = [(w, w * s, -w * c) for w, c, s in self._terms]
+        self._ddterms = [(w, -w * w * c, -w * w * s) for w, c, s in self._terms]
 
-    def a(self, t):
-        # one harmonic at a time, in a_scalar's order, so both round alike
+    @staticmethod
+    def _series(t, start, terms):
+        # one harmonic at a time, in a_scalar's order: elementwise
         t = np.asarray(t, dtype=float)
-        s = np.full_like(t, self.mean)
-        for kw, c, sn in self._terms:
+        s = np.full_like(t, start)
+        for kw, c, sn in terms:
             ph = kw * t
             s += c * np.cos(ph) + sn * np.sin(ph)
         return s
 
+    def a(self, t):
+        return self._series(t, self.mean, self._terms)
+
     def da(self, t):
-        t = np.asarray(t, dtype=float)
-        ph = np.multiply.outer(t, self._kw)
-        return -np.sin(ph) @ (self._kw * self.cos_coeffs) + np.cos(ph) @ (self._kw * self.sin_coeffs)
+        return self._series(t, 0.0, self._dterms)
 
     def dda(self, t):
-        t = np.asarray(t, dtype=float)
-        ph = np.multiply.outer(t, self._kw)
-        return -np.cos(ph) @ (self._kw**2 * self.cos_coeffs) - np.sin(ph) @ (self._kw**2 * self.sin_coeffs)
+        return self._series(t, 0.0, self._ddterms)
 
     def a_scalar(self, t):
         s = self.mean

@@ -31,7 +31,7 @@ __all__ = [
 
 
 class BumpOutOfRange(ValueError):
-    """Bump support touches or crosses an endpoint of [0, a(0)]."""
+    """Bump width <= 0, or its support touches or crosses an end of [0, a(0)]."""
 
 
 class MissingAnalysis(ValueError):
@@ -45,17 +45,20 @@ class CauchyData:
     stored explicitly; for analytic families they come from closed forms,
     for tabulated data the user supplies them (differencing a table for a
     corner condition is ill-conditioned, so it is not attempted).  The
-    massless profile also needs the attribute ``int_phi1``, the exact
-    antiderivative x -> int_0^x phi1; every family here sets it.
+    massless profile reads ``int_phi1``, the exact antiderivative x -> int_0^x
+    phi1, and ``kinks``, the points of (0, a(0)) where G0' may not be smooth.
     """
 
-    def __init__(self, phi0, phi1, dphi0, ddphi0, dphi1, a0, provenance="user"):
+    def __init__(self, phi0, phi1, dphi0, ddphi0, dphi1, a0, *, int_phi1, kinks,
+                 provenance="user"):
         self.phi0 = phi0
         self.phi1 = phi1
         self.dphi0 = dphi0
         self.ddphi0 = ddphi0
         self.dphi1 = dphi1
         self.a0 = float(a0)
+        self.int_phi1 = int_phi1
+        self.kinks = tuple(kinks)
         self.provenance = provenance
 
     def __repr__(self):
@@ -64,17 +67,17 @@ class CauchyData:
 
 def zero_data(a0):
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    data = CauchyData(z, z, z, z, z, a0, provenance="zero")
-    data.int_phi1 = z
-    return data
+    return CauchyData(z, z, z, z, z, a0, int_phi1=z, kinks=(), provenance="zero")
 
 
 def make_bump(a0, center, width, amplitude, direction="standing"):
     """C^2 polynomial bump amplitude * (1 - u^2)^3, u = (x - center)/width.
 
     phi1 is -phi0' for a right-moving pulse, +phi0' for left-moving, zero
-    for standing.  Support must stay strictly inside (0, a(0)).
+    for standing.  Width > 0, and the support strictly inside (0, a(0)).
     """
+    if not width > 0.0:
+        raise BumpOutOfRange("width must be positive, got %g" % width)
     if not (0.0 < center - width and center + width < a0):
         raise BumpOutOfRange(
             "support [%g, %g] must lie strictly inside (0, %g)"
@@ -108,11 +111,10 @@ def make_bump(a0, center, width, amplitude, direction="standing"):
     phi1 = (lambda x: sgn * dphi0(x))
     dphi1 = (lambda x: sgn * ddphi0(x))
 
-    data = CauchyData(phi0, phi1, dphi0, ddphi0, dphi1, a0,
+    return CauchyData(phi0, phi1, dphi0, ddphi0, dphi1, a0,
+                      int_phi1=lambda x: sgn * phi0(x),  # phi0(0) = 0
+                      kinks=(c - w, c + w),              # phi0''' jumps here
                       provenance="bump(%s, c=%g, w=%g, A=%g)" % (direction, c, w, A))
-    data.int_phi1 = lambda x: sgn * phi0(x)  # exact antiderivative, phi0(0) = 0
-    data.kinks = (c - w, c + w)              # phi0''' jumps here
-    return data
 
 
 def make_eigenmode(a0, mode=1, amplitude=1.0):
@@ -127,11 +129,8 @@ def make_eigenmode(a0, mode=1, amplitude=1.0):
     dphi0 = lambda x: A * kk * np.cos(kk * np.asarray(x, dtype=float))
     ddphi0 = lambda x: -A * kk**2 * np.sin(kk * np.asarray(x, dtype=float))
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    data = CauchyData(phi0, z, dphi0, ddphi0, z, a0,
+    return CauchyData(phi0, z, dphi0, ddphi0, z, a0, int_phi1=z, kinks=(),
                       provenance="eigenmode(k=%d, A=%g)" % (mode, A))
-    data.int_phi1 = z
-    data.kinks = ()
-    return data
 
 
 class CompatibilityReport:
@@ -291,12 +290,10 @@ def load_tabulated(path, a0):
     ddphi0 = _corner_aware(ddp0, derivs["phi0_second_0"], derivs["phi0_second_a"])
     dphi1 = _corner_aware(dp1, float(dp1(0.0)), derivs["phi1_prime_a"])
 
-    data = CauchyData(phi0, phi1, dphi0, ddphi0, dphi1, a0,
-                      provenance="table:%s" % path)
     # the PCHIP's own antiderivative, zero at the first node; phi1 reads 0
     # outside the table, so clipping to its range extends it exactly
     ip1 = p1.antiderivative()
-    data.int_phi1 = lambda x: ip1(np.clip(np.asarray(x, dtype=float), p1.x[0], p1.x[-1]))
+    int_phi1 = lambda x: ip1(np.clip(np.asarray(x, dtype=float), p1.x[0], p1.x[-1]))
     # G0' = -(phi0' + phi1 sgn)/2 has a kink at every node of either table
-    data.kinks = tuple(np.union1d(p0.x, p1.x).tolist())
-    return data
+    return CauchyData(phi0, phi1, dphi0, ddphi0, dphi1, a0, int_phi1=int_phi1,
+                      kinks=np.union1d(p0.x, p1.x).tolist(), provenance="table:%s" % path)

@@ -29,7 +29,7 @@ This module evaluates that exact massless profile; the massive solver in
 
 import numpy as np
 
-from kgcavity._quadrature import gauss_panels, leggauss
+from kgcavity._quadrature import gauss_panels, leggauss, sorted_unique
 
 __all__ = [
     "OutsideDomain",
@@ -72,12 +72,9 @@ class MasslessProfile:
         self.data = data
         self.maps = maps
         self.a0 = maps.a0
-        if getattr(data, "int_phi1", None) is None:
-            raise AttributeError("%r has no int_phi1 (x -> int_0^x phi1)" % (data,))
-        self.int_phi1 = data.int_phi1
         # locations where G loses smoothness inside the initial interval
         kinks = {0.0, self.a0, -self.a0}
-        for kx in getattr(data, "kinks", ()):
+        for kx in data.kinks:
             kinks.add(float(kx))
             kinks.add(-float(kx))
         self._initial_kinks = np.array(sorted(kinks))
@@ -87,7 +84,7 @@ class MasslessProfile:
         eta = np.asarray(eta, dtype=float)
         ab = np.abs(eta)
         return -0.5 * np.asarray(self.data.phi0(ab)) * np.sign(eta) \
-               - 0.5 * np.asarray(self.int_phi1(ab))
+               - 0.5 * np.asarray(self.data.int_phi1(ab))
 
     def _G0_prime(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -158,9 +155,7 @@ class MasslessProfile:
         others are live.  1/DF^k overflows only past gamma t ~ 700.
         """
         ys, ns, _ = self.pullback(self.maps.h(ts))
-        # np.unique without its numpy.ma import: sort, drop adjacent repeats
-        cuts = np.sort(np.concatenate([self._initial_kinks, ys]))
-        cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
+        cuts = sorted_unique(np.concatenate([self._initial_kinks, ys]))
         x, wg = gauss_panels(cuts[:-1], cuts[1:], _GAUSS_NODES, _GAUSS_WEIGHTS)
         wg = wg * self._G0_prime(x.ravel()).reshape(x.shape) ** 2
         live = np.flatnonzero(wg.any(axis=1))
@@ -185,14 +180,12 @@ def build_initial_profile(data, maps):
     """Exact massless profile of the Cauchy data.
 
     Verifies the corner compatibility conditions first and raises
-    :class:`IncompatibleData` on failure (with the report attached).
+    :class:`IncompatibleData`, naming each failed condition, on failure.
     """
     from . import cauchy as _cauchy
 
     report = _cauchy.check_compatibility(data, maps.motion, tolerance=1e-8)
     if not report.all_passed:
-        err = IncompatibleData("; ".join(
+        raise IncompatibleData("; ".join(
             line for line, ok in zip(report.lines(), report.passed) if not ok))
-        err.report = report
-        raise err
     return MasslessProfile(data, maps)

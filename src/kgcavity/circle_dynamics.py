@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kgcavity._quadrature import gauss_panels, leggauss, simpson
+from kgcavity._quadrature import gauss_panels, leggauss, simpson, sorted_unique
 
 __all__ = [
     "AmbiguousResonance",
@@ -430,9 +430,7 @@ def find_periodic_points(maps, p, q):
         v = _orbit_images(maps, roots, q)
         shifts = T * np.arange(math.floor((lo - v.max()) / T), math.ceil((hi - v.min()) / T) + 1)
         cells = np.floor((np.add.outer(v, shifts) - lo) / dx).astype(int)
-        # np.unique without its numpy.ma import: sort, drop adjacent repeats
-        idx = np.sort(np.add.outer(cells.ravel(), np.arange(-1, 3)), axis=None)
-        idx = idx[np.concatenate([[True], idx[1:] != idx[:-1]])]
+        idx = sorted_unique(np.add.outer(cells.ravel(), np.arange(-1, 3)))
         _, roots = _grid_roots(maps, lo, dx, idx[(idx >= 0) & (idx <= n)], p, q)
 
     # dedupe and keep the half-open interval convention: a root closer to hi

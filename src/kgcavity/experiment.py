@@ -345,11 +345,8 @@ def run_experiment(cfg):
               "errors": []}
 
     motion, maps, analysis = analyze_config_map(cfg)
-    report["motion"] = {
-        **{k: (list(v) if isinstance(v, (list, tuple, np.ndarray)) else v)
-           for k, v in motion.describe().items()},
-        "a_min": motion.a_min, "a_max": motion.a_max, "da_max": motion.da_max,
-    }
+    report["motion"] = {**motion.describe(), "a_min": motion.a_min,
+                        "a_max": motion.a_max, "da_max": motion.da_max}
     report["map_analysis"] = analysis.to_dict()
 
     data = cfg.make_data(maps.a0)

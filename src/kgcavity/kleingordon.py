@@ -54,8 +54,8 @@ import math
 
 import numpy as np
 
-from ._quadrature import leggauss, simpson
-from .characteristics_solver import OutsideDomain, build_initial_profile
+from ._quadrature import leggauss, simpson, sorted_unique
+from .characteristics_solver import DOMAIN_TOL, OutsideDomain, build_initial_profile
 
 __all__ = [
     "NotConverged",
@@ -107,9 +107,9 @@ def _backward_walk(maps, xi, eta):
     row per coordinate and one column per point, so that B^n = (c[n], c[n+1])
     and Q(B^n) = [c[n+1], c[n]] x [c[n+2], c[n+1]]; N is each point's depth,
     the last n before the first vertex outside max(-xi, F^{-1}(xi)) <= eta <=
-    xi (with the 1e-9 slack of ``in_domain``).  c has max(N) + 3 rows.  The
-    walk stops once every point's last vertex has 2t < -1e-8, where the test
-    must fail; points past their depth are walked along unmasked.
+    xi (with the DOMAIN_TOL slack of ``in_domain``).  c has max(N) + 3 rows.
+    The walk stops once every point's last vertex has 2t < -1e-8, where the
+    test must fail; points past their depth are walked along unmasked.
     Terminates because each B step lowers the time by a(k^{-1}(xi)) >= inf a.
     One point (0-d xi and eta) walks on Python floats, where F^{-1} takes the
     scalar inverse, and keeps its stop and inside tests on floats too: c is
@@ -122,8 +122,8 @@ def _backward_walk(maps, xi, eta):
         while c[-3] + c[-2] >= -1e-8:
             c.append(maps.F_inv(c[-2]))
         n = 0                           # the first vertex outside the domain
-        while (n < len(c) - 2 and c[n + 1] <= c[n] + 1e-9
-               and c[n + 1] >= max(-c[n], c[n + 2]) - 1e-9):
+        while (n < len(c) - 2 and c[n + 1] <= c[n] + DOMAIN_TOL
+               and c[n + 1] >= max(-c[n], c[n + 2]) - DOMAIN_TOL):
             n += 1
         if n == 0:
             raise OutsideDomain("(%g, %g) outside the domain" % (c[0], c[1]))
@@ -135,7 +135,7 @@ def _backward_walk(maps, xi, eta):
         c.append(maps.F_inv(c[-2]))
     c = np.array(c).reshape(len(c), -1)
     x, e = c[:-2], c[1:-1]
-    inside = (e <= x + 1e-9) & (e >= np.maximum(-x, c[2:]) - 1e-9)
+    inside = (e <= x + DOMAIN_TOL) & (e >= np.maximum(-x, c[2:]) - DOMAIN_TOL)
     if not inside[0].all():
         k = int(np.argmin(inside[0]))
         raise OutsideDomain("(%g, %g) outside the domain" % (c[0, k], c[1, k]))
@@ -512,8 +512,8 @@ def _slice_energy(phi_c, phi_p, phi_m, t, x_end, d, m, motion):
         phi_x[s, 0] = np.dot(_C_EDGE, phi_c[s, 0:5]) / d
         phi_x[s, n - 1] = -np.dot(_C_EDGE, phi_c[s, n - 1:n - 6:-1]) / d
 
-    a = motion.a(t[:, None])[:, 0]      # columns: each time evaluated alone
-    da = motion.da(t[:, None])[:, 0]
+    a = motion.a(t)
+    da = motion.da(t)
     phi_t = np.zeros((S, n))                       # 0 on x = 0 (Dirichlet)
     phi_t[:, 1:n_ct] = (phi_p[:, 1:n_ct] - phi_m[:, 1:n_ct]) / (2.0 * d)
     # first-order backward in t; O(1) cells next to the wall
@@ -824,10 +824,8 @@ def picard_energy_series(data, maps, m, times, resolution=256, t_max=5.0,
     profile = build_initial_profile(data, maps)
     lat = _Lattice(maps, resolution, t_max)
     L, n = lat.slice_plan(times)
-    # every anti-diagonal read, once (np.unique would import numpy.ma): its
-    # first row, node count and offset
-    keys = np.sort(np.concatenate([L, L + 2, L - 2]))
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    # every anti-diagonal read, once: its first row, node count and offset
+    keys = sorted_unique(np.concatenate([L, L + 2, L - 2]))
     lens = lat.slice_len(keys)[0]
     off = np.cumsum(lens) - lens
     i_lo = keys // 2

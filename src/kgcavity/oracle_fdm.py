@@ -34,6 +34,7 @@ __all__ = ["Unstable", "NoOverlap", "OracleRun", "step_times", "solve_oracle", "
 STEP_CHUNK = 16
 # probe slices that compare evaluates the field on together
 PROBE_SLICES = 8
+CFL = 0.9  # the time step's fraction of the frozen-coefficient stability bound
 
 
 class Unstable(RuntimeError):
@@ -145,20 +146,20 @@ def _tridiagonal_solve(sub, diag, sup, rhs):
     return rhs
 
 
-def step_times(motion, n_y, t_max, cfl=0.9):
+def step_times(motion, n_y, t_max):
     """The times ``solve_oracle`` marches through: n dt for n = 0 ... n_t.
 
     The time step comes from a frozen-coefficient bound on the transformed
-    characteristic speeds (1 + sup|a'|)/inf a, scaled by ``cfl``, and is
+    characteristic speeds (1 + sup|a'|)/inf a, scaled by CFL, and is
     shortened to divide t_max.  Passed as ``times``, it keeps every step.
     """
     dy = np.linspace(0.0, 1.0, n_y + 1)[1]
     speed = (1.0 + motion.da_max) / motion.a_min
-    n_t = int(math.ceil(t_max / (cfl * dy / speed)))
+    n_t = int(math.ceil(t_max / (CFL * dy / speed)))
     return (t_max / n_t) * np.arange(n_t + 1)
 
 
-def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9, times=None):
+def solve_oracle(data, motion, m, n_y=256, t_max=5.0, times=None):
     """March the transformed equation up to t_max on :func:`step_times`, in
     a ring of STEP_CHUNK + 2 rows, keeping the steps nearest the probe
     ``times`` (default: 40 evenly spaced, ending at the last step).
@@ -175,7 +176,7 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9, times=None):
     a0 = motion.a0
     ys = np.linspace(0.0, 1.0, n_y + 1)
     dy = ys[1] - ys[0]
-    ts = step_times(motion, n_y, t_max, cfl)
+    ts = step_times(motion, n_y, t_max)
     n_t = len(ts) - 1
     dt = ts[1] - ts[0]
     if times is None:
@@ -231,14 +232,13 @@ def solve_oracle(data, motion, m, n_y=256, t_max=5.0, cfl=0.9, times=None):
     for n0 in range(1, n_t, STEP_CHUNK):
         n1 = min(n0 + STEP_CHUNK, n_t)
         # the wall at the chunk's times in Python floats, as a step-by-step
-        # build takes them (psi stays bit-identical): a column holds each
-        # time in a row of its own, so a Fourier wall sums its terms for it
-        # exactly as for that time alone; then the chunk's coefficient rows
-        t_col = ts[n0:n1, None]
+        # build takes them (psi stays bit-identical; the wall is elementwise,
+        # so each time has its bits alone); then the chunk's coefficient rows
+        t = ts[n0:n1]
         scalars = [(da_t / a_t, da_t, a_t**2, dda_t / a_t - 2.0 * (da_t / a_t) ** 2)
-                   for a_t, da_t, dda_t in zip(motion.a(t_col).ravel().tolist(),
-                                               motion.da(t_col).ravel().tolist(),
-                                               motion.dda(t_col).ravel().tolist())]
+                   for a_t, da_t, dda_t in zip(motion.a(t).tolist(),
+                                               motion.da(t).tolist(),
+                                               motion.dda(t).tolist())]
         g_s, da_s, a2_s, c1_s = np.array(scalars).T[:, :, None]
         g = g_s * yint
         g_dt = g / dt

@@ -128,6 +128,10 @@ def test_scalar_and_array_maps_agree(spec):
     for fn in (maps.F, maps.F_inv, maps.h_inv, maps.k_inv):
         scalar = np.array([fn(v) for v in x.tolist()])
         assert np.array_equal(scalar, fn(x))
+    # the wall is elementwise, so the a' of DF is too
+    for fn in (maps.F_and_dF, maps.F_inv_and_dF):
+        scalar = np.array([fn(v) for v in x.tolist()])
+        assert np.array_equal(scalar, np.stack(fn(x), axis=1))
 
 
 @pytest.mark.parametrize("wall", [
@@ -137,9 +141,12 @@ def test_scalar_and_array_maps_agree(spec):
     fourier_profile(*FOURIER_4),
 ], ids=["constant", "example", "fourier-3", "fourier-4"])
 def test_wall_scalar_matches_array(wall):
-    # the profile contract: a_scalar has a's bits, point by point
+    # the profile contract: a_scalar has a's bits, point by point, and a, a'
+    # and a'' are elementwise, so a flat vector has the bits of 0-d calls
     t = np.linspace(-7.0, 31.0, 4001)
     assert [wall.a_scalar(v) for v in t.tolist()] == wall.a(t).tolist()
+    for fn in (wall.a, wall.da, wall.dda):
+        assert [float(fn(np.float64(v))) for v in t.tolist()] == fn(t).tolist()
 
 
 class _ContractWall:

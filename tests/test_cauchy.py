@@ -19,7 +19,9 @@ def test_linear_data_fails_endpoint(strong_maps):
         dphi0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         ddphi0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         dphi1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        a0=a0)
+        a0=a0,
+        int_phi1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        kinks=())
     rep = cauchy.check_compatibility(lin, strong_maps.motion)
     assert not rep.passed[1]          # phi0(a(0)) = a0 != 0
     assert rep.residuals[1] == pytest.approx(a0)
@@ -58,6 +60,14 @@ def test_bump_out_of_range():
         cauchy.make_bump(1.0, 0.1, 0.2, 1.0, "right")
     with pytest.raises(cauchy.BumpOutOfRange):
         cauchy.make_bump(1.0, 0.9, 0.15, 1.0, "left")
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1])
+def test_bump_needs_positive_width(width):
+    # a zero width would divide by zero in dphi0, and a negative one would
+    # be read as |width| with its kinks reversed
+    with pytest.raises(cauchy.BumpOutOfRange, match="width must be positive"):
+        cauchy.make_bump(1.0, 0.5, width, 1.0, "right")
 
 
 def test_bump_zero_amplitude_is_zero_data():

@@ -254,12 +254,15 @@ def test_energy_example_wall_matches_eta_route():
     assert np.max(np.abs(E / _eta_route(prof, ts) - 1.0)) <= 1e-12
 
 
-def test_profile_needs_int_phi1(strong_maps):
+@pytest.mark.parametrize("missing", ["int_phi1", "kinks"])
+def test_data_needs_int_phi1_and_kinks(strong_maps, missing):
+    # the profile reads both, so data without either cannot be built
     bump = cauchy.make_bump(strong_maps.a0, 0.45, 0.2, 1.0, "right")
-    data = cauchy.CauchyData(bump.phi0, bump.phi1, bump.dphi0, bump.ddphi0,
-                             bump.dphi1, bump.a0)
-    with pytest.raises(AttributeError, match="int_phi1"):
-        cs.MasslessProfile(data, strong_maps)
+    given = {"int_phi1": bump.int_phi1, "kinks": bump.kinks}
+    del given[missing]
+    with pytest.raises(TypeError, match=missing):
+        cauchy.CauchyData(bump.phi0, bump.phi1, bump.dphi0, bump.ddphi0,
+                          bump.dphi1, bump.a0, **given)
 
 
 def test_energy_tabulated_data_cut_at_table_nodes(tmp_path):
@@ -282,9 +285,10 @@ def test_energy_tabulated_data_cut_at_table_nodes(tmp_path):
     ts = np.arange(12 * 8) / 8.0
     E = cs.MasslessProfile(data, maps).energy_series(ts)
     # the same route with 4096 extra uniform cuts
-    fine = cauchy.load_tabulated(str(path), maps.a0)
-    fine.kinks = tuple(getattr(data, "kinks", ())) \
-        + tuple(np.linspace(0.0, maps.a0, 4098)[1:-1])
+    fine = cauchy.CauchyData(
+        data.phi0, data.phi1, data.dphi0, data.ddphi0, data.dphi1, data.a0,
+        int_phi1=data.int_phi1,
+        kinks=data.kinks + tuple(np.linspace(0.0, maps.a0, 4098)[1:-1]))
     ref = cs.MasslessProfile(fine, maps).energy_series(ts)
     assert np.max(np.abs(E / ref - 1.0)) <= 1e-12
 

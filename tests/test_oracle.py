@@ -51,12 +51,13 @@ def test_static_energy_drift(static_maps):
     assert drift <= 1e-3
 
 
-def test_unstable_smoke():
+def test_unstable_smoke(monkeypatch):
     # a time step far beyond the stability limit must be caught
+    monkeypatch.setattr(orc, "CFL", 4.0)
     m = boundary.make_motion({"profile": "constant", "alpha": 1.0, "period": 1.0})
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "standing")
     with pytest.raises(orc.Unstable):
-        orc.solve_oracle(data, m, m=0.0, n_y=128, t_max=5.0, cfl=4.0)
+        orc.solve_oracle(data, m, m=0.0, n_y=128, t_max=5.0)
 
 
 def test_nonfinite_data_raises_unstable():
@@ -69,10 +70,11 @@ def test_nonfinite_data_raises_unstable():
         return out
 
     data = cauchy.CauchyData(nan_phi0, bump.phi1, bump.dphi0, bump.ddphi0,
-                             bump.dphi1, bump.a0)
+                             bump.dphi1, bump.a0, int_phi1=bump.int_phi1,
+                             kinks=bump.kinks)
     with pytest.raises(orc.Unstable) as got:
         orc.solve_oracle(data, m, m=0.0, n_y=64, t_max=0.1)
-    want, step = _reference_unstable(data, m, 0.0, 64, 0.1, 0.9)
+    want, step = _reference_unstable(data, m, 0.0, 64, 0.1)
     assert str(got.value) == want
     assert step == 1                      # NaN reaches the first new row
 
@@ -169,13 +171,12 @@ def test_chunked_steps_match_reference_loop(strong_maps, wall, m):
     assert ref.tobytes() == run.psi.tobytes()
 
 
-def _reference_unstable(data, motion, m, n_y, t_max, cfl):
+def _reference_unstable(data, motion, m, n_y, t_max):
     """The message _reference_march raises on the solver's grid, and the
     index of the step it names."""
-    ts = orc.step_times(motion, n_y, t_max, cfl)
+    ts = orc.step_times(motion, n_y, t_max)
     # the solver's two seed rows, from a run of one step (which marches none)
-    seed = orc.solve_oracle(data, motion, m=m, n_y=n_y, t_max=ts[1], cfl=cfl,
-                            times=ts[:2])
+    seed = orc.solve_oracle(data, motion, m=m, n_y=n_y, t_max=ts[1], times=ts[:2])
     assert seed.ts.tolist() == ts[:2].tolist()
     ref = np.empty((len(ts), n_y + 1))
     ref[:2] = seed.psi
@@ -185,11 +186,12 @@ def _reference_unstable(data, motion, m, n_y, t_max, cfl):
     return msg, int(round(float(msg.rsplit("=", 1)[1]) / ts[1]))
 
 
-def test_chunked_steps_unstable_message_matches_reference(strong_maps):
+def test_chunked_steps_unstable_message_matches_reference(strong_maps, monkeypatch):
+    monkeypatch.setattr(orc, "CFL", 4.0)
     data = cauchy.make_bump(1.0, 0.5, 0.25, 1.0, "right")
     with pytest.raises(orc.Unstable) as got:
-        orc.solve_oracle(data, strong_maps.motion, m=0.5, n_y=64, t_max=3.0, cfl=4.0)
-    want, step = _reference_unstable(data, strong_maps.motion, 0.5, 64, 3.0, 4.0)
+        orc.solve_oracle(data, strong_maps.motion, m=0.5, n_y=64, t_max=3.0)
+    want, step = _reference_unstable(data, strong_maps.motion, 0.5, 64, 3.0)
     assert str(got.value) == want
     # the failing step is not the first of its chunk (chunks start at 1)
     assert (step - 1) % orc.STEP_CHUNK != 0
