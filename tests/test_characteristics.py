@@ -254,15 +254,21 @@ def test_energy_example_wall_matches_eta_route():
     assert np.max(np.abs(E / _eta_route(prof, ts) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("missing", ["int_phi1", "kinks"])
-def test_data_needs_int_phi1_and_kinks(strong_maps, missing):
-    # the profile reads both, so data without either cannot be built
+def test_profile_needs_int_phi1(strong_maps):
+    # the profile reads int_phi1, so data without it cannot be built
     bump = cauchy.make_bump(strong_maps.a0, 0.45, 0.2, 1.0, "right")
-    given = {"int_phi1": bump.int_phi1, "kinks": bump.kinks}
-    del given[missing]
-    with pytest.raises(TypeError, match=missing):
+    with pytest.raises(TypeError, match="int_phi1"):
         cauchy.CauchyData(bump.phi0, bump.phi1, bump.dphi0, bump.ddphi0,
-                          bump.dphi1, bump.a0, **given)
+                          bump.dphi1, bump.a0, kinks=bump.kinks)
+
+
+def test_profile_needs_kinks(strong_maps):
+    # the profile cuts its energy panels at the kinks, so data without them
+    # cannot be built
+    bump = cauchy.make_bump(strong_maps.a0, 0.45, 0.2, 1.0, "right")
+    with pytest.raises(TypeError, match="kinks"):
+        cauchy.CauchyData(bump.phi0, bump.phi1, bump.dphi0, bump.ddphi0,
+                          bump.dphi1, bump.a0, int_phi1=bump.int_phi1)
 
 
 def test_energy_tabulated_data_cut_at_table_nodes(tmp_path):
